@@ -19,7 +19,6 @@ from relevance_kit import (
     count_edges,
     gamma_cost,
     minimum_test,
-    pair_index,
     permutation_pvalue,
     weighted_sum_test,
 )
@@ -68,7 +67,7 @@ ctx = MomentContext(groups.sizes)
 print("\nobserved vs null-expected between counts:")
 for m, l in [(1, 2), (1, 3), (2, 3)]:
     s = table[m - 1, l - 1]
-    mu = 2 * sizes[m - 1] * sizes[l - 1] / N
+    mu = ctx.mean[m - 1, l - 1]
     print(f"   S({m},{l}) = {int(s):3d}   E = {mu:6.2f}   deficit = {mu - s:+.2f}")
 
 # --- 4. the two asymptotic tests -------------------------------------------
@@ -86,16 +85,11 @@ print(f"   statistic = {mn.statistic:.4f}")
 print(f"   critical  = {mn.critical_value:.4f}")
 print(f"   p-value   = {mn.p_value:.6f}   reject at 5%? {mn.reject}")
 
-# which pair drives the minimum?
-wvec = w.vector()
-dev = np.array(
-    [
-        wvec[pair_index(m, l, 3) - 1]
-        * (table[m - 1, l - 1] - 2 * sizes[m - 1] * sizes[l - 1] / N)
-        for m, l in [(1, 2), (1, 3), (2, 3)]
-    ]
-)
-pairs = ["(1,2)", "(1,3)", "(2,3)"]
+# which pair drives the minimum?  w.vector() runs over the pairs in
+# np.triu_indices order: (1,2), (1,3), (2,3).
+iu, ju = np.triu_indices(3, 1)
+dev = w.vector() * (table[iu, ju] - ctx.mean[iu, ju])
+pairs = [f"({m + 1},{l + 1})" for m, l in zip(iu, ju)]
 print(f"   driven by pair {pairs[int(np.argmin(dev))]} "
       f"(weighted deviations: "
       + ", ".join(f"{p}={v:+.3f}" for p, v in zip(pairs, dev)) + ")")

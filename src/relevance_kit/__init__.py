@@ -22,32 +22,16 @@ from .cost import (
 )
 from .counts import GroupAssignment, count_between_unions, count_edges
 from .inference import (
-    PairIndexer,
     TestResult,
     WeightMatrix,
-    build_sigma,
     minimum_statistic,
     minimum_test,
     mvn_upper_tail,
-    pair_index,
-    pair_unindex,
     permutation_pvalue,
     weighted_sum_statistic,
     weighted_sum_test,
 )
-from .moments import (
-    MomentContext,
-    cov_counts,
-    cross_moment_disjoint,
-    cross_moment_shared,
-    cross_moment_within_pairs,
-    enumerate_null_moments,
-    mean_between,
-    mean_within,
-    second_moment_between,
-    second_moment_within,
-    var_between,
-)
+from .moments import MomentContext, build_sigma, enumerate_null_moments
 from .relevance import RelevanceReport, combined_z_score, relevance_report, z_score
 from .shp import approximate_shp, brute_force_shp, path_cost
 from .sim import (
@@ -80,27 +64,15 @@ __all__ = [
     "count_between_unions",
     # moments
     "MomentContext",
-    "mean_between",
-    "mean_within",
-    "second_moment_between",
-    "second_moment_within",
-    "cross_moment_disjoint",
-    "cross_moment_shared",
-    "cross_moment_within_pairs",
-    "var_between",
-    "cov_counts",
+    "build_sigma",
     "enumerate_null_moments",
     # inference
-    "PairIndexer",
-    "pair_index",
-    "pair_unindex",
     "WeightMatrix",
     "TestResult",
     "weighted_sum_statistic",
     "weighted_sum_test",
     "minimum_statistic",
     "minimum_test",
-    "build_sigma",
     "mvn_upper_tail",
     "permutation_pvalue",
     # relevance

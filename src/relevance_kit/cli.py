@@ -29,13 +29,7 @@ from .inference import (
     permutation_pvalue,
     weighted_sum_test,
 )
-from .moments import (
-    MomentContext,
-    mean_between,
-    mean_within,
-    second_moment_within,
-    var_between,
-)
+from .moments import MomentContext
 from .relevance import relevance_report
 from .shp import approximate_shp, path_cost
 from .sim import SimCase, CovSpec, estimate_power, gen_gaussian, preset_case, resolve_cost
@@ -82,7 +76,8 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
 
     Labels are mapped to dense ids 1..k in order of first appearance;
     the mapping is echoed in every report so downstream group ids are
-    unambiguous.  Parse failures name the offending line.
+    unambiguous.  Parse failures, including non-finite cells such as
+    ``nan`` or ``inf``, name the offending line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -99,7 +94,7 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
         feature_names = tuple(h for i, h in enumerate(header) if i != gidx)
         if not feature_names:
             raise ValueError(f"{path}: no feature columns besides the group column")
-        rows, labels = [], []
+        rows, labels, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue  # blank line
@@ -123,9 +118,17 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
                         f"could not parse {cell!r} as a number"
                     ) from None
             rows.append(values)
+            linenos.append(lineno)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, found {len(rows)}")
     matrix = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"{path}: line {linenos[r]}, column {feature_names[c]!r}: "
+            f"value {matrix[r, c]} is not a finite number"
+        )
     assignment = GroupAssignment.from_labels(labels)
     label_map = {}
     for raw, dense in zip(labels, assignment.labels.tolist()):
@@ -303,20 +306,6 @@ def _result_block(res) -> dict:
     return out
 
 
-def _moment_block(ctx: MomentContext) -> dict:
-    k = ctx.n_groups
-    n, N = ctx.sizes, ctx.total
-    mean = np.zeros((k, k))
-    sd = np.zeros((k, k))
-    for i in range(k):
-        mean[i, i] = mean_within(n[i], N)
-        sd[i, i] = math.sqrt(max(second_moment_within(n[i], N) - mean[i, i] ** 2, 0.0))
-        for j in range(i + 1, k):
-            mean[i, j] = mean[j, i] = mean_between(n[i], n[j], N)
-            sd[i, j] = sd[j, i] = math.sqrt(var_between(n[i], n[j], N))
-    return {"mean": mean.tolist(), "sd": sd.tolist()}
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -366,7 +355,7 @@ def cmd_test(dataset: InputDataset, config: RunConfig) -> dict:
         "warnings": warns,
         "path": {"order": path.tolist(), "total_cost": path_cost(path, costs)},
         "counts": table.tolist(),
-        "moments": _moment_block(ctx),
+        "moments": {"mean": ctx.mean.tolist(), "sd": np.sqrt(ctx.var).tolist()},
         "weights": w.grid.tolist(),
         "results": results,
     }
@@ -596,3 +585,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,15 +1,17 @@
 """Hypothesis tests on between-group edge counts.
 
-Two one-sided tests share the permutation-null moments: the weighted-sum
-test aggregates all between-group counts into a single asymptotically
-normal statistic, and the minimum test takes the smallest weighted
-centered count, whose null tail is a multivariate-normal orthant
-probability.  That orthant probability is computed natively by
-:func:`mvn_upper_tail`, a quasi-Monte-Carlo integrator using the
-separation-of-variables transform of Genz (reordered Cholesky plus a
-randomized Richtmyer lattice).  :func:`permutation_pvalue` offers an
-exact-in-the-limit Monte-Carlo fallback that holds the path fixed and
-re-draws label arrangements.
+Two one-sided tests share the permutation-null moments, which they read
+from the tables of :class:`~relevance_kit.moments.MomentContext` and from
+:func:`~relevance_kit.moments.build_sigma` (re-exported here); no closed
+form is written out in this module.  The weighted-sum test aggregates
+all between-group counts into a single asymptotically normal statistic,
+and the minimum test takes the smallest weighted centered count, whose
+null tail is a multivariate-normal orthant probability.  That orthant
+probability is computed natively by :func:`mvn_upper_tail`, a
+quasi-Monte-Carlo integrator using the separation-of-variables transform
+of Genz (reordered Cholesky plus a randomized Richtmyer lattice).
+:func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
+fallback that holds the path fixed and re-draws label arrangements.
 
 Both tests reject for small statistics: under a location or scale
 alternative the path crosses between samples less often than permutation
@@ -27,13 +29,10 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from .counts import GroupAssignment, count_edges
-from .moments import MomentContext, cov_counts, mean_between, var_between
+from .moments import MomentContext, build_sigma
 from .shp import check_path
 
 __all__ = [
-    "PairIndexer",
-    "pair_index",
-    "pair_unindex",
     "WeightMatrix",
     "TestResult",
     "weighted_sum_statistic",
@@ -46,54 +45,6 @@ __all__ = [
 ]
 
 _MVN_SEED = 20210802  # fixed default so every report is reproducible
-
-
-def pair_index(i: int, j: int, k: int) -> int:
-    """1-based linear index L(i, j) of the group pair (i, j), i < j.
-
-    Pairs are laid out row-major over the strict upper triangle:
-    (1,2), (1,3), ..., (1,k), (2,3), ..., (k-1,k).
-    """
-    if not (1 <= i < j <= k):
-        raise ValueError(f"need 1 <= i < j <= k, got i={i}, j={j}, k={k}")
-    return (j - i) + (2 * k - i) * (i - 1) // 2
-
-
-def pair_unindex(l: int, k: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`: the unique (i, j) with L(i, j) = l."""
-    total = k * (k - 1) // 2
-    if not (1 <= l <= total):
-        raise ValueError(f"need 1 <= l <= {total} for k={k}, got {l}")
-    i = 1
-    while l > k - i:
-        l -= k - i
-        i += 1
-    return i, i + l
-
-
-@dataclass(frozen=True)
-class PairIndexer:
-    """Bijection between group pairs (i < j) and linear indices 1..k(k-1)/2."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need at least 2 groups, got k={self.k}")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.k * (self.k - 1) // 2
-
-    def index(self, i: int, j: int) -> int:
-        return pair_index(i, j, self.k)
-
-    def unindex(self, l: int) -> tuple[int, int]:
-        return pair_unindex(l, self.k)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """All pairs in linear-index order."""
-        return [self.unindex(l) for l in range(1, self.n_pairs + 1)]
 
 
 @dataclass(frozen=True)
@@ -131,17 +82,9 @@ class WeightMatrix:
     def default(cls, ctx: MomentContext) -> "WeightMatrix":
         """Inverse null standard deviation per pair: w = Var(S)^(-1/2)."""
         k = ctx.n_groups
-        n, N = ctx.sizes, ctx.total
+        iu, ju = np.triu_indices(k, 1)
         w = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                v = var_between(n[i], n[j], N)
-                if v <= 0.0:
-                    raise ValueError(
-                        f"null variance of pair ({i + 1},{j + 1}) is zero; "
-                        "default weights undefined"
-                    )
-                w[i, j] = w[j, i] = v ** -0.5
+        w[iu, ju] = w[ju, iu] = ctx.pair_var("default weights undefined") ** -0.5
         return cls(w)
 
     @classmethod
@@ -160,7 +103,7 @@ class WeightMatrix:
         return WeightMatrix(w)
 
     def vector(self) -> np.ndarray:
-        """Weights flattened in linear pair-index order."""
+        """Weights of pairs (1,2), (1,3), ..., (k-1,k): the order of :func:`build_sigma`."""
         k = self.k
         iu, ju = np.triu_indices(k, 1)
         return self.grid[iu, ju]
@@ -219,27 +162,6 @@ def weighted_sum_statistic(table, w: WeightMatrix) -> float:
     return float((w.grid[iu, ju] * t[iu, ju]).sum())
 
 
-def build_sigma(ctx: MomentContext) -> np.ndarray:
-    """Null covariance matrix of all between-group counts.
-
-    Entry (l1-1, l2-1) is the covariance of S(pair l1) and S(pair l2)
-    in linear pair-index order; exactly symmetric by construction.
-    """
-    idx = PairIndexer(ctx.n_groups)
-    K = idx.n_pairs
-    pairs = idx.pairs()
-    sigma = np.zeros((K, K))
-    for a in range(K):
-        for b in range(a, K):
-            sigma[a, b] = sigma[b, a] = cov_counts(pairs[a], pairs[b], ctx)
-    return sigma
-
-
-def _null_mean_vector(ctx: MomentContext) -> np.ndarray:
-    n, N = ctx.sizes, ctx.total
-    return np.array([mean_between(n[i - 1], n[j - 1], N) for i, j in PairIndexer(ctx.n_groups).pairs()])
-
-
 def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05) -> TestResult:
     """One-sided lower-tail test on the weighted sum of between counts.
 
@@ -254,7 +176,8 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
     _warn_singletons(ctx)
     stat = weighted_sum_statistic(table, w)
     wvec = w.vector()
-    null_mean = float(wvec @ _null_mean_vector(ctx))
+    iu, ju = np.triu_indices(w.k, 1)
+    null_mean = float(wvec @ ctx.mean[iu, ju])
     null_var = float(wvec @ build_sigma(ctx) @ wvec)
     if null_var <= 0.0:
         raise ValueError("null variance of the weighted sum is zero; test is degenerate")
@@ -281,9 +204,7 @@ def minimum_statistic(table, w: WeightMatrix, ctx: MomentContext) -> float:
     iu, ju = np.triu_indices(w.k, 1)
     wvec = w.grid[iu, ju]
     pos = wvec > 0
-    n, N = ctx.sizes, ctx.total
-    means = np.array([mean_between(n[i], n[j], N) for i, j in zip(iu, ju)])
-    centered = wvec[pos] * (t[iu, ju][pos] - means[pos])
+    centered = wvec[pos] * (t[iu, ju][pos] - ctx.mean[iu, ju][pos])
     return float(centered.min())
 
 

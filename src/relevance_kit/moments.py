@@ -2,9 +2,12 @@
 
 Under uniform permutation of group labels over a fixed path, the
 between- and within-group edge counts have closed-form first and second
-moments depending only on the group sizes.  This module provides those
-formulas, the covariance dispatcher used by the test statistics, and an
-exhaustive enumeration oracle (:func:`enumerate_null_moments`) that
+moments depending only on the group sizes (Chen & Friedman, JASA 2017).
+This module is the one place those closed forms live:
+:class:`MomentContext` carries the k x k mean and variance tables of
+every count, and :func:`build_sigma` the covariance matrix of the
+between counts that the tests and relevance z-scores read.  An
+exhaustive enumeration oracle (:func:`enumerate_null_moments`)
 recomputes every moment exactly for small N by iterating over all
 distinct label arrangements.
 """
@@ -20,15 +23,7 @@ from .counts import GroupAssignment
 
 __all__ = [
     "MomentContext",
-    "mean_between",
-    "mean_within",
-    "second_moment_between",
-    "second_moment_within",
-    "cross_moment_disjoint",
-    "cross_moment_shared",
-    "cross_moment_within_pairs",
-    "var_between",
-    "cov_counts",
+    "build_sigma",
     "EnumeratedMoments",
     "enumerate_null_moments",
 ]
@@ -36,32 +31,56 @@ __all__ = [
 _ENUM_MAX = 8
 
 
-def _check_sizes(N: int, *sizes: int) -> None:
-    if int(N) != N or N < 2:
-        raise ValueError(f"total N must be an integer >= 2, got {N}")
-    for n in sizes:
-        if int(n) != n or n < 1:
-            raise ValueError(f"group sizes must be integers >= 1, got {n}")
-    if sum(sizes) > N:
-        raise ValueError(f"group sizes {sizes} exceed total N={N}")
-
-
 @dataclass(frozen=True)
 class MomentContext:
-    """Group sizes n_1..n_k and their total N."""
+    """Group sizes n_1..n_k, their total N, and every count's null moments.
+
+    ``mean[i, j]`` and ``var[i, j]`` are the null mean and variance of the
+    edge count S(G_{i+1}, G_{j+1}) (0-based indices, symmetric); the
+    diagonal holds the within-group counts S(G_i, G_i).  Both tables are
+    read-only and are the only place the closed forms are written out.
+    """
 
     sizes: np.ndarray
     total: int = field(init=False)
+    mean: np.ndarray = field(init=False, repr=False, compare=False)
+    var: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = np.asarray(self.sizes, dtype=np.int64)
         if sizes.ndim != 1 or sizes.size < 1:
             raise ValueError("sizes must be a non-empty 1-D sequence")
+        if (sizes < 1).any():
+            raise ValueError(f"group sizes must be integers >= 1, got {sizes.tolist()}")
         N = int(sizes.sum())
-        _check_sizes(N, *sizes.tolist())
+        if N < 2:
+            raise ValueError(f"total N must be an integer >= 2, got {N}")
         sizes.setflags(write=False)
+
+        # Between counts (off-diagonal), then within counts (diagonal).
+        n = sizes.astype(np.float64)
+        a, b = n[:, None], n[None, :]
+        NN1 = N * (N - 1.0)
+        mean = 2.0 * a * b / N
+        second = (
+            2.0 * a * b / N
+            + 2.0 * a * b * (a + b - 2.0) / NN1
+            + 4.0 * a * (a - 1.0) * b * (b - 1.0) / NN1
+        )
+        w = n * (n - 1.0)
+        np.fill_diagonal(mean, w / N)
+        np.fill_diagonal(
+            second, w / N + 2.0 * w * (n - 2.0) / NN1 + w * (n - 2.0) * (n - 3.0) / NN1
+        )
+        var = np.maximum(second - mean * mean, 0.0)  # clipped against roundoff
+        lower = np.tril_indices(sizes.size, -1)
+        for table in (mean, var):
+            table[lower] = table.T[lower]  # mirror (i < j) so the tables are exactly symmetric
+            table.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "total", N)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "var", var)
 
     @classmethod
     def from_assignment(cls, assignment: GroupAssignment) -> "MomentContext":
@@ -71,112 +90,61 @@ class MomentContext:
     def n_groups(self) -> int:
         return int(self.sizes.size)
 
+    def pair_var(self, what: str) -> np.ndarray:
+        """Between-count variances in ``np.triu_indices(k, 1)`` pair order.
 
-def mean_between(n1: int, n2: int, N: int) -> float:
-    """E S(G1, G2) for disjoint groups of sizes n1, n2."""
-    _check_sizes(N, n1, n2)
-    return 2.0 * n1 * n2 / N
-
-
-def mean_within(n1: int, N: int) -> float:
-    """E S(G1, G1)."""
-    _check_sizes(N, n1)
-    return n1 * (n1 - 1.0) / N
-
-
-def second_moment_between(n1: int, n2: int, N: int) -> float:
-    """E S(G1, G2)^2."""
-    _check_sizes(N, n1, n2)
-    NN1 = N * (N - 1.0)
-    return (
-        2.0 * n1 * n2 / N
-        + 2.0 * n1 * n2 * (n1 + n2 - 2.0) / NN1
-        + 4.0 * n1 * (n1 - 1.0) * n2 * (n2 - 1.0) / NN1
-    )
+        Raises naming the first pair whose variance is zero, for which
+        ``what`` (e.g. "z-score undefined") holds.
+        """
+        iu, ju = np.triu_indices(self.n_groups, 1)
+        var = self.var[iu, ju]
+        zero = np.flatnonzero(var <= 0.0)
+        if zero.size:
+            p = zero[0]
+            raise ValueError(f"null variance of pair ({iu[p] + 1},{ju[p] + 1}) is zero; {what}")
+        return var
 
 
-def second_moment_within(n1: int, N: int) -> float:
-    """E S(G1, G1)^2."""
-    _check_sizes(N, n1)
-    NN1 = N * (N - 1.0)
-    a = n1 * (n1 - 1.0)
-    return a / N + 2.0 * a * (n1 - 2.0) / NN1 + a * (n1 - 2.0) * (n1 - 3.0) / NN1
+def build_sigma(ctx: MomentContext) -> np.ndarray:
+    """Null covariance matrix of all between-group counts.
 
-
-def cross_moment_disjoint(n1: int, n2: int, n3: int, n4: int, N: int) -> float:
-    """E {S(G1, G2) * S(G3, G4)} for four distinct groups."""
-    _check_sizes(N, n1, n2, n3, n4)
-    return 4.0 * n1 * n2 * n3 * n4 / (N * (N - 1.0))
-
-
-def cross_moment_shared(n1: int, n2: int, n3: int, N: int) -> float:
-    """E {S(G1, G2) * S(G2, G3)} — the shared group is the middle argument."""
-    _check_sizes(N, n1, n2, n3)
-    return 2.0 * n1 * n3 * n2 * (2.0 * n2 - 1.0) / (N * (N - 1.0))
-
-
-def cross_moment_within_pairs(n1: int, n2: int, N: int) -> float:
-    """E {S(G1, G1) * S(G2, G2)} for two distinct groups."""
-    _check_sizes(N, n1, n2)
-    return n1 * (n1 - 1.0) * n2 * (n2 - 1.0) / (N * (N - 1.0))
-
-
-def var_between(n1: int, n2: int, N: int) -> float:
-    """Var S(G1, G2); clipped at 0 against roundoff."""
-    m = mean_between(n1, n2, N)
-    return max(second_moment_between(n1, n2, N) - m * m, 0.0)
-
-
-def cov_counts(pair1, pair2, ctx: MomentContext) -> float:
-    """Null covariance of two between-group counts S(pair1), S(pair2).
-
-    Pairs are 1-based (m, l) with m < l.  Dispatches on how many groups
-    the two pairs share: both (variance), one (shared-group cross
-    moment), or none (disjoint cross moment).
+    Pairs run in ``np.triu_indices(k, 1)`` order, (1,2), (1,3), ...,
+    (k-1,k), as in :meth:`WeightMatrix.vector`.  With P_p = n_a n_b the
+    size product of pair p = (a, b), two counts sharing no group have
+    covariance 4 P_p P_q / (N^2 (N-1)); sharing group g subtracts
+    2 P_p P_q / (n_g N (N-1)).  The diagonal holds the pair variances.
+    Exactly symmetric by construction.
     """
-    k = ctx.n_groups
-    pairs = []
-    for p in (pair1, pair2):
-        m, l = int(p[0]), int(p[1])
-        if not (1 <= m < l <= k):
-            raise ValueError(f"pair {p!r} is not an ordered group pair within 1..{k}")
-        pairs.append((m, l))
-    (m1, l1), (m2, l2) = pairs
-    n = ctx.sizes
+    n = ctx.sizes.astype(np.float64)
     N = ctx.total
-    shared = set((m1, l1)) & set((m2, l2))
-    if len(shared) == 2:
-        return var_between(n[m1 - 1], n[l1 - 1], N)
-    if len(shared) == 1:
-        s = shared.pop()
-        o1 = m1 + l1 - s
-        o2 = m2 + l2 - s
-        cross = cross_moment_shared(n[o1 - 1], n[s - 1], n[o2 - 1], N)
-        return cross - mean_between(n[o1 - 1], n[s - 1], N) * mean_between(n[s - 1], n[o2 - 1], N)
-    cross = cross_moment_disjoint(n[m1 - 1], n[l1 - 1], n[m2 - 1], n[l2 - 1], N)
-    return cross - mean_between(n[m1 - 1], n[l1 - 1], N) * mean_between(n[m2 - 1], n[l2 - 1], N)
+    iu, ju = np.triu_indices(ctx.n_groups, 1)
+    K = iu.size
+    incidence = np.zeros((K, ctx.n_groups))
+    incidence[np.arange(K), iu] = incidence[np.arange(K), ju] = 1.0
+    shared = (incidence / n) @ incidence.T  # 1/n_g where pairs share g, else 0
+    P = n[iu] * n[ju]
+    sigma = np.outer(P, P) * (4.0 / (N * N * (N - 1.0)) - 2.0 * shared / (N * (N - 1.0)))
+    sigma[np.diag_indices(K)] = ctx.var[iu, ju]
+    return sigma
 
 
 @dataclass(frozen=True)
 class EnumeratedMoments:
     """Exact enumeration moments of every pairwise count.
 
-    ``mean``/``second`` are symmetric k x k tables indexed by 0-based
-    group ids; ``product_moment`` returns E{S(pair1) * S(pair2)} for any
-    two (possibly within, m == l) pairs.
+    ``mean`` is a symmetric k x k table indexed by 0-based group ids;
+    ``product_moment`` returns E{S(pair1) * S(pair2)} for any two
+    (possibly within, m == l) pairs, so a pair with itself gives its raw
+    second moment.
     """
 
     mean: np.ndarray
-    second: np.ndarray
     _products: np.ndarray
     _slot: np.ndarray
     n_arrangements: int
 
     def mean_of(self, m: int, l: int) -> float:
         return float(self.mean[m - 1, l - 1])
-
-    def second_moment_of(self, m: int, l: int) -> float:
-        return float(self.second[m - 1, l - 1])
 
     def product_moment(self, pair1, pair2) -> float:
         s1 = self._slot[min(pair1) - 1, max(pair1) - 1]
@@ -221,9 +189,6 @@ def enumerate_null_moments(assignment: GroupAssignment) -> EnumeratedMoments:
     mean = np.zeros((k, k))
     mean[iu, ju] = mean_vec
     mean += np.triu(mean, 1).T
-    second = np.zeros((k, k))
-    second[iu, ju] = np.diag(products)[slot[iu, ju]]
-    second += np.triu(second, 1).T
-    for arr in (mean, second, products, slot):
+    for arr in (mean, products, slot):
         arr.setflags(write=False)
-    return EnumeratedMoments(mean, second, products, slot, M)
+    return EnumeratedMoments(mean, products, slot, M)

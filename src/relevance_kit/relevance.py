@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import GroupAssignment, count_between_unions, count_edges
-from .moments import MomentContext, mean_between, var_between
+from .moments import MomentContext
 from .shp import check_path
 
 __all__ = ["RelevanceReport", "z_score", "combined_z_score", "relevance_report"]
@@ -30,11 +30,10 @@ def z_score(m: int, l: int, table, ctx: MomentContext) -> float:
     table = np.asarray(table)
     if table.shape != (k, k):
         raise ValueError(f"count table shape {table.shape} does not match k={k}")
-    n, N = ctx.sizes, ctx.total
-    var = var_between(n[m - 1], n[l - 1], N)
+    var = ctx.var[m - 1, l - 1]
     if var <= 0.0:
         raise ValueError(f"null variance of pair ({m},{l}) is zero; z-score undefined")
-    return float((table[m - 1, l - 1] - mean_between(n[m - 1], n[l - 1], N)) / var ** 0.5)
+    return float((table[m - 1, l - 1] - ctx.mean[m - 1, l - 1]) / np.sqrt(var))
 
 
 def _check_subsets(A1, A2, k: int) -> tuple[list[int], list[int]]:
@@ -53,23 +52,25 @@ def _check_subsets(A1, A2, k: int) -> tuple[list[int], list[int]]:
 def combined_z_score(A1, A2, path, groups: GroupAssignment, ctx: MomentContext) -> tuple[float, float]:
     """Standardized count between two unions of samples.
 
-    The unions are merged into pseudo-groups whose sizes feed the null
-    mean and variance, so the scaling reflects the merged comparison
-    rather than a sum of pairwise terms.  Returns (signed z, |z|): the
-    sign distinguishes fewer crossings than chance (negative, samples
-    differ) from more (positive, samples mix).
+    The unions are merged into pseudo-groups whose sizes, with the rest
+    of the groups as a third, give the null mean and variance, so the
+    scaling reflects the merged comparison rather than a sum of pairwise
+    terms.  Returns (signed z, |z|): the sign distinguishes fewer
+    crossings than chance (negative, samples differ) from more
+    (positive, samples mix).
     """
     a1, a2 = _check_subsets(A1, A2, ctx.n_groups)
     path = check_path(path, groups.n_total)
     table = count_edges(path, groups)
     count = count_between_unions(table, a1, a2)
-    n, N = ctx.sizes, ctx.total
-    na = int(n[[g - 1 for g in a1]].sum())
-    nb = int(n[[g - 1 for g in a2]].sum())
-    var = var_between(na, nb, N)
+    na = int(ctx.sizes[[g - 1 for g in a1]].sum())
+    nb = int(ctx.sizes[[g - 1 for g in a2]].sum())
+    rest = ctx.total - na - nb
+    merged = MomentContext([na, nb, rest] if rest else [na, nb])
+    var = merged.var[0, 1]
     if var <= 0.0:
         raise ValueError("null variance of the merged comparison is zero")
-    z = float((count - mean_between(na, nb, N)) / var ** 0.5)
+    z = float((count - merged.mean[0, 1]) / np.sqrt(var))
     return z, abs(z)
 
 
@@ -107,10 +108,10 @@ def relevance_report(path, groups: GroupAssignment, combined=None) -> RelevanceR
         raise ValueError("relevance analysis needs at least 2 groups")
     path = check_path(path, groups.n_total)
     table = count_edges(path, groups)
+    iu, ju = np.triu_indices(k, 1)
     z = np.full((k, k), np.nan)
-    for m in range(1, k + 1):
-        for l in range(m + 1, k + 1):
-            z[m - 1, l - 1] = z[l - 1, m - 1] = z_score(m, l, table, ctx)
+    sd = np.sqrt(ctx.pair_var("z-score undefined"))
+    z[iu, ju] = z[ju, iu] = (table[iu, ju] - ctx.mean[iu, ju]) / sd
     entries: dict = {}
     for A1, A2 in combined or ():
         a1, a2 = _check_subsets(A1, A2, k)

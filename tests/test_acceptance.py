@@ -15,26 +15,13 @@ from scipy.special import ndtr
 from relevance_kit.cost import diff_augmented_cost, gamma_cost
 from relevance_kit.counts import GroupAssignment, count_between_unions, count_edges
 from relevance_kit.inference import (
-    PairIndexer,
     WeightMatrix,
     minimum_test,
     mvn_upper_tail,
     permutation_pvalue,
     weighted_sum_test,
 )
-from relevance_kit.moments import (
-    MomentContext,
-    cov_counts,
-    cross_moment_disjoint,
-    cross_moment_shared,
-    cross_moment_within_pairs,
-    enumerate_null_moments,
-    mean_between,
-    mean_within,
-    second_moment_between,
-    second_moment_within,
-    var_between,
-)
+from relevance_kit.moments import MomentContext, build_sigma, enumerate_null_moments
 from relevance_kit.shp import approximate_shp, brute_force_shp, check_path, path_cost
 from relevance_kit.sim import SimCase, ar1, estimate_power, gen_gaussian, preset_case, scaled_identity
 
@@ -56,7 +43,6 @@ def test_criterion_01_closed_form_moments_match_enumeration():
     for sizes in all_size_configs():
         n_configs += 1
         k = len(sizes)
-        N = sum(sizes)
         enum = enumerate_null_moments(GroupAssignment(np.repeat(np.arange(1, k + 1), sizes)))
         ctx = MomentContext(np.array(sizes))
 
@@ -64,36 +50,17 @@ def test_criterion_01_closed_form_moments_match_enumeration():
             nonlocal worst
             worst = max(worst, abs(a - b))
 
+        # every within and between mean and variance
         for m in range(1, k + 1):
-            track(mean_within(sizes[m - 1], N), enum.mean_of(m, m))
-            track(second_moment_within(sizes[m - 1], N), enum.second_moment_of(m, m))
-            for l in range(m + 1, k + 1):
-                nm, nl = sizes[m - 1], sizes[l - 1]
-                track(mean_between(nm, nl, N), enum.mean_of(m, l))
-                track(second_moment_between(nm, nl, N), enum.second_moment_of(m, l))
-                track(var_between(nm, nl, N), enum.cov_of((m, l), (m, l)))
-                track(
-                    cross_moment_within_pairs(nm, nl, N), enum.product_moment((m, m), (l, l))
-                )
-        pairs = [] if k < 2 else PairIndexer(k).pairs()
-        for p1 in pairs:
-            for p2 in pairs:
-                track(cov_counts(p1, p2, ctx), enum.cov_of(p1, p2))
-                shared = set(p1) & set(p2)
-                if len(shared) == 1:
-                    s = shared.pop()
-                    o1, o2 = sum(p1) - s, sum(p2) - s
-                    track(
-                        cross_moment_shared(sizes[o1 - 1], sizes[s - 1], sizes[o2 - 1], N),
-                        enum.product_moment(p1, p2),
-                    )
-                elif not shared:
-                    track(
-                        cross_moment_disjoint(
-                            sizes[p1[0] - 1], sizes[p1[1] - 1], sizes[p2[0] - 1], sizes[p2[1] - 1], N
-                        ),
-                        enum.product_moment(p1, p2),
-                    )
+            for l in range(m, k + 1):
+                track(ctx.mean[m - 1, l - 1], enum.mean_of(m, l))
+                track(ctx.var[m - 1, l - 1], enum.cov_of((m, l), (m, l)))
+        # every covariance entry of the between counts
+        pairs = [(i + 1, j + 1) for i, j in zip(*np.triu_indices(k, 1))]
+        sigma = build_sigma(ctx)
+        for a, p1 in enumerate(pairs):
+            for b, p2 in enumerate(pairs):
+                track(sigma[a, b], enum.cov_of(p1, p2))
     elapsed = time.monotonic() - start
     assert worst < 1e-10
     assert elapsed < 60.0

@@ -6,6 +6,9 @@ validated against the shipped schema.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,8 @@ from relevance_kit.cli import (
     relevance_tsv,
 )
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "relevance_kit" / "schemas" / "report.schema.json"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_PATH = SRC_DIR / "relevance_kit" / "schemas" / "report.schema.json"
 
 
 def write_csv(path, labels, matrix, group_col="g"):
@@ -93,6 +97,14 @@ class TestIngestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("g,x1,x2\na,1.0,2.0\nb,3.0,oops\n")
         with pytest.raises(ValueError, match="line 3, column 'x2'"):
+            ingest_csv(str(p), "g")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"g,x0,x1\na,1.0,2.0\nb,3.0,4.0\nb,5.0,{cell}\n")
+        match = f"line 4, column 'x1': value {cell} is not a finite number"
+        with pytest.raises(ValueError, match=match):
             ingest_csv(str(p), "g")
 
     def test_empty_label_names_line(self, tmp_path):
@@ -404,3 +416,37 @@ class TestMainExitCodes:
                    "--combine", "1,2"])
         assert rc == 2
         assert "malformed --combine" in capsys.readouterr().err
+
+    def test_non_finite_cell(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("g,x1\na,1.0\nb,nan\n")
+        rc = main(["shp", "--input", str(p), "--group-col", "g"])
+        assert rc == 2
+        assert "line 3, column 'x1'" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m relevance_kit.cli`` runs ``main`` and returns its exit code."""
+
+    def run_module(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "relevance_kit.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_prints_report(self, two_group_csv):
+        proc = self.run_module("test", "--input", str(two_group_csv), "--group-col", "g",
+                               "--test", "ws")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["command"] == "test"
+        assert "weighted_sum" in report["results"]
+
+    def test_bad_input_exits_2(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("g,x1\na,1.0\nb,oops\n")
+        proc = self.run_module("test", "--input", str(p), "--group-col", "g")
+        assert proc.returncode == 2
+        assert "line 3, column 'x1'" in proc.stderr

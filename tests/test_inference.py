@@ -1,4 +1,4 @@
-"""Tests for pair indexing, weights, and the two hypothesis tests.
+"""Tests for the pair order, weights, and the two hypothesis tests.
 
 The heavy oracle here is exhaustive arrangement enumeration: for small
 configurations every distinct label sequence is generated with plain
@@ -7,6 +7,7 @@ resulting exact moments are compared with what the tests assume.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,25 +16,19 @@ from scipy.special import ndtr
 
 from relevance_kit.counts import GroupAssignment, count_edges
 from relevance_kit.inference import (
-    PairIndexer,
     WeightMatrix,
     build_sigma,
     minimum_statistic,
     minimum_test,
     mvn_upper_tail,
-    pair_index,
-    pair_unindex,
     permutation_pvalue,
     weighted_sum_statistic,
     weighted_sum_test,
 )
 from relevance_kit.inference import TestResult as Outcome
-from relevance_kit.moments import (
-    MomentContext,
-    enumerate_null_moments,
-    mean_between,
-    var_between,
-)
+from relevance_kit.moments import MomentContext, enumerate_null_moments
+
+PAIRS_4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def arrangement_statistics(sizes, stat_fn):
@@ -56,45 +51,45 @@ def pair_table(k, entries):
 
 
 class TestPairIndexing:
+    """Pairs run (1,2), (1,3), ..., (k-1,k) in WeightMatrix.vector and build_sigma alike."""
+
     def test_three_group_layout(self):
-        assert pair_index(1, 2, 3) == 1
-        assert pair_index(1, 3, 3) == 2
-        assert pair_index(2, 3, 3) == 3
+        grid = pair_table(3, {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 3.0})
+        assert WeightMatrix(grid).vector().tolist() == [1.0, 2.0, 3.0]
 
     def test_four_group_layout(self):
-        expected = {(1, 2): 1, (1, 3): 2, (1, 4): 3, (2, 3): 4, (2, 4): 5, (3, 4): 6}
-        for (i, j), l in expected.items():
-            assert pair_index(i, j, 4) == l
-            assert pair_unindex(l, 4) == (i, j)
+        ctx = MomentContext(np.array([3, 4, 5, 6]))
+        diag = np.diag(build_sigma(ctx))
+        for l, (i, j) in enumerate(PAIRS_4):
+            assert diag[l] == ctx.var[i - 1, j - 1]
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_round_trip(self, k):
-        idx = PairIndexer(k)
-        seen = set()
-        for l in range(1, idx.n_pairs + 1):
-            i, j = idx.unindex(l)
-            assert idx.index(i, j) == l
-            seen.add((i, j))
-        assert len(seen) == k * (k - 1) // 2
+        rng = np.random.default_rng(k)
+        grid = rng.random((k, k))
+        w = WeightMatrix(grid + grid.T)
+        iu, ju = np.triu_indices(k, 1)
+        back = np.zeros((k, k))
+        back[iu, ju] = back[ju, iu] = w.vector()
+        assert np.array_equal(back, w.grid)
+        ctx = MomentContext(np.arange(1, k + 1) + 2)
+        assert np.array_equal(np.diag(build_sigma(ctx)), ctx.var[iu, ju])
 
     def test_pairs_in_linear_order(self):
-        assert PairIndexer(4).pairs() == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
-    def test_rejects_unordered_arguments(self):
-        with pytest.raises(ValueError, match="1 <= i < j <= k"):
-            pair_index(2, 2, 3)
-        with pytest.raises(ValueError, match="1 <= i < j <= k"):
-            pair_index(3, 1, 3)
-
-    def test_rejects_index_out_of_range(self):
-        with pytest.raises(ValueError, match="1 <= l <= 3"):
-            pair_unindex(4, 3)
-        with pytest.raises(ValueError, match="1 <= l <= 3"):
-            pair_unindex(0, 3)
+        # pairs sharing no group covary positively, pairs sharing a small
+        # group negatively: the sign pattern pins the layout of Sigma
+        sigma = build_sigma(MomentContext(np.array([3, 4, 5, 6])))
+        for a, p1 in enumerate(PAIRS_4):
+            for b, p2 in enumerate(PAIRS_4):
+                shared = len(set(p1) & set(p2))
+                if shared == 0:
+                    assert sigma[a, b] > 0.0
+                elif shared == 1:
+                    assert sigma[a, b] < 0.0
 
     def test_rejects_degenerate_k(self):
-        with pytest.raises(ValueError, match="at least 2 groups"):
-            PairIndexer(1)
+        with pytest.raises(ValueError, match="k >= 2"):
+            WeightMatrix(np.ones((1, 1)))
 
 
 class TestWeightMatrix:
@@ -104,7 +99,7 @@ class TestWeightMatrix:
         for i in range(3):
             assert w.grid[i, i] == 0.0
             for j in range(i + 1, 3):
-                expected = var_between(ctx.sizes[i], ctx.sizes[j], 15) ** -0.5
+                expected = ctx.var[i, j] ** -0.5
                 assert w.grid[i, j] == pytest.approx(expected, rel=1e-12)
                 assert w.grid[j, i] == w.grid[i, j]
 
@@ -120,8 +115,8 @@ class TestWeightMatrix:
     def test_vector_follows_pair_index_order(self):
         grid = pair_table(4, {(1, 2): 1.0, (1, 3): 2.0, (1, 4): 3.0, (2, 3): 4.0, (2, 4): 5.0, (3, 4): 6.0})
         vec = WeightMatrix(grid).vector()
-        for i, j in PairIndexer(4).pairs():
-            assert vec[pair_index(i, j, 4) - 1] == grid[i - 1, j - 1]
+        for l, (i, j) in enumerate(PAIRS_4):
+            assert vec[l] == grid[i - 1, j - 1]
 
     def test_diagonal_is_discarded(self):
         grid = np.ones((2, 2))
@@ -196,7 +191,7 @@ class TestBuildSigma:
     def test_matches_enumeration(self, sizes):
         enum = enumerate_null_moments(GroupAssignment(np.repeat(np.arange(1, len(sizes) + 1), sizes)))
         sigma = build_sigma(MomentContext(np.array(sizes)))
-        pairs = PairIndexer(len(sizes)).pairs()
+        pairs = [(i + 1, j + 1) for i, j in zip(*np.triu_indices(len(sizes), 1))]
         for a, p1 in enumerate(pairs):
             for b, p2 in enumerate(pairs):
                 assert_allclose(sigma[a, b], enum.cov_of(p1, p2), atol=1e-12)
@@ -214,15 +209,15 @@ class TestWeightedSumTest:
         w = WeightMatrix.unit(len(sizes)) if weights == "unit" else WeightMatrix.default(ctx)
         values = arrangement_statistics(sizes, lambda t: weighted_sum_statistic(t, w))
         table = pair_table(len(sizes), {(1, 2): 1})
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             res = weighted_sum_test(table, w, ctx)
         assert_allclose(res.null_mean, values.mean(), rtol=1e-12)
         assert_allclose(res.null_sd, values.std(ddof=0), rtol=1e-12)
 
     def test_p_is_half_at_null_mean(self):
         ctx = MomentContext(np.array([3, 4]))
-        table = pair_table(2, {(1, 2): mean_between(3, 4, 7)})
+        table = pair_table(2, {(1, 2): ctx.mean[0, 1]})
         res = weighted_sum_test(table, WeightMatrix.unit(2), ctx)
         assert res.p_value == pytest.approx(0.5, abs=1e-15)
         assert not res.reject
@@ -269,8 +264,8 @@ class TestWeightedSumTest:
 
     def test_rejects_degenerate_null_variance(self):
         ctx = MomentContext(np.array([1, 1]))
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError, match="degenerate"):
                 weighted_sum_test(pair_table(2, {(1, 2): 1}), WeightMatrix.unit(2), ctx)
 
@@ -294,9 +289,10 @@ class TestMinimumStatistic:
             table = pair_table(
                 3, {(1, 2): rng.integers(0, 9), (1, 3): rng.integers(0, 9), (2, 3): rng.integers(0, 9)}
             )
+            n = ctx.sizes
             expected = min(
-                w.grid[i - 1, j - 1] * (table[i - 1, j - 1] - mean_between(ctx.sizes[i - 1], ctx.sizes[j - 1], 15))
-                for i, j in PairIndexer(3).pairs()
+                w.grid[i - 1, j - 1] * (table[i - 1, j - 1] - 2.0 * n[i - 1] * n[j - 1] / 15)
+                for i, j in [(1, 2), (1, 3), (2, 3)]
             )
             assert minimum_statistic(table, w, ctx) == pytest.approx(expected, rel=1e-12)
 
@@ -305,7 +301,7 @@ class TestMinimumStatistic:
         # pair (1,2) has count far below its mean but carries no weight
         table = pair_table(3, {(1, 2): 0, (1, 3): 5, (2, 3): 6})
         w = WeightMatrix.unit(3).with_zeroed_pairs([(1, 2)])
-        expected = min(5 - mean_between(4, 5, 15), 6 - mean_between(6, 5, 15))
+        expected = min(5 - 2.0 * 4 * 5 / 15, 6 - 2.0 * 6 * 5 / 15)
         assert minimum_statistic(table, w, ctx) == pytest.approx(expected)
 
     def test_rejects_mismatched_weights(self):

@@ -3,34 +3,42 @@
 Three oracle routes back the closed forms: exhaustive enumeration of
 label arrangements (exact, N <= 8), the classical run-count distribution
 for binary sequences (exact, any size, k = 2 only), and plain Monte
-Carlo shuffling (approximate, any size).
+Carlo shuffling (approximate, any size).  Beyond enumeration range,
+property tests tie every table to the merged-group identities.
 """
 
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relevance_kit.counts import GroupAssignment
 from relevance_kit.moments import (
     EnumeratedMoments,
     MomentContext,
-    cov_counts,
-    cross_moment_disjoint,
-    cross_moment_shared,
-    cross_moment_within_pairs,
+    build_sigma,
     enumerate_null_moments,
-    mean_between,
-    mean_within,
-    second_moment_between,
-    second_moment_within,
-    var_between,
 )
 
 
 def labels_for(sizes):
     return np.repeat(np.arange(1, len(sizes) + 1), sizes)
+
+
+def pair_list(k):
+    """1-based group pairs in the order of build_sigma's rows."""
+    return [(i + 1, j + 1) for i, j in zip(*np.triu_indices(k, 1))]
+
+
+def merged(sizes, a1, a2):
+    """Context of the pseudo-groups [sum a1, sum a2, rest] (rest dropped if empty)."""
+    na = sum(sizes[g - 1] for g in a1)
+    nb = sum(sizes[g - 1] for g in a2)
+    rest = sum(sizes) - na - nb
+    return MomentContext([na, nb, rest] if rest else [na, nb])
 
 
 def run_count_distribution(n1, n2):
@@ -57,15 +65,11 @@ def run_count_distribution(n1, n2):
 class TestSizeValidation:
     def test_rejects_zero_group(self):
         with pytest.raises(ValueError, match=">= 1"):
-            mean_between(0, 2, 4)
-
-    def test_rejects_sizes_exceeding_total(self):
-        with pytest.raises(ValueError, match="exceed total"):
-            mean_between(3, 3, 4)
+            MomentContext([0, 2, 2])
 
     def test_rejects_degenerate_total(self):
         with pytest.raises(ValueError, match=">= 2"):
-            mean_within(1, 1)
+            MomentContext([1])
 
     def test_context_requires_nonempty_sizes(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -77,6 +81,37 @@ class TestSizeValidation:
         assert ctx.total == 6
         assert list(ctx.sizes) == [1, 2, 3]
 
+    def test_tables_are_read_only_and_symmetric(self):
+        ctx = MomentContext([3, 9, 4, 7])
+        for table in (ctx.mean, ctx.var):
+            assert np.array_equal(table, table.T)
+            with pytest.raises(ValueError):
+                table[0, 1] = 0.0
+
+    def test_tables_equal_scalar_closed_forms(self):
+        """The tables keep the scalar formulas' expression order, so they agree bit for bit."""
+        for sizes in [(4, 5, 6), (1, 2, 3, 97), (13, 400, 250, 1, 7)]:
+            ctx = MomentContext(sizes)
+            N = sum(sizes)
+            NN1 = N * (N - 1.0)
+            for i, n1 in enumerate(sizes):
+                assert ctx.mean[i, i] == n1 * (n1 - 1.0) / N
+                for j in range(i + 1, len(sizes)):
+                    n2 = sizes[j]
+                    m = 2.0 * n1 * n2 / N
+                    second = (
+                        2.0 * n1 * n2 / N
+                        + 2.0 * n1 * n2 * (n1 + n2 - 2.0) / NN1
+                        + 4.0 * n1 * (n1 - 1.0) * n2 * (n2 - 1.0) / NN1
+                    )
+                    assert ctx.mean[i, j] == ctx.mean[j, i] == m
+                    assert ctx.var[i, j] == ctx.var[j, i] == max(second - m * m, 0.0)
+
+    def test_pair_var_names_first_zero_pair(self):
+        ctx = MomentContext([1, 1])
+        with pytest.raises(ValueError, match=r"pair \(1,2\) is zero; z-score undefined"):
+            ctx.pair_var("z-score undefined")
+
 
 class TestEnumerationOracle:
     """Self-checks of the enumeration before it is used as an oracle."""
@@ -87,9 +122,9 @@ class TestEnumerationOracle:
         enum = enumerate_null_moments(GroupAssignment([1, 1, 2, 2]))
         assert enum.n_arrangements == 6
         assert enum.mean_of(1, 2) == pytest.approx(12 / 6)
-        assert enum.second_moment_of(1, 2) == pytest.approx(28 / 6)
+        assert enum.product_moment((1, 2), (1, 2)) == pytest.approx(28 / 6)
         assert enum.mean_of(1, 1) == pytest.approx(3 / 6)
-        assert enum.second_moment_of(1, 1) == pytest.approx(3 / 6)
+        assert enum.product_moment((1, 1), (1, 1)) == pytest.approx(3 / 6)
         assert enum.product_moment((1, 1), (2, 2)) == pytest.approx(2 / 6)
 
     def test_arrangement_counts_are_multinomial(self):
@@ -128,65 +163,63 @@ SIZE_CONFIGS = [
 
 
 class TestClosedFormsAgainstEnumeration:
+    """Raw second and cross moments are checked through the variances and
+    covariances they determine."""
+
     @pytest.mark.parametrize("sizes", SIZE_CONFIGS, ids=str)
     def test_means_and_seconds(self, sizes):
         enum = enumerate_null_moments(GroupAssignment(labels_for(sizes)))
-        N = sum(sizes)
+        ctx = MomentContext(np.array(sizes))
         k = len(sizes)
         for m in range(1, k + 1):
-            assert_allclose(mean_within(sizes[m - 1], N), enum.mean_of(m, m), atol=1e-12)
-            assert_allclose(
-                second_moment_within(sizes[m - 1], N), enum.second_moment_of(m, m), atol=1e-12
-            )
-            for l in range(m + 1, k + 1):
-                nm, nl = sizes[m - 1], sizes[l - 1]
-                assert_allclose(mean_between(nm, nl, N), enum.mean_of(m, l), atol=1e-12)
-                assert_allclose(
-                    second_moment_between(nm, nl, N), enum.second_moment_of(m, l), atol=1e-12
-                )
+            for l in range(1, k + 1):
+                assert_allclose(ctx.mean[m - 1, l - 1], enum.mean_of(m, l), atol=1e-12)
+                assert_allclose(ctx.var[m - 1, l - 1], enum.cov_of((m, l), (m, l)), atol=1e-12)
 
     @pytest.mark.parametrize("sizes", [s for s in SIZE_CONFIGS if len(s) >= 3], ids=str)
     def test_shared_group_cross_moments(self, sizes):
         enum = enumerate_null_moments(GroupAssignment(labels_for(sizes)))
-        N = sum(sizes)
-        # shared group sits between pairs (o1, s) and (s, o2)
-        for s in range(1, len(sizes) + 1):
-            for o1 in range(1, len(sizes) + 1):
-                for o2 in range(o1 + 1, len(sizes) + 1):
-                    if s in (o1, o2):
-                        continue
-                    expected = enum.product_moment(tuple(sorted((o1, s))), tuple(sorted((s, o2))))
-                    got = cross_moment_shared(sizes[o1 - 1], sizes[s - 1], sizes[o2 - 1], N)
-                    assert_allclose(got, expected, atol=1e-12)
+        sigma = build_sigma(MomentContext(np.array(sizes)))
+        pairs = pair_list(len(sizes))
+        checked = 0
+        for a, p1 in enumerate(pairs):
+            for b, p2 in enumerate(pairs):
+                if len(set(p1) & set(p2)) == 1:
+                    assert_allclose(sigma[a, b], enum.cov_of(p1, p2), atol=1e-12)
+                    checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("sizes", [s for s in SIZE_CONFIGS if len(s) == 4], ids=str)
     def test_disjoint_cross_moments(self, sizes):
         enum = enumerate_null_moments(GroupAssignment(labels_for(sizes)))
-        N = sum(sizes)
+        sigma = build_sigma(MomentContext(np.array(sizes)))
+        pairs = pair_list(4)
         for p1, p2 in [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]:
-            got = cross_moment_disjoint(
-                sizes[p1[0] - 1], sizes[p1[1] - 1], sizes[p2[0] - 1], sizes[p2[1] - 1], N
-            )
-            assert_allclose(got, enum.product_moment(p1, p2), atol=1e-12)
+            got = sigma[pairs.index(p1), pairs.index(p2)]
+            assert_allclose(got, enum.cov_of(p1, p2), atol=1e-12)
 
     @pytest.mark.parametrize("sizes", SIZE_CONFIGS, ids=str)
     def test_within_pair_cross_moments(self, sizes):
+        # Within and between counts add up to N - 1 on every arrangement, so
+        # the variance of the total within count, which the enumerated
+        # within-pair cross moments give, equals 1' Sigma 1.
         enum = enumerate_null_moments(GroupAssignment(labels_for(sizes)))
-        N = sum(sizes)
-        for m in range(1, len(sizes) + 1):
-            for l in range(m + 1, len(sizes) + 1):
-                got = cross_moment_within_pairs(sizes[m - 1], sizes[l - 1], N)
-                assert_allclose(got, enum.product_moment((m, m), (l, l)), atol=1e-12)
+        k = len(sizes)
+        var_within_total = sum(
+            enum.cov_of((m, m), (l, l)) for m in range(1, k + 1) for l in range(1, k + 1)
+        )
+        sigma = build_sigma(MomentContext(np.array(sizes)))
+        assert_allclose(sigma.sum(), var_within_total, atol=1e-12)
 
     @pytest.mark.parametrize("sizes", SIZE_CONFIGS, ids=str)
     def test_cov_counts_dispatch(self, sizes):
+        """Every Sigma entry: pairs sharing two, one or no groups."""
         enum = enumerate_null_moments(GroupAssignment(labels_for(sizes)))
-        ctx = MomentContext(np.array(sizes))
-        k = len(sizes)
-        pairs = [(m, l) for m in range(1, k + 1) for l in range(m + 1, k + 1)]
-        for p1 in pairs:
-            for p2 in pairs:
-                assert_allclose(cov_counts(p1, p2, ctx), enum.cov_of(p1, p2), atol=1e-12)
+        sigma = build_sigma(MomentContext(np.array(sizes)))
+        pairs = pair_list(len(sizes))
+        for a, p1 in enumerate(pairs):
+            for b, p2 in enumerate(pairs):
+                assert_allclose(sigma[a, b], enum.cov_of(p1, p2), atol=1e-12)
 
 
 class TestRunCountOracle:
@@ -207,9 +240,9 @@ class TestRunCountOracle:
         N = n1 + n2
         mean = sum((r - 1) * p for r, p in pmf.items())
         second = sum((r - 1) ** 2 * p for r, p in pmf.items())
-        assert_allclose(mean_between(n1, n2, N), mean, rtol=1e-10)
-        assert_allclose(second_moment_between(n1, n2, N), second, rtol=1e-10)
-        assert_allclose(var_between(n1, n2, N), second - mean**2, rtol=1e-9, atol=1e-12)
+        ctx = MomentContext([n1, n2])
+        assert_allclose(ctx.mean[0, 1], mean, rtol=1e-10)
+        assert_allclose(ctx.var[0, 1], second - mean**2, rtol=1e-9, atol=1e-12)
 
 
 class TestMonteCarloSpotCheck:
@@ -222,8 +255,9 @@ class TestMonteCarloSpotCheck:
         counts = (L[:, :-1] != L[:, 1:]).sum(axis=1)
         mean_hat = counts.mean()
         se = counts.std(ddof=1) / np.sqrt(reps)
-        assert abs(mean_hat - mean_between(n1, n2, 60)) < 4 * se
-        assert_allclose(counts.var(ddof=1), var_between(n1, n2, 60), rtol=0.1)
+        ctx = MomentContext([n1, n2])
+        assert abs(mean_hat - ctx.mean[0, 1]) < 4 * se
+        assert_allclose(counts.var(ddof=1), ctx.var[0, 1], rtol=0.1)
 
 
 class TestMergingIdentities:
@@ -231,48 +265,58 @@ class TestMergingIdentities:
 
     @pytest.mark.parametrize("n1,n2,n3,N", [(2, 3, 4, 12), (5, 5, 5, 30), (1, 9, 2, 15)])
     def test_merged_mean_is_additive(self, n1, n2, n3, N):
+        sizes = (n1, n2, n3, N - n1 - n2 - n3)
+        ctx = MomentContext(sizes)
         assert_allclose(
-            mean_between(n1 + n3, n2, N),
-            mean_between(n1, n2, N) + mean_between(n3, n2, N),
-            rtol=1e-12,
+            merged(sizes, [1, 3], [2]).mean[0, 1], ctx.mean[0, 1] + ctx.mean[2, 1], rtol=1e-12
         )
 
     @pytest.mark.parametrize("n1,n2,n3,N", [(2, 3, 4, 12), (5, 5, 5, 30), (1, 9, 2, 15), (7, 11, 3, 40)])
     def test_merged_second_moment_expands(self, n1, n2, n3, N):
-        # S(G1+G3, G2)^2 = S(G1,G2)^2 + S(G3,G2)^2 + 2 S(G1,G2) S(G3,G2)
-        lhs = second_moment_between(n1 + n3, n2, N)
-        rhs = (
-            second_moment_between(n1, n2, N)
-            + second_moment_between(n3, n2, N)
-            + 2.0 * cross_moment_shared(n1, n2, n3, N)
-        )
-        assert_allclose(lhs, rhs, rtol=1e-12)
+        # Var S(G1+G3, G2) = Var S(G1,G2) + Var S(G3,G2) + 2 Cov(S(G1,G2), S(G2,G3))
+        sizes = (n1, n2, n3, N - n1 - n2 - n3)
+        ctx = MomentContext(sizes)
+        sigma = build_sigma(ctx)
+        pairs = pair_list(4)
+        cov = sigma[pairs.index((1, 2)), pairs.index((2, 3))]
+        lhs = merged(sizes, [1, 3], [2]).var[0, 1]
+        assert_allclose(lhs, ctx.var[0, 1] + ctx.var[2, 1] + 2.0 * cov, rtol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_merged_moments_beyond_enumeration_range(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 500), min_size=2, max_size=12))
+        k = len(sizes)
+        groups = data.draw(st.permutations(range(1, k + 1)))
+        n1 = data.draw(st.integers(1, k - 1))
+        n2 = data.draw(st.integers(1, k - n1))
+        a1, a2 = sorted(groups[:n1]), sorted(groups[n1:n1 + n2])
+        ctx = MomentContext(sizes)
+        sigma = build_sigma(ctx)
+        assert np.array_equal(sigma, sigma.T)
+        target = merged(sizes, a1, a2)
+        block = ctx.mean[np.ix_([g - 1 for g in a1], [g - 1 for g in a2])].sum()
+        assert_allclose(block, target.mean[0, 1], rtol=1e-12)
+        cross = [
+            p for p, (i, j) in enumerate(pair_list(k))
+            if (i in a1 and j in a2) or (i in a2 and j in a1)
+        ]
+        assert_allclose(sigma[np.ix_(cross, cross)].sum(), target.var[0, 1], rtol=1e-9)
 
 
 class TestCovCounts:
     def test_all_singletons_disjoint_value(self):
         # N=4 with unit groups: E{S12 S34} = 1/3 and each mean is 1/2
-        ctx = MomentContext(np.array([1, 1, 1, 1]))
-        assert_allclose(cov_counts((1, 2), (3, 4), ctx), 1 / 3 - 1 / 4, rtol=1e-12)
+        sigma = build_sigma(MomentContext(np.array([1, 1, 1, 1])))
+        assert_allclose(sigma[0, 5], 1 / 3 - 1 / 4, rtol=1e-12)
 
     def test_symmetric_in_its_arguments(self):
-        ctx = MomentContext(np.array([3, 4, 5, 6]))
-        for p1, p2 in [((1, 2), (1, 3)), ((1, 2), (3, 4)), ((2, 4), (2, 4))]:
-            assert cov_counts(p1, p2, ctx) == pytest.approx(cov_counts(p2, p1, ctx))
+        sigma = build_sigma(MomentContext(np.array([3, 4, 5, 6])))
+        assert np.array_equal(sigma, sigma.T)
 
     def test_identical_pairs_give_variance(self):
         ctx = MomentContext(np.array([8, 13]))
-        assert_allclose(cov_counts((1, 2), (1, 2), ctx), var_between(8, 13, 21), rtol=1e-12)
-
-    def test_rejects_unordered_pair(self):
-        ctx = MomentContext(np.array([2, 3, 4]))
-        with pytest.raises(ValueError, match="ordered group pair"):
-            cov_counts((2, 1), (1, 3), ctx)
-
-    def test_rejects_out_of_range_pair(self):
-        ctx = MomentContext(np.array([2, 3, 4]))
-        with pytest.raises(ValueError, match="within 1..3"):
-            cov_counts((1, 2), (1, 5), ctx)
+        assert build_sigma(ctx)[0, 0] == ctx.var[0, 1]
 
 
 class TestVarianceNonnegativity:
@@ -283,6 +327,6 @@ class TestVarianceNonnegativity:
                 n2 = N - n1
                 if n2 < 1:
                     continue
-                v = var_between(n1, n2, N)
-                assert v >= 0.0
-                assert np.isfinite(v)
+                v = MomentContext([n1, n2]).var
+                assert (v >= 0.0).all()
+                assert np.isfinite(v).all()

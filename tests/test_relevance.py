@@ -28,7 +28,7 @@ class TestZScore:
         ga = GroupAssignment(np.repeat([1, 2], sizes))
         enum = enumerate_null_moments(ga)
         ctx = MomentContext.from_assignment(ga)
-        sd = (enum.second_moment_of(1, 2) - enum.mean_of(1, 2) ** 2) ** 0.5
+        sd = enum.cov_of((1, 2), (1, 2)) ** 0.5
         for count in (1, 2, 3, 4):
             expected = (count - enum.mean_of(1, 2)) / sd
             got = z_score(1, 2, table_of({(1, 2): count}, 2), ctx)
