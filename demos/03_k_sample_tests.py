@@ -95,6 +95,9 @@ print(f"   driven by pair {pairs[int(np.argmin(dev))]} "
       + ", ".join(f"{p}={v:+.3f}" for p, v in zip(pairs, dev)) + ")")
 
 # --- 5. permutation cross-check --------------------------------------------
+# Each call draws its B label shuffles from one np.random.default_rng(seed)
+# stream, so the same seed gives the same p-value; a shuffle whose statistic
+# ties the observed one counts as "at or below" it.
 B = 500
 p_ws = permutation_pvalue(path, groups, "weighted_sum", w, B=B, seed=101)
 p_mn = permutation_pvalue(path, groups, "minimum", w, B=B, seed=101)

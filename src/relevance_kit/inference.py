@@ -9,9 +9,13 @@ and the minimum test takes the smallest weighted centered count, whose
 null tail is a multivariate-normal orthant probability.  That orthant
 probability is computed natively by :func:`mvn_upper_tail`, a
 quasi-Monte-Carlo integrator using the separation-of-variables transform
-of Genz (reordered Cholesky plus a randomized Richtmyer lattice).
+of Genz (reordered Cholesky plus a randomized Richtmyer lattice); the
+minimum test's level-alpha critical value is the root of that tail,
+found by Brent's method from a bracket the marginals give.
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
-fallback that holds the path fixed and re-draws label arrangements.
+fallback that holds the path fixed and re-draws label arrangements, all
+from one ``np.random.default_rng(seed)`` stream per call; a replicate
+whose statistic ties the observed one counts as at or below it.
 
 Both tests reject for small statistics: under a location or scale
 alternative the path crosses between samples less often than permutation
@@ -20,11 +24,13 @@ chance predicts.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
@@ -155,11 +161,30 @@ def _check_table(table, k: int) -> np.ndarray:
     return t
 
 
+def _check_k(w: WeightMatrix, ctx: MomentContext) -> None:
+    if ctx.n_groups != w.k:
+        raise ValueError(f"weight grid is {w.k} x {w.k} but context has k={ctx.n_groups}")
+
+
+# Both statistics are written once, row-wise over between counts in
+# np.triu_indices pair order, so one table and a batch of permutation
+# replicates are scored by the same arithmetic.
+
+
+def _weighted_sums(counts: np.ndarray, wvec: np.ndarray) -> np.ndarray:
+    return (wvec * counts).sum(axis=-1)
+
+
+def _minima(counts: np.ndarray, wvec: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    pos = wvec > 0
+    return (wvec[pos] * (counts[..., pos] - mean[pos])).min(axis=-1)
+
+
 def weighted_sum_statistic(table, w: WeightMatrix) -> float:
     """Sum over pairs m < l of w[m][l] * counts[m][l]."""
     t = _check_table(table, w.k)
     iu, ju = np.triu_indices(w.k, 1)
-    return float((w.grid[iu, ju] * t[iu, ju]).sum())
+    return float(_weighted_sums(t[iu, ju], w.vector()))
 
 
 def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05) -> TestResult:
@@ -171,8 +196,7 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
     statistic falls below ``null_mean - z_alpha * null_sd``.
     """
     alpha = _check_alpha(alpha)
-    if ctx.n_groups != w.k:
-        raise ValueError(f"weight grid is {w.k} x {w.k} but context has k={ctx.n_groups}")
+    _check_k(w, ctx)
     _warn_singletons(ctx)
     stat = weighted_sum_statistic(table, w)
     wvec = w.vector()
@@ -198,14 +222,10 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
 
 def minimum_statistic(table, w: WeightMatrix, ctx: MomentContext) -> float:
     """Smallest weighted centered count over pairs with positive weight."""
-    if ctx.n_groups != w.k:
-        raise ValueError(f"weight grid is {w.k} x {w.k} but context has k={ctx.n_groups}")
+    _check_k(w, ctx)
     t = _check_table(table, w.k)
     iu, ju = np.triu_indices(w.k, 1)
-    wvec = w.grid[iu, ju]
-    pos = wvec > 0
-    centered = wvec[pos] * (t[iu, ju][pos] - ctx.mean[iu, ju][pos])
-    return float(centered.min())
+    return float(_minima(t[iu, ju], w.vector(), ctx.mean[iu, ju]))
 
 
 # --------------------------------------------------------------------------
@@ -387,36 +407,42 @@ def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray, **mvn_kw) -> f
 
 
 def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: tuple) -> float:
-    """Root z of 1 - P(min > z) = alpha, by bisection; cached per config."""
+    """Root z of 1 - P(min > z) = alpha, by Brent's method; cached per config.
+
+    P(min <= z) is at least every marginal P(w_i Z_i <= z) and at most
+    their sum, so with s_i = w_i sd(Z_i) the root lies in
+    [max(s) ndtri(alpha/K), min(s) ndtri(alpha)].  The bracket is padded
+    by a tenth of max(s), since its ends meet when K = 1, and widened
+    outward if the integrated tail still shows no sign change.
+    """
     if key in _CRIT_CACHE:
         return _CRIT_CACHE[key]
 
+    @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
     def g(z: float) -> float:
         return 1.0 - _min_tail(z, sigma_pos, w_pos) - alpha
 
-    scale = float(np.sqrt(np.diag(sigma_pos).max()) * w_pos.max())
-    lo, hi = -20.0 * max(scale, 1.0), 0.0
+    s = w_pos * np.sqrt(np.diag(sigma_pos))
+    pad = 0.1 * float(s.max())
+    lo = float(s.max() * ndtri(alpha / s.size)) - pad
+    hi = float(s.min() * ndtri(alpha)) + pad
+    step = max(hi - lo, 1.0)
+    g_lo, g_hi = g(lo), g(hi)
     for _ in range(60):
-        if g(lo) < 0.0:
+        if g_lo < 0.0:
             break
-        lo *= 2.0
+        lo, step = lo - step, 2.0 * step
+        g_lo = g(lo)
     else:
         raise FloatingPointError("could not bracket the minimum-test critical value from below")
     for _ in range(60):
-        if g(hi) > 0.0:
+        if g_hi > 0.0:
             break
-        hi += 5.0 * max(scale, 1.0)
+        hi, step = hi + step, 2.0 * step
+        g_hi = g(hi)
     else:
         raise FloatingPointError("could not bracket the minimum-test critical value from above")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-6:
-            break
-    crit = 0.5 * (lo + hi)
+    crit = float(brentq(g, lo, hi, xtol=1e-6))
     _CRIT_CACHE[key] = crit
     return crit
 
@@ -462,6 +488,8 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
 # --------------------------------------------------------------------------
 # Permutation fallback
 
+_PERM_CHUNK_CELLS = 2 ** 17  # labels (or count slots) per batch of replicates: 1 MB of int64
+
 
 def permutation_pvalue(
     path,
@@ -473,10 +501,14 @@ def permutation_pvalue(
 ) -> float:
     """Lower-tail Monte-Carlo p-value under uniform label re-arrangement.
 
-    The path is held fixed; each replicate re-draws the label
-    arrangement uniformly using an independent stream keyed by
-    (seed, replicate), so the result does not depend on evaluation
-    order.  Add-one smoothing keeps the p-value strictly positive.
+    The path is held fixed.  All replicates come from one stream,
+    ``np.random.default_rng(seed)``: replicate r relabels the nodes by
+    the r-th ``rng.permutation(N)`` draw of that stream, so the result
+    depends on ``seed`` and ``B`` alone, not on how replicates are
+    batched.  A replicate counts when its statistic is at or below the
+    observed one; "at" allows a relative 100 machine epsilons, as in
+    ``scipy.stats.permutation_test``, so exact ties are not lost to
+    rounding.  Add-one smoothing keeps the p-value strictly positive.
     """
     if statistic not in ("weighted_sum", "minimum"):
         raise ValueError(f"statistic must be 'weighted_sum' or 'minimum', got {statistic!r}")
@@ -485,18 +517,33 @@ def permutation_pvalue(
         raise ValueError(f"need at least 100 replicates, got B={B}")
     path = check_path(path, groups.n_total)
     ctx = MomentContext.from_assignment(groups)
+    _check_k(w, ctx)
+    k, N = ctx.n_groups, ctx.total
+    iu, ju = np.triu_indices(k, 1)
+    K = iu.size
+    wvec = w.vector()
+    mean = ctx.mean[iu, ju]
 
-    def stat_of(labels: np.ndarray) -> float:
-        table = count_edges(path, GroupAssignment(labels))
+    def stats_of(counts: np.ndarray) -> np.ndarray:
         if statistic == "weighted_sum":
-            return weighted_sum_statistic(table, w)
-        return minimum_statistic(table, w, ctx)
+            return _weighted_sums(counts, wvec)
+        return _minima(counts, wvec, mean)
 
-    observed = stat_of(groups.labels)
+    observed = float(stats_of(count_edges(path, groups)[iu, ju]))
+    threshold = observed + 100.0 * np.finfo(np.float64).eps * abs(observed)
+
+    # Slot of each label pair: between pairs in np.triu_indices order,
+    # within-group edges in a spare slot K that is dropped.
+    slot = np.full((k, k), K)
+    slot[iu, ju] = slot[ju, iu] = np.arange(K)
+    labels = groups.labels - 1
+    rng = np.random.default_rng(seed)
+    rows = max(1, _PERM_CHUNK_CELLS // max(N, K + 1))
     at_or_below = 0
-    labels = groups.labels
-    for rep in range(B):
-        rng = np.random.default_rng((seed, rep))
-        if stat_of(labels[rng.permutation(labels.size)]) <= observed:
-            at_or_below += 1
+    for start in range(0, B, rows):
+        n = min(rows, B - start)
+        on_path = rng.permuted(np.broadcast_to(labels, (n, N)), axis=1)[:, path]
+        bins = slot[on_path[:, :-1], on_path[:, 1:]] + (K + 1) * np.arange(n)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=n * (K + 1)).reshape(n, K + 1)[:, :K]
+        at_or_below += int(np.count_nonzero(stats_of(counts) <= threshold))
     return (1 + at_or_below) / (B + 1)

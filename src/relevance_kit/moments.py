@@ -47,7 +47,10 @@ class MomentContext:
     var: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = np.asarray(self.sizes, dtype=np.int64)
+        raw = np.asarray(self.sizes)
+        if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.trunc(raw))).all():
+            raise ValueError(f"group sizes must be integers >= 1, got {raw.tolist()}")
+        sizes = raw.astype(np.int64)
         if sizes.ndim != 1 or sizes.size < 1:
             raise ValueError("sizes must be a non-empty 1-D sequence")
         if (sizes < 1).any():

@@ -8,12 +8,16 @@ resulting exact moments are compared with what the tests assume.
 
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
+from relevance_kit import inference
 from relevance_kit.counts import GroupAssignment, count_edges
 from relevance_kit.inference import (
     WeightMatrix,
@@ -384,6 +388,118 @@ class TestMinimumTest:
         assert r1.critical_value == r2.critical_value
 
 
+class TestMinimumCriticalRoot:
+    """The level-alpha root found by Brent's method from an analytic bracket."""
+
+    def test_cold_root_makes_few_mvn_calls(self, monkeypatch):
+        ctx = MomentContext([50] * 10)
+        w = WeightMatrix.default(ctx)
+        calls = []
+        engine = inference.mvn_upper_tail
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return engine(*args, **kwargs)
+
+        inference._CRIT_CACHE.clear()
+        monkeypatch.setattr(inference, "mvn_upper_tail", counting)
+        minimum_test(np.round(ctx.mean), w, ctx)
+        assert len(calls) <= 10  # one for the p-value, the rest for the root
+
+    @pytest.mark.parametrize(
+        "sizes, bisected",
+        [([50] * 10, -3.0516300), ([20, 30, 40], -2.1259151), ([5, 7, 100, 3], -2.3852584)],
+    )
+    def test_matches_bisection_root(self, sizes, bisected):
+        ctx = MomentContext(sizes)
+        w = WeightMatrix.default(ctx)
+        res = minimum_test(np.round(ctx.mean), w, ctx)
+        assert res.critical_value == pytest.approx(bisected, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_single_pair_root_is_normal_quantile(self, alpha):
+        ctx = MomentContext([8, 13])
+        res = minimum_test(pair_table(2, {(1, 2): 9}), WeightMatrix.default(ctx), ctx, alpha=alpha)
+        assert res.critical_value == pytest.approx(ndtri(alpha), abs=1e-6)
+
+    @pytest.mark.parametrize("shift", [-10.0, 10.0])
+    def test_widens_a_bracket_that_misses_the_root(self, monkeypatch, shift):
+        # Shifting every threshold by `shift` moves the single-pair root to
+        # w * (sd * ndtri(alpha) - shift), far outside [ndtri(alpha) -/+ 0.1].
+        ctx = MomentContext([8, 13])
+        w = WeightMatrix.default(ctx)
+        sd = ctx.pair_var("")[0] ** 0.5
+        engine = inference.mvn_upper_tail
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(
+            inference, "mvn_upper_tail", lambda s, t, **kw: engine(s, np.asarray(t) + shift, **kw)
+        )
+        crit = minimum_test(pair_table(2, {(1, 2): 9}), w, ctx).critical_value
+        expected = ndtri(0.05) - shift / sd
+        assert abs(expected - ndtri(0.05)) > 1.0
+        assert crit == pytest.approx(expected, abs=1e-6)
+
+    def test_raises_when_no_sign_change_is_found(self, monkeypatch):
+        ctx = MomentContext([4, 5, 6])
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(inference, "mvn_upper_tail", lambda s, t, **kw: 1.0)
+        with pytest.raises(FloatingPointError, match="from above"):
+            minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx)
+
+
+@st.composite
+def labelled_tables(draw, max_k=4, max_size=12):
+    """Sizes, and a count table from labels shuffled along a straight path."""
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=2, max_size=max_k))
+    assume(max(sizes) > 1)  # all singletons: every path edge is between, whatever the order
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    order = draw(st.permutations(range(labels.size)))
+    return sizes, count_edges(np.arange(labels.size), GroupAssignment(labels[list(order)]))
+
+
+class TestDecisionMatchesPValue:
+    """``reject == (p_value <= alpha)`` for both tests."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(drawn=labelled_tables(max_k=8, max_size=20), alpha=st.floats(0.001, 0.5))
+    def test_weighted_sum(self, drawn, alpha):
+        sizes, table = drawn
+        ctx = MomentContext(sizes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # singleton groups
+            res = weighted_sum_test(table, WeightMatrix.unit(ctx.n_groups), ctx, alpha=alpha)
+        assert res.reject == (res.p_value <= alpha)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drawn=labelled_tables(max_k=3), alpha=st.sampled_from([0.01, 0.05, 0.1]))
+    def test_minimum(self, drawn, alpha):
+        sizes, table = drawn
+        ctx = MomentContext(sizes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # singleton groups
+            res = minimum_test(table, WeightMatrix.unit(ctx.n_groups), ctx, alpha=alpha)
+        assert res.reject == (res.p_value <= alpha)
+
+
+def looped_permutation_pvalue(path, groups, statistic, w, B, seed):
+    """One GroupAssignment and count table per rng.permutation draw."""
+    ctx = MomentContext.from_assignment(groups)
+
+    def stat_of(assignment):
+        table = count_edges(path, assignment)
+        if statistic == "weighted_sum":
+            return weighted_sum_statistic(table, w)
+        return minimum_statistic(table, w, ctx)
+
+    observed = stat_of(groups)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(B):
+        stat = stat_of(GroupAssignment(groups.labels[rng.permutation(groups.n_total)]))
+        hits += stat <= observed + 100 * np.finfo(float).eps * abs(observed)
+    return (1 + hits) / (B + 1)
+
+
 class TestPermutationPvalue:
     @pytest.fixture
     def separated(self):
@@ -430,3 +546,49 @@ class TestPermutationPvalue:
         w = WeightMatrix.default(MomentContext.from_assignment(groups))
         with pytest.raises(ValueError, match="at least 100"):
             permutation_pvalue(path, groups, "minimum", w, B=50)
+
+    def test_counts_exact_ties(self):
+        # Equal weights make the weighted sum 0.1 x (total between count),
+        # an integer tally; summing 0.1 * count over six pairs rounds
+        # differently for different count vectors with the same total.
+        groups = GroupAssignment(np.repeat([1, 2, 3, 4], 6)[np.random.default_rng(2).permutation(24)])
+        path = np.arange(24)
+        w = WeightMatrix(np.full((4, 4), 0.1))
+        B, seed = 400, 9
+        iu, ju = np.triu_indices(4, 1)
+
+        def between(labels):
+            return int(count_edges(path, GroupAssignment(labels))[iu, ju].sum())
+
+        observed = between(groups.labels)
+        rng = np.random.default_rng(seed)
+        totals = np.array([between(groups.labels[rng.permutation(24)]) for _ in range(B)])
+        ties = int((totals == observed).sum())
+        assert ties > 0
+        expected = (1 + int((totals <= observed).sum())) / (B + 1)
+        assert permutation_pvalue(path, groups, "weighted_sum", w, B=B, seed=seed) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        drawn=labelled_tables(max_k=4, max_size=8),
+        path_seed=st.integers(0, 2**32 - 1),
+        weight_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        B=st.integers(100, 160),
+        statistic=st.sampled_from(["weighted_sum", "minimum"]),
+    )
+    def test_batched_equals_replicate_loop(self, drawn, path_seed, weight_seed, seed, B, statistic):
+        sizes, _ = drawn
+        k, N = len(sizes), sum(sizes)
+        labels = np.repeat(np.arange(1, k + 1), sizes)
+        groups = GroupAssignment(labels[np.random.default_rng(path_seed).permutation(N)])
+        path = np.random.default_rng(path_seed + 1).permutation(N)
+        grid = np.random.default_rng(weight_seed).choice([0.0, 0.3, 1.0, 2.7], size=(k, k))
+        grid = np.triu(grid, 1) + np.triu(grid, 1).T
+        grid[0, 1] = grid[1, 0] = 1.0  # at least one positive weight
+        w = WeightMatrix(grid)
+        expected = looped_permutation_pvalue(path, groups, statistic, w, B, seed)
+        assert permutation_pvalue(path, groups, statistic, w, B, seed) == expected
+        for cells in (1, 7 * N):  # one replicate per batch, then several
+            with mock.patch.object(inference, "_PERM_CHUNK_CELLS", cells):
+                assert permutation_pvalue(path, groups, statistic, w, B, seed) == expected

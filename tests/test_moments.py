@@ -71,6 +71,14 @@ class TestSizeValidation:
         with pytest.raises(ValueError, match=">= 2"):
             MomentContext([1])
 
+    @pytest.mark.parametrize("sizes", [[2.5, 3.9], [4.0, np.nan], [np.inf, 2.0]])
+    def test_rejects_non_integral_sizes(self, sizes):
+        with pytest.raises(ValueError, match="integers"):
+            MomentContext(sizes)
+
+    def test_accepts_integral_float_sizes(self):
+        assert MomentContext([2.0, 3.0]).sizes.tolist() == [2, 3]
+
     def test_context_requires_nonempty_sizes(self):
         with pytest.raises(ValueError, match="non-empty"):
             MomentContext(np.array([], dtype=np.int64))
