@@ -18,6 +18,7 @@ and reports violations without raising.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,22 @@ __all__ = [
 ]
 
 
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def check_data_matrix(data) -> np.ndarray:
     """Validate and return an N x d data matrix as float64.
 
-    Requires N >= 2 rows, d >= 1 columns, and finite entries.
+    Requires N >= 2 rows, d >= 1 columns, and finite entries.  Every
+    cost family builds an N x N float64 matrix from the N(N-1)/2
+    condensed costs, about 12 N^2 bytes; an N for which that exceeds
+    the machine's physical memory raises ``ValueError`` here, before
+    any of it is allocated.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -45,6 +58,12 @@ def check_data_matrix(data) -> np.ndarray:
     n, d = X.shape
     if n < 2 or d < 1:
         raise ValueError(f"data must have at least 2 rows and 1 column, got shape {X.shape}")
+    need, have = 12 * n * n, _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"N={n} observations need about {need / 2**30:.1f} GiB for the cost matrix, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     if not np.isfinite(X).all():
         bad = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"data contains a non-finite entry at row {bad[0]}, column {bad[1]}")

@@ -456,7 +456,10 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
     (positive) weights moves the comparison onto the raw-count scale.
     Zero-weight pairs impose no constraint and are dropped.  Rejects
     when the statistic is at or below the critical value, the level-
-    alpha root of the same tail function.
+    alpha root of the same tail function.  Raises ``ValueError`` when
+    every positive-weight pair has zero null variance, as for sizes
+    [1, 1], since the tail is then a step function with no level-alpha
+    root.
     """
     alpha = _check_alpha(alpha)
     _warn_singletons(ctx)
@@ -465,6 +468,8 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
     pos = wvec > 0
     sigma = build_sigma(ctx)
     sigma_pos = sigma[np.ix_(pos, pos)]
+    if (np.diag(sigma_pos) <= 0.0).all():
+        raise ValueError("null variance of every positive-weight pair is zero; test is degenerate")
     w_pos = wvec[pos]
     p = 1.0 - _min_tail(stat, sigma_pos, w_pos)
     p = min(max(p, 0.0), 1.0)

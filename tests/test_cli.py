@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relevance_kit import cost
 from relevance_kit.cli import (
     RunConfig,
     export_csv,
@@ -416,6 +417,21 @@ class TestMainExitCodes:
                    "--combine", "1,2"])
         assert rc == 2
         assert "malformed --combine" in capsys.readouterr().err
+
+    def test_cost_matrix_too_large_for_memory(self, two_group_csv, monkeypatch, capsys):
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: 1024)
+        rc = main(["shp", "--input", str(two_group_csv), "--group-col", "g"])
+        assert rc == 2
+        assert "N=20 observations need about" in capsys.readouterr().err
+
+    def test_degenerate_minimum_test(self, tmp_path, capsys):
+        p = tmp_path / "pair.csv"
+        p.write_text("g,x1\na,1.0\nb,2.0\n")
+        with pytest.warns(RuntimeWarning, match="single observation"):
+            rc = main(["test", "--input", str(p), "--group-col", "g",
+                       "--test", "min", "--weights", "unit"])
+        assert rc == 2
+        assert "test is degenerate" in capsys.readouterr().err
 
     def test_non_finite_cell(self, tmp_path, capsys):
         p = tmp_path / "nan.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from relevance_kit import cost
 from relevance_kit.cost import (
     average_cost,
     check_cost_matrix,
@@ -135,6 +136,29 @@ class TestInputValidation:
     def test_integer_input_accepted(self):
         C = gamma_cost(np.array([[0, 0], [3, 4]]), 2.0)
         assert C[0, 1] == pytest.approx(5.0 / np.sqrt(2.0))
+
+
+class TestMemoryGuard:
+    """N whose ~12 N^2-byte cost matrix exceeds physical memory is refused up front."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [lambda X: gamma_cost(X, 1.0), average_cost, diff_augmented_cost],
+        ids=["gamma", "average", "diff_augmented"],
+    )
+    def test_every_family_refuses_too_large_n(self, monkeypatch, family):
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: 12 * 100 * 100 - 1)
+        with pytest.raises(ValueError, match=r"N=100 observations need about .* GiB"):
+            family(np.ones((100, 3)))
+        assert family(np.ones((99, 3))).shape == (99, 99)
+
+    def test_unknown_memory_skips_the_guard(self, monkeypatch):
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: None)
+        assert check_data_matrix(np.ones((100, 3))).shape == (100, 3)
+
+    def test_probe_reports_positive_bytes_or_none(self):
+        have = cost._physical_memory_bytes()
+        assert have is None or have > 0
 
 
 class TestValidateAssumptions:

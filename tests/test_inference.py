@@ -378,6 +378,21 @@ class TestMinimumTest:
         assert res_sub.statistic > res_all.statistic
         assert res_sub.p_value > res_all.p_value
 
+    def test_degenerate_null_raises_before_integrating(self, monkeypatch):
+        # sizes [1, 1]: the one edge is always between, so Sigma is zero
+        def no_mvn(*args, **kwargs):
+            raise AssertionError("the MVN engine must not be called")
+
+        monkeypatch.setattr(inference, "mvn_upper_tail", no_mvn)
+        ctx = MomentContext(np.array([1, 1]))
+        table = pair_table(2, {(1, 2): 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # singleton groups
+            with pytest.raises(ValueError, match="test is degenerate"):
+                weighted_sum_test(table, WeightMatrix.unit(2), ctx)
+            with pytest.raises(ValueError, match="test is degenerate"):
+                minimum_test(table, WeightMatrix.unit(2), ctx)
+
     def test_deterministic(self):
         ctx = MomentContext(np.array([4, 5, 6]))
         w = WeightMatrix.default(ctx)

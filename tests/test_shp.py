@@ -1,12 +1,16 @@
 """Tests for the Hamiltonian-path heuristic and its exact oracle."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from relevance_kit.cost import gamma_cost
+from relevance_kit import shp
+from relevance_kit.cost import check_cost_matrix, gamma_cost
 from relevance_kit.shp import approximate_shp, brute_force_shp, check_path, path_cost
 
 
@@ -20,6 +24,81 @@ def exhaustive_min_cost(C):
             total += float(C[a, b])
         best = min(best, total)
     return best
+
+
+def _sorted_edges(C: np.ndarray):
+    """All unordered edges ordered by (cost, min index, max index)."""
+    n = C.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    order = np.lexsort((ju, iu, C[iu, ju]))
+    return iu[order], ju[order]
+
+
+def full_sort_shp(costs) -> np.ndarray:
+    """Oracle: the greedy path from one sort of all N(N-1)/2 edges."""
+    C = check_cost_matrix(costs)
+    n = C.shape[0]
+    us, vs = _sorted_edges(C)
+
+    parent = np.arange(n)
+    degree = np.zeros(n, dtype=np.int64)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
+
+    selected = 0
+    for u, v in zip(us, vs):
+        if degree[u] >= 2 or degree[v] >= 2:
+            continue
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue  # would close a cycle
+        parent[ru] = rv
+        degree[u] += 1
+        degree[v] += 1
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        selected += 1
+        if selected == n - 1:
+            break
+
+    endpoints = np.flatnonzero(degree <= 1)
+    start = int(endpoints.min())
+    order = np.empty(n, dtype=np.int64)
+    order[0] = start
+    prev = -1
+    node = start
+    for i in range(1, n):
+        nxt = adjacency[node][0] if adjacency[node][0] != prev else adjacency[node][1]
+        order[i] = nxt
+        prev, node = node, nxt
+    order.setflags(write=False)
+    return order
+
+
+def oracle_costs(kind, n, seed):
+    """Cost matrices of the kinds the round-based greedy must get exactly right."""
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        return random_costs(rng, n)
+    if kind == "integer_ties":
+        A = rng.integers(0, 4, size=(n, n)).astype(float)
+        C = A + A.T
+    elif kind == "duplicate_rows":
+        distinct = rng.normal(size=(max(1, n // 4), 3))
+        return gamma_cost(distinct[rng.integers(0, len(distinct), size=n)], gamma=1.0)
+    elif kind == "all_equal":
+        C = np.full((n, n), 2.5)
+    else:  # "asymmetric": only the upper triangle is read
+        C = rng.integers(0, 6, size=(n, n)).astype(float)
+    np.fill_diagonal(C, 0.0)
+    return C
 
 
 def random_costs(rng, n):
@@ -165,3 +244,27 @@ class TestApproximateShp:
     def test_rejects_non_square_costs(self):
         with pytest.raises(ValueError, match="square"):
             approximate_shp(np.zeros((3, 4)))
+
+
+class TestMatchesFullSort:
+    """The round-based greedy admits exactly the edges of one full sort."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(
+            ["continuous", "integer_ties", "duplicate_rows", "all_equal", "asymmetric"]
+        ),
+        n=st.integers(2, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_full_sort(self, kind, n, seed):
+        C = oracle_costs(kind, n, seed)
+        expected = full_sort_shp(C)
+        assert np.array_equal(approximate_shp(C), expected)
+        with mock.patch.object(shp, "_EDGES_PER_NODE", 1):  # many more, smaller rounds
+            assert np.array_equal(approximate_shp(C), expected)
+
+    def test_large_gamma_cost(self):
+        X = np.random.default_rng(2000).normal(size=(2000, 20))
+        C = gamma_cost(X, gamma=1.0)
+        assert np.array_equal(approximate_shp(C), full_sort_shp(C))
