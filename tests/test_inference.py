@@ -419,16 +419,24 @@ class TestMinimumCriticalRoot:
         inference._CRIT_CACHE.clear()
         monkeypatch.setattr(inference, "mvn_upper_tail", counting)
         minimum_test(np.round(ctx.mean), w, ctx)
-        assert len(calls) <= 10  # one for the p-value, the rest for the root
+        assert len(calls) <= 7  # one for the p-value, six for the root
 
     @pytest.mark.parametrize(
-        "sizes, bisected",
-        [([50] * 10, -3.0516300), ([20, 30, 40], -2.1259151), ([5, 7, 100, 3], -2.3852584)],
+        "sizes, bisected, alpha",
+        [
+            ([50] * 10, -3.0516300, 0.05),
+            ([20, 30, 40], -2.1259151, 0.05),
+            ([5, 7, 100, 3], -2.3852584, 0.05),
+            # roots of the linear-scale tail function at alpha 0.01
+            ([50] * 10, -3.5107415, 0.01),
+            ([20, 30, 40], -2.7128111, 0.01),
+            ([5, 7, 100, 3], -2.9335378, 0.01),
+        ],
     )
-    def test_matches_bisection_root(self, sizes, bisected):
+    def test_matches_bisection_root(self, sizes, bisected, alpha):
         ctx = MomentContext(sizes)
         w = WeightMatrix.default(ctx)
-        res = minimum_test(np.round(ctx.mean), w, ctx)
+        res = minimum_test(np.round(ctx.mean), w, ctx, alpha=alpha)
         assert res.critical_value == pytest.approx(bisected, abs=1e-5)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])

@@ -1,16 +1,24 @@
 """Tests for the multivariate-normal upper-tail integrator.
 
 Oracles: closed-form orthant probabilities in two and three dimensions,
-the independence product rule, and plain Monte Carlo for a general
-correlated case.
+the independence product rule, plain Monte Carlo for a general
+correlated case, and the engine's earlier per-shift integration loop on
+a (points, n - 1) lattice matrix, kept here as ``reference_upper_tail``.
 """
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
+from relevance_kit import inference
 from relevance_kit.inference import mvn_upper_tail
+from relevance_kit.moments import MomentContext, build_sigma
 
 
 def orthant_2d(rho):
@@ -21,6 +29,59 @@ def orthant_2d(rho):
 def orthant_3d(rho):
     """P(all three > 0) under equicorrelation rho (rho > -1/2)."""
     return 0.125 + 3.0 * np.arcsin(rho) / (4.0 * np.pi)
+
+
+def reference_upper_tail(sigma, thresholds, *, n_points=10_000, n_shifts=12,
+                         error_target=1e-4, seed=20210802):
+    """(P(Z > t), standard error) by the engine's earlier loop, unmemoized.
+
+    Every shift builds the whole (pts, n - 1) lattice matrix and reads it
+    by column.
+    """
+    S = np.asarray(sigma, dtype=np.float64)
+    t = np.asarray(thresholds, dtype=np.float64)
+    keep = ~np.isneginf(t)
+    S = S[np.ix_(keep, keep)]
+    t = t[keep]
+    n = t.size
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        S = S + 1e-10 * np.eye(n)
+        np.linalg.cholesky(S)
+
+    C, u = inference._reorder_cholesky(S, -t)
+    rng = np.random.default_rng(seed)
+    sqrt_primes = np.sqrt(inference._first_primes(n - 1).astype(np.float64))
+
+    tiny = 1e-300
+    pts = int(n_points)
+    for _ in range(4):
+        estimates = np.empty(n_shifts)
+        j = np.arange(1, pts + 1, dtype=np.float64)[:, None]
+        for s in range(n_shifts):
+            shift = rng.random(n - 1)
+            x = np.abs(2.0 * np.modf(j * sqrt_primes + shift)[0] - 1.0)
+            f = np.full(pts, ndtr(u[0] / C[0, 0]) if C[0, 0] > 0 else float(u[0] >= 0))
+            Y = np.empty((pts, n - 1))
+            Y[:, 0] = ndtri(np.clip(x[:, 0] * f, tiny, 1.0 - 1e-16))
+            for i in range(1, n):
+                num = u[i] - Y[:, :i] @ C[i, :i]
+                if C[i, i] > 0:
+                    e = ndtr(num / C[i, i])
+                else:
+                    e = (num >= 0).astype(np.float64)
+                f = f * e
+                if i < n - 1:
+                    Y[:, i] = ndtri(np.clip(x[:, i] * e, tiny, 1.0 - 1e-16))
+            estimates[s] = f.mean()
+        prob = float(estimates.mean())
+        err = float(estimates.std(ddof=1) / np.sqrt(n_shifts))
+        if err <= error_target:
+            break
+        pts *= 2
+    prob = min(max(prob, 0.0), 1.0)
+    return prob, err
 
 
 def mc_upper_tail(sigma, t, reps, seed):
@@ -131,3 +192,119 @@ class TestInputValidation:
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
             mvn_upper_tail(sigma, [0.0, 0.0])
+
+
+@st.composite
+def orthant_problems(draw):
+    """A PSD Sigma of rank 1..K, thresholds with some -inf, and settings."""
+    K = draw(st.integers(2, 12))
+    rank = draw(st.integers(1, K))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.standard_normal((K, rank))
+    t = rng.uniform(-2.0, 2.0, K)
+    # at most K - 2 components drop out, so at least two are integrated
+    t[sorted(draw(st.sets(st.integers(0, K - 1), max_size=K - 2)))] = -np.inf
+    kw = dict(
+        n_points=draw(st.integers(16, 400)),
+        n_shifts=draw(st.integers(2, 12)),
+        error_target=draw(st.sampled_from([1e-4, 1e-12])),  # 1e-12 forces every doubling
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+    return A @ A.T, t, kw
+
+
+class TestAgainstReferenceLoop:
+    """The row-contiguous, memoized engine gives the earlier loop's answers."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(problem=orthant_problems())
+    def test_matches_reference(self, problem):
+        sigma, t, kw = problem
+        got = mvn_upper_tail(sigma, t, full_output=True, **kw)
+        want = reference_upper_tail(sigma, t, **kw)
+        assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_matches_reference_at_k45(self):
+        sigma = build_sigma(MomentContext([50] * 10))
+        t = -3.05 * np.sqrt(np.diag(sigma))  # near the level-0.05 root
+        got = mvn_upper_tail(sigma, t, full_output=True)
+        assert_allclose(got, reference_upper_tail(sigma, t), rtol=0.0, atol=1e-14)
+
+
+class TestMemo:
+    SIGMA = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.3], [0.1, 0.3, 1.0]])
+    T = np.array([0.1, 0.2, -0.1])
+
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        """Count the integrations the engine runs, starting from an empty memo."""
+        calls = []
+        factor = inference._reorder_cholesky
+
+        def counting(*args):
+            calls.append(1)
+            return factor(*args)
+
+        inference._orthant.cache_clear()
+        monkeypatch.setattr(inference, "_reorder_cholesky", counting)
+        return calls
+
+    def test_repeat_call_is_remembered(self, integrations):
+        first = mvn_upper_tail(self.SIGMA, self.T, full_output=True)
+        second = mvn_upper_tail(self.SIGMA.copy(), list(self.T), full_output=True)
+        assert second == first
+        assert len(integrations) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(thresholds=np.array([0.1, 0.2, -0.2])),
+            dict(seed=1),
+            dict(n_points=5_000),
+            dict(n_shifts=10),
+            dict(error_target=1e-5),
+        ],
+    )
+    def test_changed_input_integrates_afresh(self, integrations, change):
+        base = dict(thresholds=self.T)
+        mvn_upper_tail(self.SIGMA, full_output=True, **base)
+        changed = mvn_upper_tail(self.SIGMA, full_output=True, **{**base, **change})
+        assert len(integrations) == 2
+        want = reference_upper_tail(self.SIGMA, **{**base, **change})
+        assert_allclose(changed, want, rtol=0.0, atol=1e-14)
+
+    def test_caller_mutation_cannot_reach_the_memo(self, integrations):
+        sigma = self.SIGMA.copy()
+        before = mvn_upper_tail(sigma, self.T, full_output=True)
+        sigma *= 2.0
+        assert mvn_upper_tail(self.SIGMA, self.T, full_output=True) == before
+        after = mvn_upper_tail(sigma, self.T, full_output=True)
+        assert_allclose(after, reference_upper_tail(2.0 * self.SIGMA, self.T), rtol=0.0, atol=1e-14)
+
+    def test_threads_share_the_memo(self):
+        # More workers than cores and a short switch interval, so calls on
+        # the same keys interleave inside the memo.
+        problems = [(self.SIGMA, self.T + 0.05 * i) for i in range(12)]
+        jobs = [i % len(problems) for i in range(96)]
+        inference._orthant.cache_clear()
+        serial = [mvn_upper_tail(*p, n_points=200, full_output=True) for p in problems]
+        inference._orthant.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [
+                    ex.submit(mvn_upper_tail, *problems[i], n_points=200, full_output=True)
+                    for i in jobs
+                ]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [serial[i] for i in jobs]
+        info = inference._orthant.cache_info()
+        assert info.hits + info.misses == len(jobs)
+        assert info.currsize == len(problems)
+
+    def test_memo_is_bounded(self):
+        maxsize = inference._orthant.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize == inference._MVN_MEMO_SIZE

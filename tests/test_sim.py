@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from relevance_kit import inference
 from relevance_kit.cost import average_cost, diff_augmented_cost, gamma_cost
 from relevance_kit.sim import (
     CovSpec,
@@ -199,6 +200,18 @@ class TestEstimatePower:
         serial = estimate_power(case, "gamma:1.0", "min", trials=50, seed=2)
         monkeypatch.setenv("RELEVANCE_THREADS", "2")
         assert estimate_power(case, "gamma:1.0", "min", trials=50, seed=2) == serial
+
+    def test_minimum_power_independent_of_threads_with_shared_memo(self, monkeypatch):
+        # Each run starts from an empty MVN memo and critical-value cache,
+        # so the threaded run integrates afresh while its workers share both.
+        case = preset_case(5, d=20)
+        powers = []
+        for threads in ("1", "2"):
+            inference._orthant.cache_clear()
+            monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+            monkeypatch.setenv("RELEVANCE_THREADS", threads)
+            powers.append(estimate_power(case, "gamma:1.0", "min", trials=50, seed=3))
+        assert powers[0] == powers[1]
 
     def test_rejects_too_few_trials(self, strong_shift):
         with pytest.raises(ValueError, match="at least 50"):
