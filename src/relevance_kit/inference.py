@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 from .counts import GroupAssignment, count_edges
 from .moments import MomentContext, build_sigma
@@ -69,6 +68,7 @@ class WeightMatrix:
     """
 
     grid: np.ndarray
+    _vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.grid, dtype=np.float64)
@@ -82,8 +82,12 @@ class WeightMatrix:
         np.fill_diagonal(w, 0.0)
         if not (w > 0).any():
             raise ValueError("at least one off-diagonal weight must be positive")
-        w.setflags(write=False)
+        iu, ju = np.triu_indices(w.shape[0], 1)
+        vector = w[iu, ju]
+        for table in (w, vector):
+            table.setflags(write=False)
         object.__setattr__(self, "grid", w)
+        object.__setattr__(self, "_vector", vector)
 
     @property
     def k(self) -> int:
@@ -114,10 +118,11 @@ class WeightMatrix:
         return WeightMatrix(w)
 
     def vector(self) -> np.ndarray:
-        """Weights of pairs (1,2), (1,3), ..., (k-1,k): the order of :func:`build_sigma`."""
-        k = self.k
-        iu, ju = np.triu_indices(k, 1)
-        return self.grid[iu, ju]
+        """Weights of pairs (1,2), (1,3), ..., (k-1,k): the order of :func:`build_sigma`.
+
+        Built once with the grid; read-only.
+        """
+        return self._vector
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,7 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
         raise ValueError("null variance of the weighted sum is zero; test is degenerate")
     null_sd = null_var ** 0.5
     p = float(ndtr((stat - null_mean) / null_sd))
-    critical = null_mean + norm.ppf(alpha) * null_sd
+    critical = null_mean + ndtri(alpha) * null_sd
     return TestResult(
         statistic=stat,
         p_value=p,
@@ -252,6 +257,11 @@ def _first_primes(m: int) -> np.ndarray:
         if primes.size >= m:
             return primes[:m].astype(np.int64)
         limit *= 4
+
+
+def _norm_pdf(x):
+    """Standard normal density, in the same arithmetic as ``scipy.stats.norm.pdf``."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def _reorder_cholesky(sigma: np.ndarray, upper: np.ndarray):
@@ -295,7 +305,7 @@ def _reorder_cholesky(sigma: np.ndarray, upper: np.ndarray):
             # 0/1 factor through its (infinite) scaled limit.
             C[i:, i] = 0.0
             C[i, i] = 0.0
-        y[i] = -norm.pdf(best_ut) / best_e if best_e > 1e-300 else best_ut
+        y[i] = -_norm_pdf(best_ut) / best_e if best_e > 1e-300 else best_ut
     return C, u
 
 

@@ -5,8 +5,8 @@ between- and within-group edge counts have closed-form first and second
 moments depending only on the group sizes (Chen & Friedman, JASA 2017).
 This module is the one place those closed forms live:
 :class:`MomentContext` carries the k x k mean and variance tables of
-every count, and :func:`build_sigma` the covariance matrix of the
-between counts that the tests and relevance z-scores read.  An
+every count and, built on first use, the covariance matrix of the
+between counts (:func:`build_sigma`) that the tests read.  An
 exhaustive enumeration oracle (:func:`enumerate_null_moments`)
 recomputes every moment exactly for small N by iterating over all
 distinct label arrangements.
@@ -14,6 +14,7 @@ distinct label arrangements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -37,8 +38,10 @@ class MomentContext:
 
     ``mean[i, j]`` and ``var[i, j]`` are the null mean and variance of the
     edge count S(G_{i+1}, G_{j+1}) (0-based indices, symmetric); the
-    diagonal holds the within-group counts S(G_i, G_i).  Both tables are
-    read-only and are the only place the closed forms are written out.
+    diagonal holds the within-group counts S(G_i, G_i).  ``sigma`` is the
+    covariance of the between counts, built on first use.  All three
+    tables are read-only and are the only place the closed forms are
+    written out.
     """
 
     sizes: np.ndarray
@@ -107,28 +110,35 @@ class MomentContext:
             raise ValueError(f"null variance of pair ({iu[p] + 1},{ju[p] + 1}) is zero; {what}")
         return var
 
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        """Null covariance of the between counts, as documented at :func:`build_sigma`."""
+        n = self.sizes.astype(np.float64)
+        N = self.total
+        iu, ju = np.triu_indices(self.n_groups, 1)
+        K = iu.size
+        incidence = np.zeros((K, self.n_groups))
+        incidence[np.arange(K), iu] = incidence[np.arange(K), ju] = 1.0
+        shared = (incidence / n) @ incidence.T  # 1/n_g where pairs share g, else 0
+        P = n[iu] * n[ju]
+        sigma = np.outer(P, P) * (4.0 / (N * N * (N - 1.0)) - 2.0 * shared / (N * (N - 1.0)))
+        sigma[np.diag_indices(K)] = self.var[iu, ju]
+        sigma.setflags(write=False)
+        return sigma
+
 
 def build_sigma(ctx: MomentContext) -> np.ndarray:
-    """Null covariance matrix of all between-group counts.
+    """Null covariance matrix of all between-group counts: ``ctx.sigma``.
 
     Pairs run in ``np.triu_indices(k, 1)`` order, (1,2), (1,3), ...,
     (k-1,k), as in :meth:`WeightMatrix.vector`.  With P_p = n_a n_b the
     size product of pair p = (a, b), two counts sharing no group have
     covariance 4 P_p P_q / (N^2 (N-1)); sharing group g subtracts
     2 P_p P_q / (n_g N (N-1)).  The diagonal holds the pair variances.
-    Exactly symmetric by construction.
+    Exactly symmetric by construction.  The matrix is built on the
+    context's first call and returned read-only on every later one.
     """
-    n = ctx.sizes.astype(np.float64)
-    N = ctx.total
-    iu, ju = np.triu_indices(ctx.n_groups, 1)
-    K = iu.size
-    incidence = np.zeros((K, ctx.n_groups))
-    incidence[np.arange(K), iu] = incidence[np.arange(K), ju] = 1.0
-    shared = (incidence / n) @ incidence.T  # 1/n_g where pairs share g, else 0
-    P = n[iu] * n[ju]
-    sigma = np.outer(P, P) * (4.0 / (N * N * (N - 1.0)) - 2.0 * shared / (N * (N - 1.0)))
-    sigma[np.diag_indices(K)] = ctx.var[iu, ju]
-    return sigma
+    return ctx.sigma
 
 
 @dataclass(frozen=True)

@@ -466,3 +466,33 @@ class TestModuleEntryPoint:
         proc = self.run_module("test", "--input", str(p), "--group-col", "g")
         assert proc.returncode == 2
         assert "line 3, column 'x1'" in proc.stderr
+
+
+class TestImportGraph:
+    """The CLI never loads ``scipy.stats`` or ``scipy.signal``: every command pays an import.
+
+    Checked in a fresh interpreter, since pytest plugins may already have
+    loaded scipy here; the small ``simulate`` run also catches an import
+    placed inside a function.
+    """
+
+    PROBE = (
+        "import contextlib, io, json, sys\n"
+        "import relevance_kit.cli as cli\n"
+        "banned = ('scipy.stats', 'scipy.signal')\n"
+        "after_import = [m for m in banned if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['simulate', '--case', '5', '--d', '20', '--trials', '50'])\n"
+        "print(json.dumps([rc, after_import, [m for m in banned if m in sys.modules]]))\n"
+    )
+
+    def test_cli_loads_neither_scipy_stats_nor_signal(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.PROBE],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, after_import, after_simulate = json.loads(proc.stdout)
+        assert rc == 0
+        assert after_import == []
+        assert after_simulate == []

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
 from relevance_kit import inference
 from relevance_kit.counts import GroupAssignment, count_edges
@@ -116,6 +117,12 @@ class TestWeightMatrix:
         w = WeightMatrix.unit(3)
         assert_allclose(w.grid, np.ones((3, 3)) - np.eye(3))
 
+    def test_vector_built_once_and_read_only(self):
+        w = WeightMatrix.default(MomentContext(np.array([3, 4, 5])))
+        assert w.vector() is w.vector()
+        assert not w.vector().flags.writeable
+        assert not w.grid.flags.writeable
+
     def test_vector_follows_pair_index_order(self):
         grid = pair_table(4, {(1, 2): 1.0, (1, 3): 2.0, (1, 4): 3.0, (2, 3): 4.0, (2, 4): 5.0, (3, 4): 6.0})
         vec = WeightMatrix(grid).vector()
@@ -191,6 +198,14 @@ class TestWeightedSumStatistic:
 
 
 class TestBuildSigma:
+    def test_built_once_per_context_and_read_only(self):
+        ctx = MomentContext(np.array([3, 4, 5]))
+        sigma = build_sigma(ctx)
+        assert build_sigma(ctx) is sigma
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0, 0] = 1.0
+
     @pytest.mark.parametrize("sizes", [(2, 3), (1, 1, 1), (2, 2, 2), (1, 2, 3), (2, 2, 2, 2)], ids=str)
     def test_matches_enumeration(self, sizes):
         enum = enumerate_null_moments(GroupAssignment(np.repeat(np.arange(1, len(sizes) + 1), sizes)))
@@ -252,6 +267,14 @@ class TestWeightedSumTest:
         r2 = weighted_sum_test(table, scaled, ctx)
         assert_allclose(r1.p_value, r2.p_value, rtol=1e-12)
         assert r1.reject == r2.reject
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("sizes", [(10, 12), (20, 30, 40), (5, 6, 7, 8)], ids=str)
+    def test_critical_value_is_normal_quantile(self, sizes, alpha):
+        ctx = MomentContext(np.array(sizes))
+        table = np.ones((len(sizes), len(sizes)))
+        res = weighted_sum_test(table, WeightMatrix.default(ctx), ctx, alpha)
+        assert res.critical_value == res.null_mean + norm.ppf(alpha) * res.null_sd
 
     def test_reject_iff_p_below_alpha(self):
         ctx = MomentContext(np.array([10, 12]))

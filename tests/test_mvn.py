@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
 from relevance_kit import inference
 from relevance_kit.inference import mvn_upper_tail
@@ -91,6 +92,18 @@ def mc_upper_tail(sigma, t, reps, seed):
     hits = (Z > np.asarray(t)).all(axis=1)
     p = hits.mean()
     return p, np.sqrt(p * (1.0 - p) / reps)
+
+
+class TestNormalDensity:
+    """The reordering's density equals ``scipy.stats.norm.pdf`` bit for bit."""
+
+    def test_array_grid(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 100_001), [0.0, -0.0, np.inf, -np.inf]])
+        assert np.array_equal(inference._norm_pdf(x), norm.pdf(x))
+
+    @pytest.mark.parametrize("x", [0.0, 1e-300, -0.5, 1.25, -8.0, 38.5, np.inf, -np.inf])
+    def test_python_float(self, x):
+        assert inference._norm_pdf(x) == norm.pdf(x)
 
 
 class TestClosedFormOrthants:

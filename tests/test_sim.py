@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import lfilter
 
 from relevance_kit import inference
 from relevance_kit.cost import average_cost, diff_augmented_cost, gamma_cost
@@ -61,7 +62,40 @@ class TestSimCase:
             SimCase(sizes=(3, 4), d=10, means=(0.0, 0.0), covs=(0.2, 0.4))
 
 
+def lfilter_reference(case, seed):
+    """Data of ``case``: per-group innovations through ``scipy.signal.lfilter``, the AR(1) oracle."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n, mu, cov in zip(case.sizes, case.means, case.covs):
+        e = rng.standard_normal((n, case.d))
+        sig = np.sqrt(cov.sigma2)
+        e[:, 0] *= sig
+        if case.d > 1:
+            e[:, 1:] *= sig * np.sqrt(1.0 - cov.rho ** 2)
+        blocks.append(lfilter([1.0], [1.0, -cov.rho], e, axis=1) + mu)
+    return np.concatenate(blocks, axis=0)
+
+
 class TestGenGaussian:
+    @pytest.mark.parametrize("sigma2", [1.0, 2.5])
+    @pytest.mark.parametrize("d", [1, 2, 500])
+    @pytest.mark.parametrize("rho", [0.0, 0.2, 0.6, -0.4, 0.95])
+    def test_matches_per_group_lfilter(self, rho, d, sigma2):
+        # a one-row group, and a middle group with its own rho and sigma2,
+        # so every row of the recursion needs its own coefficient
+        case = SimCase(sizes=(1, 4, 6), d=d, means=(0.0, 0.5, -0.2),
+                       covs=(ar1(rho, sigma2), ar1(0.3, 1.7), ar1(rho, sigma2)))
+        for seed in (0, (7, 3)):
+            data, _ = gen_gaussian(case, seed=seed)
+            assert data.flags.c_contiguous
+            assert np.array_equal(data, lfilter_reference(case, seed))
+
+    def test_preset_case_matches_per_group_lfilter(self):
+        case = preset_case(5, d=500)
+        for trial in range(5):
+            assert np.array_equal(gen_gaussian(case, seed=(0, trial))[0],
+                                  lfilter_reference(case, (0, trial)))
+
     def test_shapes_and_labels(self):
         case = SimCase(sizes=(3, 5), d=7, means=(0.0, 1.0), covs=(ar1(0.2), ar1(0.3)))
         data, groups = gen_gaussian(case)
