@@ -95,12 +95,13 @@ print(f"   driven by pair {pairs[int(np.argmin(dev))]} "
       + ", ".join(f"{p}={v:+.3f}" for p, v in zip(pairs, dev)) + ")")
 
 # --- 5. permutation cross-check --------------------------------------------
-# Each call draws its B label shuffles from one np.random.default_rng(seed)
-# stream, so the same seed gives the same p-value; a shuffle whose statistic
-# ties the observed one counts as "at or below" it.
+# One call draws its B label shuffles from one np.random.default_rng(seed)
+# stream and scores each shuffle by both statistics, so the same seed gives
+# the same p-values; a shuffle whose statistic ties the observed one counts
+# as "at or below" it.
 B = 500
-p_ws = permutation_pvalue(path, groups, "weighted_sum", w, B=B, seed=101)
-p_mn = permutation_pvalue(path, groups, "minimum", w, B=B, seed=101)
+perm = permutation_pvalue(path, groups, w, B=B, seed=101)
+p_ws, p_mn = perm["weighted_sum"], perm["minimum"]
 print(f"\npermutation reference (B={B} label shuffles on the fixed path):")
 print(f"   ws : asymptotic p = {ws.p_value:.4f}   permutation p = {p_ws:.4f}")
 print(f"   min: asymptotic p = {mn.p_value:.4f}   permutation p = {p_mn:.4f}")

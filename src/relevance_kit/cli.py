@@ -94,7 +94,7 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
         feature_names = tuple(h for i, h in enumerate(header) if i != gidx)
         if not feature_names:
             raise ValueError(f"{path}: no feature columns besides the group column")
-        rows, labels, linenos = [], [], []
+        rows, dense, linenos, label_map = [], [], [], {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue  # blank line
@@ -105,7 +105,7 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
             label = row[gidx].strip()
             if not label:
                 raise ValueError(f"{path}: line {lineno} has an empty group label")
-            labels.append(label)
+            dense.append(label_map.setdefault(label, len(label_map) + 1))
             values = []
             for i, cell in enumerate(row):
                 if i == gidx:
@@ -129,13 +129,9 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
             f"{path}: line {linenos[r]}, column {feature_names[c]!r}: "
             f"value {matrix[r, c]} is not a finite number"
         )
-    assignment = GroupAssignment.from_labels(labels)
-    label_map = {}
-    for raw, dense in zip(labels, assignment.labels.tolist()):
-        label_map.setdefault(raw, dense)
     return InputDataset(
         matrix=matrix,
-        assignment=assignment,
+        assignment=GroupAssignment(dense),
         label_map=label_map,
         source=path,
         group_col=group_col,
@@ -144,11 +140,21 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
 
 
 def export_csv(data, labels, path: str, group_col: str = "group") -> None:
-    """Write a dataset in the format ``ingest_csv`` reads back losslessly."""
+    """Write a dataset in the format ``ingest_csv`` reads back losslessly.
+
+    ``ingest_csv`` strips each label and rejects empty ones and
+    non-finite cells, so such labels and data are refused here.
+    """
     data = np.asarray(data, dtype=np.float64)
     labels = list(labels)
     if data.ndim != 2 or len(labels) != data.shape[0]:
         raise ValueError("data must be 2-D with one label per row")
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite")
+    for lab in labels:
+        text = str(lab)
+        if not text or text != text.strip():
+            raise ValueError(f"label {lab!r} is empty or has leading or trailing whitespace")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([group_col] + [f"x{i + 1}" for i in range(data.shape[1])])
@@ -338,14 +344,11 @@ def cmd_test(dataset: InputDataset, config: RunConfig) -> dict:
     if run_min:
         results["minimum"] = _result_block(minimum_test(table, w, ctx, config.alpha))
     if perm_B is not None:
+        perm = permutation_pvalue(path, dataset.assignment, w, perm_B, config.seed)
         results["permutation"] = {
             "replicates": perm_B,
-            "weighted_sum_p_value": permutation_pvalue(
-                path, dataset.assignment, "weighted_sum", w, perm_B, config.seed
-            ),
-            "minimum_p_value": permutation_pvalue(
-                path, dataset.assignment, "minimum", w, perm_B, config.seed
-            ),
+            "weighted_sum_p_value": perm["weighted_sum"],
+            "minimum_p_value": perm["minimum"],
         }
     report = {
         "command": "test",

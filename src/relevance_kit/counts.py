@@ -1,10 +1,13 @@
 """Between-sample edge counts along a Hamiltonian path.
 
 Given a path over the pooled observations and a group label per node,
-``count_edges`` tabulates, for every pair of groups (m, l), the number
-of consecutive path edges whose endpoints belong to groups m and l.
+the count table holds, for every pair of groups (m, l), the number of
+consecutive path edges whose endpoints belong to groups m and l.
 Diagonal entries count within-group edges.  The table is symmetric and
 its entries over unordered pairs sum to N - 1, one per path edge.
+This module is the one place that turns labels along a path into
+counts: :func:`tabulate` counts a batch of labellings in one
+``bincount``, and :func:`count_edges` is its one-row case.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .shp import check_path
 
-__all__ = ["GroupAssignment", "count_edges", "count_between_unions"]
+__all__ = ["GroupAssignment", "tabulate", "count_edges", "union_ids", "count_between_unions"]
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,8 @@ class GroupAssignment:
         Ids are assigned in order of first appearance, so the mapping is
         reproducible from the input ordering alone.
         """
-        raw = list(raw)
         mapping: dict = {}
-        dense = np.empty(len(raw), dtype=np.int64)
-        for i, lab in enumerate(raw):
-            if lab not in mapping:
-                mapping[lab] = len(mapping) + 1
-            dense[i] = mapping[lab]
-        return cls(dense)
+        return cls([mapping.setdefault(lab, len(mapping) + 1) for lab in raw])
 
     @property
     def n_groups(self) -> int:
@@ -74,39 +71,51 @@ class GroupAssignment:
         return int(self.labels.size)
 
 
+def tabulate(on_path: np.ndarray, k: int) -> np.ndarray:
+    """Edge-count tables of a batch of labellings read along one path.
+
+    ``on_path`` has shape (n, N): row r holds the 1-based group ids of
+    the nodes in path order under labelling r.  Returns the n tables
+    that :func:`count_edges` defines, as one (n, k, k) int64 array.
+    """
+    n = on_path.shape[0]
+    # Edge a -> b of row r lands in bin r k^2 + (a - 1) k + (b - 1).
+    bins = on_path[:, :-1] * k + on_path[:, 1:] + (k * k * np.arange(n)[:, None] - k - 1)
+    directed = np.bincount(bins.ravel(), minlength=n * k * k).reshape(n, k, k)
+    tables = directed + directed.transpose(0, 2, 1)
+    tables[:, range(k), range(k)] //= 2  # a within-group edge was added both ways
+    return tables
+
+
 def count_edges(path, assignment: GroupAssignment) -> np.ndarray:
     """Symmetric k x k table of path-edge counts by endpoint groups.
 
     Entry (m-1, l-1) is the number of path edges with one endpoint in
     group m and the other in group l; within-group edges land on the
-    diagonal.
+    diagonal.  The table is int64 and read-only.
     """
     path = check_path(path, assignment.n_total)
-    k = assignment.n_groups
-    a = assignment.labels[path[:-1]] - 1
-    b = assignment.labels[path[1:]] - 1
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    table = np.zeros((k, k), dtype=np.int64)
-    np.add.at(table, (lo, hi), 1)
-    table += np.triu(table, 1).T
+    table = tabulate(assignment.labels[path][None], assignment.n_groups)[0]
     table.setflags(write=False)
     return table
 
 
-def count_between_unions(table, groups_a, groups_b) -> int:
-    """Edges joining the union of ``groups_a`` to the union of ``groups_b``.
-
-    The two unions must be disjoint; group ids are 1-based.
-    """
-    table = np.asarray(table)
-    a = np.asarray(sorted(set(int(g) for g in groups_a)), dtype=np.int64)
-    b = np.asarray(sorted(set(int(g) for g in groups_b)), dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both group collections must be non-empty")
-    if np.intersect1d(a, b).size:
-        raise ValueError("group collections must be disjoint")
-    k = table.shape[0]
-    for g in np.concatenate([a, b]):
-        if g < 1 or g > k:
+def union_ids(groups_a, groups_b, k: int) -> tuple[list[int], list[int]]:
+    """Sorted distinct 1-based ids of two non-empty, disjoint unions of groups 1..k."""
+    a = sorted(set(int(g) for g in groups_a))
+    b = sorted(set(int(g) for g in groups_b))
+    if not a or not b:
+        raise ValueError("both subsets must be non-empty")
+    if set(a) & set(b):
+        raise ValueError(f"subsets must be disjoint, got {a} and {b}")
+    for g in a + b:
+        if not (1 <= g <= k):
             raise ValueError(f"group id {g} outside 1..{k}")
-    return int(table[np.ix_(a - 1, b - 1)].sum())
+    return a, b
+
+
+def count_between_unions(table, groups_a, groups_b) -> int:
+    """Edges joining the union of ``groups_a`` to the union of ``groups_b``."""
+    table = np.asarray(table)
+    a, b = union_ids(groups_a, groups_b, table.shape[0])
+    return int(table[np.ix_([g - 1 for g in a], [g - 1 for g in b])].sum())

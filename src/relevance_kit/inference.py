@@ -19,7 +19,10 @@ by Brent's method from a bracket the marginals give.
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
 fallback that holds the path fixed and re-draws label arrangements, all
 from one ``np.random.default_rng(seed)`` stream per call; a replicate
-whose statistic ties the observed one counts as at or below it.
+whose statistic ties the observed one counts as at or below it.  One
+call, ``permutation_pvalue(path, groups, w, B, seed)``, returns both
+p-values, ``{"weighted_sum": p, "minimum": p}``; edges are counted by
+:mod:`~relevance_kit.counts`, never here.
 
 Both tests reject for small statistics: under a location or scale
 alternative the path crosses between samples less often than permutation
@@ -37,7 +40,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .counts import GroupAssignment, count_edges
+from .counts import GroupAssignment, count_edges, tabulate
 from .moments import MomentContext, build_sigma
 from .shp import check_path
 
@@ -539,24 +542,22 @@ _PERM_CHUNK_CELLS = 2 ** 17  # labels (or count slots) per batch of replicates: 
 def permutation_pvalue(
     path,
     groups: GroupAssignment,
-    statistic: str,
     w: WeightMatrix,
     B: int,
     seed: int = 0,
-) -> float:
-    """Lower-tail Monte-Carlo p-value under uniform label re-arrangement.
+) -> dict[str, float]:
+    """Lower-tail Monte-Carlo p-values, ``{"weighted_sum": p, "minimum": p}``.
 
     The path is held fixed.  All replicates come from one stream,
     ``np.random.default_rng(seed)``: replicate r relabels the nodes by
     the r-th ``rng.permutation(N)`` draw of that stream, so the result
     depends on ``seed`` and ``B`` alone, not on how replicates are
-    batched.  A replicate counts when its statistic is at or below the
-    observed one; "at" allows a relative 100 machine epsilons, as in
+    batched.  Each batch is tabulated once and scored by both
+    statistics.  A replicate counts when its statistic is at or below
+    the observed one; "at" allows a relative 100 machine epsilons, as in
     ``scipy.stats.permutation_test``, so exact ties are not lost to
-    rounding.  Add-one smoothing keeps the p-value strictly positive.
+    rounding.  Add-one smoothing keeps each p-value strictly positive.
     """
-    if statistic not in ("weighted_sum", "minimum"):
-        raise ValueError(f"statistic must be 'weighted_sum' or 'minimum', got {statistic!r}")
     B = int(B)
     if B < 100:
         raise ValueError(f"need at least 100 replicates, got B={B}")
@@ -565,30 +566,26 @@ def permutation_pvalue(
     _check_k(w, ctx)
     k, N = ctx.n_groups, ctx.total
     iu, ju = np.triu_indices(k, 1)
-    K = iu.size
     wvec = w.vector()
     mean = ctx.mean[iu, ju]
+    statistics = {
+        "weighted_sum": lambda counts: _weighted_sums(counts, wvec),
+        "minimum": lambda counts: _minima(counts, wvec, mean),
+    }
 
-    def stats_of(counts: np.ndarray) -> np.ndarray:
-        if statistic == "weighted_sum":
-            return _weighted_sums(counts, wvec)
-        return _minima(counts, wvec, mean)
+    observed = count_edges(path, groups)[iu, ju]
+    threshold = {}
+    for name, stat in statistics.items():
+        value = float(stat(observed))
+        threshold[name] = value + 100.0 * np.finfo(np.float64).eps * abs(value)
 
-    observed = float(stats_of(count_edges(path, groups)[iu, ju]))
-    threshold = observed + 100.0 * np.finfo(np.float64).eps * abs(observed)
-
-    # Slot of each label pair: between pairs in np.triu_indices order,
-    # within-group edges in a spare slot K that is dropped.
-    slot = np.full((k, k), K)
-    slot[iu, ju] = slot[ju, iu] = np.arange(K)
-    labels = groups.labels - 1
     rng = np.random.default_rng(seed)
-    rows = max(1, _PERM_CHUNK_CELLS // max(N, K + 1))
-    at_or_below = 0
+    rows = max(1, _PERM_CHUNK_CELLS // max(N, k * k))
+    at_or_below = dict.fromkeys(statistics, 0)
     for start in range(0, B, rows):
         n = min(rows, B - start)
-        on_path = rng.permuted(np.broadcast_to(labels, (n, N)), axis=1)[:, path]
-        bins = slot[on_path[:, :-1], on_path[:, 1:]] + (K + 1) * np.arange(n)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=n * (K + 1)).reshape(n, K + 1)[:, :K]
-        at_or_below += int(np.count_nonzero(stats_of(counts) <= threshold))
-    return (1 + at_or_below) / (B + 1)
+        on_path = rng.permuted(np.broadcast_to(groups.labels, (n, N)), axis=1)[:, path]
+        counts = tabulate(on_path, k)[:, iu, ju]
+        for name, stat in statistics.items():
+            at_or_below[name] += int(np.count_nonzero(stat(counts) <= threshold[name]))
+    return {name: (1 + hits) / (B + 1) for name, hits in at_or_below.items()}

@@ -6,7 +6,9 @@ between the two samples far less than chance — the samples differ;
 values near zero (or positive) indicate mixing, i.e. the samples are
 mutually relevant.  Unions of samples are compared by merging them into
 two pseudo-groups and standardizing the between-union count with the
-merged sizes.
+merged sizes.  :func:`relevance_report` counts the table once, with
+:func:`~relevance_kit.counts.count_edges`, and scores the pairwise grid
+and every union from it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import GroupAssignment, count_between_unions, count_edges
+from .counts import GroupAssignment, count_edges, union_ids
 from .moments import MomentContext
-from .shp import check_path
 
 __all__ = ["RelevanceReport", "z_score", "combined_z_score", "relevance_report"]
 
@@ -36,17 +37,17 @@ def z_score(m: int, l: int, table, ctx: MomentContext) -> float:
     return float((table[m - 1, l - 1] - ctx.mean[m - 1, l - 1]) / np.sqrt(var))
 
 
-def _check_subsets(A1, A2, k: int) -> tuple[list[int], list[int]]:
-    a1 = sorted(set(int(g) for g in A1))
-    a2 = sorted(set(int(g) for g in A2))
-    if not a1 or not a2:
-        raise ValueError("both subsets must be non-empty")
-    if set(a1) & set(a2):
-        raise ValueError(f"subsets must be disjoint, got {a1} and {a2}")
-    for g in a1 + a2:
-        if not (1 <= g <= k):
-            raise ValueError(f"group id {g} outside 1..{k}")
-    return a1, a2
+def _union_z(table: np.ndarray, a1: list[int], a2: list[int], ctx: MomentContext) -> float:
+    """Signed z of the count between two unions checked by ``union_ids``."""
+    i1, i2 = [g - 1 for g in a1], [g - 1 for g in a2]
+    count = int(table[np.ix_(i1, i2)].sum())
+    na, nb = int(ctx.sizes[i1].sum()), int(ctx.sizes[i2].sum())
+    rest = ctx.total - na - nb
+    merged = MomentContext([na, nb, rest] if rest else [na, nb])
+    var = merged.var[0, 1]
+    if var <= 0.0:
+        raise ValueError("null variance of the merged comparison is zero")
+    return float((count - merged.mean[0, 1]) / np.sqrt(var))
 
 
 def combined_z_score(A1, A2, path, groups: GroupAssignment, ctx: MomentContext) -> tuple[float, float]:
@@ -59,18 +60,8 @@ def combined_z_score(A1, A2, path, groups: GroupAssignment, ctx: MomentContext) 
     crossings than chance (negative, samples differ) from more
     (positive, samples mix).
     """
-    a1, a2 = _check_subsets(A1, A2, ctx.n_groups)
-    path = check_path(path, groups.n_total)
-    table = count_edges(path, groups)
-    count = count_between_unions(table, a1, a2)
-    na = int(ctx.sizes[[g - 1 for g in a1]].sum())
-    nb = int(ctx.sizes[[g - 1 for g in a2]].sum())
-    rest = ctx.total - na - nb
-    merged = MomentContext([na, nb, rest] if rest else [na, nb])
-    var = merged.var[0, 1]
-    if var <= 0.0:
-        raise ValueError("null variance of the merged comparison is zero")
-    z = float((count - merged.mean[0, 1]) / np.sqrt(var))
+    a1, a2 = union_ids(A1, A2, ctx.n_groups)
+    z = _union_z(count_edges(path, groups), a1, a2, ctx)
     return z, abs(z)
 
 
@@ -106,7 +97,6 @@ def relevance_report(path, groups: GroupAssignment, combined=None) -> RelevanceR
     k = ctx.n_groups
     if k < 2:
         raise ValueError("relevance analysis needs at least 2 groups")
-    path = check_path(path, groups.n_total)
     table = count_edges(path, groups)
     iu, ju = np.triu_indices(k, 1)
     z = np.full((k, k), np.nan)
@@ -114,8 +104,7 @@ def relevance_report(path, groups: GroupAssignment, combined=None) -> RelevanceR
     z[iu, ju] = z[ju, iu] = (table[iu, ju] - ctx.mean[iu, ju]) / sd
     entries: dict = {}
     for A1, A2 in combined or ():
-        a1, a2 = _check_subsets(A1, A2, k)
-        signed, _ = combined_z_score(a1, a2, path, groups, ctx)
-        entries[(tuple(a1), tuple(a2))] = signed
+        a1, a2 = union_ids(A1, A2, k)
+        entries[(tuple(a1), tuple(a2))] = _union_z(table, a1, a2, ctx)
     z.setflags(write=False)
     return RelevanceReport(z=z, combined=entries)

@@ -7,12 +7,16 @@ validated against the shipped schema.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from relevance_kit import cost
 from relevance_kit.cli import (
@@ -25,6 +29,19 @@ from relevance_kit.cli import (
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_PATH = SRC_DIR / "relevance_kit" / "schemas" / "report.schema.json"
+
+# Every finite double, with the edge cases drawn often: subnormals,
+# signed zeros and the largest magnitudes.
+CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308]
+)
+# Labels that export_csv accepts: non-empty, no leading or trailing
+# whitespace; commas, quotes and embedded line breaks are drawn often.
+CSV_LABELS = st.text(
+    st.characters(codec="utf-8") | st.sampled_from([",", '"', "\n", "\r", "'", " "]),
+    min_size=1,
+    max_size=6,
+).filter(lambda lab: lab == lab.strip())
 
 
 def write_csv(path, labels, matrix, group_col="g"):
@@ -153,6 +170,41 @@ class TestExportCsv:
     def test_rejects_mismatched_labels(self, tmp_path):
         with pytest.raises(ValueError, match="one label per row"):
             export_csv(np.zeros((3, 2)), ["a", "b"], str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("label", ["", " a", "a ", "\tb", "c\n"])
+    def test_rejects_labels_ingest_would_strip(self, tmp_path, label):
+        # ingest_csv strips labels: " a" would come back merged with "a"
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            export_csv(np.zeros((3, 1)), [label, "a", "b"], str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, tmp_path, value):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="finite"):
+            export_csv(np.array([[0.0], [value]]), ["a", "b"], str(out))
+        assert not out.exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.integers(2, 8).flatmap(
+            lambda n: arrays(np.float64, (n, 3), elements=CSV_FLOATS)
+        ),
+        pool=st.lists(CSV_LABELS, min_size=1, max_size=4, unique=True),
+        draws=st.data(),
+    )
+    def test_round_trip_property(self, tmp_path_factory, data, pool, draws):
+        n = data.shape[0]
+        labels = draws.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        out = tmp_path_factory.getbasetemp() / "round_trip_property.csv"
+        export_csv(data, labels, str(out))
+        ds = ingest_csv(str(out), "group")
+        assert ds.matrix.dtype == np.float64
+        assert ds.matrix.tobytes() == data.tobytes()  # bit for bit, -0.0 included
+        first = list(dict.fromkeys(labels))
+        assert list(ds.label_map.items()) == [(lab, i) for i, lab in enumerate(first, start=1)]
+        assert [first[g - 1] for g in ds.assignment.labels.tolist()] == labels
 
 
 class TestRunConfig:

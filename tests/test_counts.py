@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from relevance_kit.counts import GroupAssignment, count_between_unions, count_edges
+from relevance_kit.counts import GroupAssignment, count_between_unions, count_edges, tabulate
 
 
 def manual_table(path, labels):
-    """Edge-count table built with a plain Python loop."""
+    """Edge-count table built with a plain Python loop, independent of ``tabulate``."""
     k = max(labels)
     T = np.zeros((k, k), dtype=np.int64)
     for a, b in zip(path[:-1], path[1:]):
@@ -114,6 +116,33 @@ class TestCountEdges:
         assignment = GroupAssignment([1, 1, 2, 2])
         with pytest.raises(ValueError, match="length 4"):
             count_edges([0, 1, 2], assignment)
+
+
+@st.composite
+def labellings_along_a_path(draw):
+    """A path, a batch of labellings of its nodes (k <= 12, groups down to one node), and k."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12).filter(lambda s: sum(s) >= 2))
+    base = np.repeat(np.arange(1, len(sizes) + 1), sizes).tolist()
+    path = np.array(draw(st.permutations(range(len(base)))))
+    n = draw(st.integers(1, 5))
+    rows = np.array([draw(st.permutations(base)) for _ in range(n)])
+    return path, rows, len(sizes)
+
+
+class TestTabulate:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(drawn=labellings_along_a_path())
+    def test_batch_matches_per_edge_loop(self, drawn):
+        path, rows, k = drawn
+        tables = tabulate(rows[:, path], k)
+        assert tables.shape == (rows.shape[0], k, k)
+        assert tables.dtype == np.int64
+        for labels, table in zip(rows, tables):
+            assert_array_equal(table, table.T)
+            assert (table >= 0).all()
+            assert table[np.triu_indices(k)].sum() == path.size - 1
+            assert_array_equal(table, manual_table(path, labels))
+            assert_array_equal(count_edges(path, GroupAssignment(labels)), table)
 
 
 class TestCountBetweenUnions:

@@ -557,41 +557,36 @@ class TestPermutationPvalue:
         path, groups = separated
         ctx = MomentContext.from_assignment(groups)
         w = WeightMatrix.default(ctx)
-        for stat in ("weighted_sum", "minimum"):
-            p = permutation_pvalue(path, groups, stat, w, B=199, seed=3)
-            assert p <= 0.05
+        p = permutation_pvalue(path, groups, w, B=199, seed=3)
+        assert set(p) == {"weighted_sum", "minimum"}
+        for stat in p:
+            assert p[stat] <= 0.05
 
     def test_deterministic_given_seed(self, separated):
         path, groups = separated
         w = WeightMatrix.default(MomentContext.from_assignment(groups))
-        p1 = permutation_pvalue(path, groups, "weighted_sum", w, B=150, seed=11)
-        p2 = permutation_pvalue(path, groups, "weighted_sum", w, B=150, seed=11)
+        p1 = permutation_pvalue(path, groups, w, B=150, seed=11)
+        p2 = permutation_pvalue(path, groups, w, B=150, seed=11)
         assert p1 == p2
 
     def test_bounded_away_from_zero(self, separated):
         path, groups = separated
         w = WeightMatrix.default(MomentContext.from_assignment(groups))
-        p = permutation_pvalue(path, groups, "minimum", w, B=100, seed=0)
-        assert 1.0 / 101.0 <= p <= 1.0
+        for p in permutation_pvalue(path, groups, w, B=100, seed=0).values():
+            assert 1.0 / 101.0 <= p <= 1.0
 
     def test_interleaved_data_gives_large_p(self):
         # alternating labels cross between groups as often as possible
         groups = GroupAssignment(np.tile([1, 2], 10))
         w = WeightMatrix.default(MomentContext.from_assignment(groups))
-        p = permutation_pvalue(np.arange(20), groups, "weighted_sum", w, B=199, seed=5)
+        p = permutation_pvalue(np.arange(20), groups, w, B=199, seed=5)["weighted_sum"]
         assert p > 0.5
-
-    def test_rejects_unknown_statistic(self, separated):
-        path, groups = separated
-        w = WeightMatrix.default(MomentContext.from_assignment(groups))
-        with pytest.raises(ValueError, match="'weighted_sum' or 'minimum'"):
-            permutation_pvalue(path, groups, "median", w, B=100)
 
     def test_rejects_tiny_replicate_count(self, separated):
         path, groups = separated
         w = WeightMatrix.default(MomentContext.from_assignment(groups))
         with pytest.raises(ValueError, match="at least 100"):
-            permutation_pvalue(path, groups, "minimum", w, B=50)
+            permutation_pvalue(path, groups, w, B=50)
 
     def test_counts_exact_ties(self):
         # Equal weights make the weighted sum 0.1 x (total between count),
@@ -612,7 +607,7 @@ class TestPermutationPvalue:
         ties = int((totals == observed).sum())
         assert ties > 0
         expected = (1 + int((totals <= observed).sum())) / (B + 1)
-        assert permutation_pvalue(path, groups, "weighted_sum", w, B=B, seed=seed) == expected
+        assert permutation_pvalue(path, groups, w, B=B, seed=seed)["weighted_sum"] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -621,9 +616,8 @@ class TestPermutationPvalue:
         weight_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
         B=st.integers(100, 160),
-        statistic=st.sampled_from(["weighted_sum", "minimum"]),
     )
-    def test_batched_equals_replicate_loop(self, drawn, path_seed, weight_seed, seed, B, statistic):
+    def test_batched_equals_replicate_loop(self, drawn, path_seed, weight_seed, seed, B):
         sizes, _ = drawn
         k, N = len(sizes), sum(sizes)
         labels = np.repeat(np.arange(1, k + 1), sizes)
@@ -633,8 +627,11 @@ class TestPermutationPvalue:
         grid = np.triu(grid, 1) + np.triu(grid, 1).T
         grid[0, 1] = grid[1, 0] = 1.0  # at least one positive weight
         w = WeightMatrix(grid)
-        expected = looped_permutation_pvalue(path, groups, statistic, w, B, seed)
-        assert permutation_pvalue(path, groups, statistic, w, B, seed) == expected
+        expected = {
+            statistic: looped_permutation_pvalue(path, groups, statistic, w, B, seed)
+            for statistic in ("weighted_sum", "minimum")
+        }
+        assert permutation_pvalue(path, groups, w, B, seed) == expected
         for cells in (1, 7 * N):  # one replicate per batch, then several
             with mock.patch.object(inference, "_PERM_CHUNK_CELLS", cells):
-                assert permutation_pvalue(path, groups, statistic, w, B, seed) == expected
+                assert permutation_pvalue(path, groups, w, B, seed) == expected
