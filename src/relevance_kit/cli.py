@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,29 +72,88 @@ class InputDataset:
         return int(self.matrix.shape[1])
 
 
+def _read_header(reader, path: str, group_col: str):
+    """Read the header row from a ``csv.reader``; returns the stripped
+    header, the group column's index and the feature names."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: file is empty; expected a header row") from None
+    header = [h.strip() for h in header]
+    if group_col not in header:
+        raise ValueError(
+            f"{path}: group column {group_col!r} not in header; available: {header}"
+        )
+    gidx = header.index(group_col)
+    feature_names = tuple(h for i, h in enumerate(header) if i != gidx)
+    if not feature_names:
+        raise ValueError(f"{path}: no feature columns besides the group column")
+    return header, gidx, feature_names
+
+
 def ingest_csv(path: str, group_col: str) -> InputDataset:
     """Parse a rectangular numeric CSV with a header and a label column.
 
-    Labels are mapped to dense ids 1..k in order of first appearance;
+    The file is UTF-8, with or without a byte-order mark.  Labels are
+    stripped and mapped to dense ids 1..k in order of first appearance;
     the mapping is echoed in every report so downstream group ids are
-    unambiguous.  Parse failures, including non-finite cells such as
-    ``nan`` or ``inf``, name the offending line and column.
+    unambiguous.  Lines that are blank or hold only empty cells are
+    skipped.  A cell is a number if Python's ``float`` reads it.
+
+    The data rows are read in one pass by numpy's C reader
+    (``np.loadtxt``).  If that fails, or its result is not a table of at
+    least 2 finite rows as wide as the header, the file is parsed again
+    line by line (``_ingest_csv_per_line``).  That parser names the
+    offending line and column of any error, including non-finite cells
+    such as ``nan`` or ``inf``; on a file both readers take, the two give
+    the same dataset bit for bit.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, gidx, feature_names = _read_header(csv.reader(fh), path, group_col)
+        label_map = {}
+
+        def dense_id(cell):
+            label = cell.strip()
+            if not label:
+                raise ValueError("empty group label")
+            return label_map.setdefault(label, len(label_map) + 1)
+
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty; expected a header row") from None
-        header = [h.strip() for h in header]
-        if group_col not in header:
-            raise ValueError(
-                f"{path}: group column {group_col!r} not in header; available: {header}"
-            )
-        gidx = header.index(group_col)
-        feature_names = tuple(h for i, h in enumerate(header) if i != gidx)
-        if not feature_names:
-            raise ValueError(f"{path}: no feature columns besides the group column")
+            with warnings.catch_warnings():
+                # a file with no data rows warns "input contained no data"
+                warnings.simplefilter("error", UserWarning)
+                table = np.loadtxt(
+                    fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
+                    converters={gidx: dense_id}, ndmin=2,
+                )
+        except (ValueError, UserWarning):
+            table = None
+    if (
+        table is None
+        or table.shape[1] != len(header)  # loadtxt accepts rows all wider than the header
+        or table.shape[0] < 2
+        or not np.isfinite(table).all()
+    ):
+        return _ingest_csv_per_line(path, group_col)
+    return InputDataset(
+        matrix=np.delete(table, gidx, axis=1),
+        assignment=GroupAssignment(table[:, gidx].astype(np.int64)),
+        label_map=label_map,
+        source=path,
+        group_col=group_col,
+        feature_names=feature_names,
+    )
+
+
+def _ingest_csv_per_line(path: str, group_col: str) -> InputDataset:
+    """``ingest_csv`` one line at a time with ``csv.reader`` and ``float``.
+
+    Slow, but every error names its line and column; ``ingest_csv``
+    falls back to it whenever numpy's reader cannot take the file.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header, gidx, feature_names = _read_header(reader, path, group_col)
         rows, dense, linenos, label_map = [], [], [], {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -143,7 +203,10 @@ def export_csv(data, labels, path: str, group_col: str = "group") -> None:
     """Write a dataset in the format ``ingest_csv`` reads back losslessly.
 
     ``ingest_csv`` strips each label and rejects empty ones and
-    non-finite cells, so such labels and data are refused here.
+    non-finite cells, so such labels and data are refused here.  Labels
+    are written as ``str(label)``, so two distinct labels with the same
+    text (``1`` and ``"1"``) would come back as one group: refused too.
+    The file is UTF-8.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = list(labels)
@@ -151,11 +214,15 @@ def export_csv(data, labels, path: str, group_col: str = "group") -> None:
         raise ValueError("data must be 2-D with one label per row")
     if not np.isfinite(data).all():
         raise ValueError("data must be finite")
+    by_text = {}
     for lab in labels:
         text = str(lab)
         if not text or text != text.strip():
             raise ValueError(f"label {lab!r} is empty or has leading or trailing whitespace")
-    with open(path, "w", newline="") as fh:
+        first = by_text.setdefault(text, lab)
+        if first is not lab and first != lab:
+            raise ValueError(f"labels {first!r} and {lab!r} are both written as {text!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([group_col] + [f"x{i + 1}" for i in range(data.shape[1])])
         for lab, row in zip(labels, data):

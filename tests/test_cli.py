@@ -5,12 +5,16 @@ the JSON reports, exit codes, and stderr warnings; reports are also
 validated against the shipped schema.
 """
 
+import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from relevance_kit import cost
+from relevance_kit import cli, cost
 from relevance_kit.cli import (
     RunConfig,
     export_csv,
@@ -42,6 +46,17 @@ CSV_LABELS = st.text(
     min_size=1,
     max_size=6,
 ).filter(lambda lab: lab == lab.strip())
+# Labels as CSV_LABELS, but without NUL: csv.reader rejects it before Python 3.11.
+PARSE_LABELS = CSV_LABELS.filter(lambda lab: "\x00" not in lab)
+# Numeric cells: exact reprs, plus texts where numpy's reader and
+# Python's float may differ (padding, underscores, signs), non-finite
+# values and non-numbers.
+PARSE_CELLS = CSV_FLOATS.map(repr) | st.sampled_from(
+    [" 1.5 ", "\t-2", "1_000", "nan", "-inf", "1e400", "1e-400", "+.5", "oops", ""]
+)
+# Lines between rows: empty lines go through numpy's reader; whitespace
+# and all-empty cells send the file to the per-line parser.
+PARSE_BLANKS = st.sampled_from(["", " ", ",,"])
 
 
 def write_csv(path, labels, matrix, group_col="g"):
@@ -51,6 +66,12 @@ def write_csv(path, labels, matrix, group_col="g"):
         lines.append(",".join([str(lab)] + [repr(v) for v in row.tolist()]))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _csv_text(rows, terminator, quoting):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=terminator, quoting=quoting).writerows(rows)
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -101,9 +122,12 @@ class TestIngestCsv:
         assert ds.label_map == {"a": 1, "b": 2}
 
     def test_blank_lines_are_skipped(self, tmp_path):
+        # empty, whitespace-only, and rows of empty cells
         p = tmp_path / "blank.csv"
-        p.write_text("g,x1\na,1.0\n\n  , \nb,2.0\n")
-        assert ingest_csv(str(p), "g").n == 2
+        p.write_text("g,x1\na,1.0\n\n  , \n   \n\t\n,\nb,2.0\n\n")
+        ds = ingest_csv(str(p), "g")
+        assert np.array_equal(ds.matrix, [[1.0], [2.0]])
+        assert ds.label_map == {"a": 1, "b": 2}
 
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "ragged.csv"
@@ -117,11 +141,11 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="line 3, column 'x2'"):
             ingest_csv(str(p), "g")
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
         p = tmp_path / "nonfinite.csv"
         p.write_text(f"g,x0,x1\na,1.0,2.0\nb,3.0,4.0\nb,5.0,{cell}\n")
-        match = f"line 4, column 'x1': value {cell} is not a finite number"
+        match = f"line 4, column 'x1': value {float(cell)} is not a finite number"
         with pytest.raises(ValueError, match=match):
             ingest_csv(str(p), "g")
 
@@ -155,6 +179,131 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="no feature columns"):
             ingest_csv(str(p), "g")
 
+    # Cases where numpy's reader and csv.reader disagree: ingest_csv gives
+    # what the per-line parser gives.
+
+    def test_rows_all_wider_than_header(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text("g,x1\na,1.0,2.0\nb,3.0,4.0\n")
+        with pytest.raises(ValueError, match="line 2 has 3 fields, expected 2"):
+            ingest_csv(str(p), "g")
+
+    def test_label_starting_with_hash_is_a_label(self, tmp_path):
+        p = tmp_path / "hash.csv"
+        p.write_text("g,x1\n#a,1.0\nb,2.0\n#a,3.0\n")
+        ds = ingest_csv(str(p), "g")
+        assert ds.label_map == {"#a": 1, "b": 2}
+        assert ds.assignment.labels.tolist() == [1, 2, 1]
+
+    def test_quoted_and_padded_numbers_and_header_names(self, tmp_path):
+        p = tmp_path / "quoted.csv"
+        p.write_text(' g , x1 ,"x2"\n a ,"1.5", 2.0 \n"b", -3 ,"\t4e1"\n')
+        ds = ingest_csv(str(p), "g")
+        assert ds.feature_names == ("x1", "x2")
+        assert np.array_equal(ds.matrix, [[1.5, 2.0], [-3.0, 40.0]])
+        assert ds.label_map == {"a": 1, "b": 2}
+
+    def test_underscore_digits_parse_as_python_float_does(self, tmp_path):
+        p = tmp_path / "underscore.csv"
+        p.write_text("g,x1\na,1_000\nb,2.5\n")
+        assert ingest_csv(str(p), "g").matrix.tolist() == [[1000.0], [2.5]]
+
+    def test_header_only_file_fails_without_a_warning(self, tmp_path):
+        p = tmp_path / "header_only.csv"
+        p.write_text("g,x1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="need at least 2 data rows, found 0"):
+                ingest_csv(str(p), "g")
+        assert caught == []
+
+    def test_utf8_with_and_without_byte_order_mark(self, tmp_path):
+        text = "g,x1,é\nä,1.0,2.0\nb,3.0,4.0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(text.encode("utf-8-sig"))
+        for p in (plain, bom):
+            ds = ingest_csv(str(p), "g")
+            assert ds.feature_names == ("x1", "é")
+            assert ds.label_map == {"ä": 1, "b": 2}
+            assert ds.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert main(["shp", "--input", str(bom), "--group-col", "g", "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_valid_file_never_takes_the_per_line_path(self, tmp_path, monkeypatch):
+        # The per-line parser is the error path only: export_csv output
+        # must come back from numpy's reader alone.
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((12, 5))
+        labels = ["a,b", 'q"uote', "line\nbreak", "#hash", "ünï"] * 2 + ["a,b", "z"]
+        out = tmp_path / "valid.csv"
+        export_csv(data, labels, str(out))
+
+        def per_line(path, group_col):
+            raise AssertionError("fell back to the per-line parser")
+
+        monkeypatch.setattr(cli, "_ingest_csv_per_line", per_line)
+        ds = ingest_csv(str(out), "group")
+        assert ds.matrix.tobytes() == data.tobytes() and ds.matrix.flags.c_contiguous
+        assert list(ds.label_map) == list(dict.fromkeys(labels))
+
+
+class TestIngestCsvAgreesWithPerLineParser:
+    """On any file, ``ingest_csv`` gives what the per-line parser gives:
+    the same dataset bit for bit, or the same error."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 7),
+        d=st.integers(1, 4),
+        draws=st.data(),
+        terminator=st.sampled_from(["\n", "\r\n"]),
+        quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+        bom=st.booleans(),
+    )
+    def test_bit_for_bit(self, tmp_path_factory, n, d, draws, terminator, quoting, bom):
+        gidx = draws.draw(st.integers(0, d), label="gidx")
+        pool = draws.draw(st.lists(PARSE_LABELS, min_size=1, max_size=3, unique=True), label="pool")
+        # clean: finite reprs and empty blank lines only, which numpy's reader takes
+        clean = draws.draw(st.booleans(), label="clean")
+        cells = CSV_FLOATS.map(repr) if clean else PARSE_CELLS
+        blank_lines = st.just("") if clean else PARSE_BLANKS
+        header = [f"x{i + 1}" for i in range(d)]
+        header.insert(gidx, "g")
+        rows = [header]
+        for _ in range(n):
+            row = [draws.draw(cells) for _ in range(d)]
+            row.insert(gidx, draws.draw(st.sampled_from(pool)))
+            rows.append(row)
+        # blank lines go between records, never inside a quoted field
+        blanks = [draws.draw(st.lists(blank_lines, max_size=2), label="blanks") for _ in rows[1:]]
+        text = _csv_text(rows[:1], terminator, quoting) + "".join(
+            "".join(b + terminator for b in before) + _csv_text([row], terminator, quoting)
+            for before, row in zip(blanks, rows[1:])
+        )
+        path = tmp_path_factory.getbasetemp() / "agree.csv"
+        path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+
+        def parse(fn):
+            try:
+                return fn(str(path), "g")
+            except ValueError as exc:
+                return str(exc)
+
+        want = parse(cli._ingest_csv_per_line)
+        with mock.patch.object(cli, "_ingest_csv_per_line", wraps=cli._ingest_csv_per_line) as slow:
+            got = parse(ingest_csv)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.matrix.dtype == np.float64 and got.matrix.flags.c_contiguous
+        assert got.matrix.shape == want.matrix.shape
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert list(got.label_map.items()) == list(want.label_map.items())
+        assert got.assignment.labels.tolist() == want.assignment.labels.tolist()
+        assert got.feature_names == want.feature_names
+        if clean:
+            assert slow.call_count == 0, "a clean file fell back to the per-line parser"
+
 
 class TestExportCsv:
     def test_round_trip_is_lossless(self, tmp_path):
@@ -177,6 +326,13 @@ class TestExportCsv:
         out = tmp_path / "x.csv"
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             export_csv(np.zeros((3, 1)), [label, "a", "b"], str(out))
+        assert not out.exists()
+
+    def test_rejects_distinct_labels_with_the_same_text(self, tmp_path):
+        # 1 and "1" would both be written as 1 and read back as one group
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=r"labels 1 and '1' are both written as '1'"):
+            export_csv(np.zeros((4, 1)), [1, "1", 2, 2], str(out))
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
