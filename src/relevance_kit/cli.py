@@ -122,9 +122,11 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
             with warnings.catch_warnings():
                 # a file with no data rows warns "input contained no data"
                 warnings.simplefilter("error", UserWarning)
+                # encoding=None hands the converter str; before numpy 2 the
+                # default, "bytes", handed it latin-1 bytes
                 table = np.loadtxt(
                     fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
-                    converters={gidx: dense_id}, ndmin=2,
+                    converters={gidx: dense_id}, ndmin=2, encoding=None,
                 )
         except (ValueError, UserWarning):
             table = None

@@ -245,6 +245,31 @@ class TestIngestCsv:
         ds = ingest_csv(str(out), "group")
         assert ds.matrix.tobytes() == data.tobytes() and ds.matrix.flags.c_contiguous
         assert list(ds.label_map) == list(dict.fromkeys(labels))
+        assert all(type(label) is str for label in ds.label_map)
+
+    def test_labels_are_str_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
+        # Before numpy 2, np.loadtxt defaulted to encoding="bytes" and
+        # handed converters latin-1 bytes; label_map keys must stay str
+        # (the JSON report cannot hold bytes keys) on either default.
+        loadtxt = np.loadtxt
+
+        def numpy_1_loadtxt(*args, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            return loadtxt(*args, **kwargs)
+
+        def per_line(path, group_col):
+            raise AssertionError("fell back to the per-line parser")
+
+        monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
+        monkeypatch.setattr(cli, "_ingest_csv_per_line", per_line)
+        p = tmp_path / "labels.csv"
+        p.write_text("g,x\na,1\nä,2\n€,3\na,4\n", encoding="utf-8")
+        ds = ingest_csv(str(p), "g")
+        assert all(type(label) is str for label in ds.label_map)
+        assert ds.label_map == {"a": 1, "ä": 2, "€": 3}
+        out = tmp_path / "r.json"
+        assert main(["shp", "--input", str(p), "--group-col", "g", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["input"]["label_map"] == {"a": 1, "ä": 2, "€": 3}
 
 
 class TestIngestCsvAgreesWithPerLineParser:
