@@ -72,6 +72,32 @@ class InputDataset:
         return int(self.matrix.shape[1])
 
 
+def _not_utf8(path: str) -> ValueError:
+    """The error for a file that is not UTF-8, naming its first undecodable line.
+
+    The text reader decodes ahead of the line it hands out, so the line
+    is found again from the raw bytes; no UTF-8 sequence spans a newline.
+    """
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}: line {lineno} is not UTF-8: {exc.reason} "
+                                  f"(byte {line[exc.start]:#04x})")
+    return ValueError(f"{path}: file is not UTF-8")
+
+
+def _csv_rows(fh, path: str):
+    """The rows of ``csv.reader(fh)``; a file that is not UTF-8 raises a
+    ``ValueError`` naming ``path`` and the line, whether the bad byte is
+    met in the header or in the data rows."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def _read_header(reader, path: str, group_col: str):
     """Read the header row from a ``csv.reader``; returns the stripped
     header, the group column's index and the feature names."""
@@ -109,7 +135,7 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
     the same dataset bit for bit.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header, gidx, feature_names = _read_header(csv.reader(fh), path, group_col)
+        header, gidx, feature_names = _read_header(_csv_rows(fh, path), path, group_col)
         label_map = {}
 
         def dense_id(cell):
@@ -154,7 +180,7 @@ def _ingest_csv_per_line(path: str, group_col: str) -> InputDataset:
     falls back to it whenever numpy's reader cannot take the file.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header, gidx, feature_names = _read_header(reader, path, group_col)
         rows, dense, linenos, label_map = [], [], [], {}
         for lineno, row in enumerate(reader, start=2):

@@ -14,8 +14,11 @@ builds each lattice row as it integrates over it.  Its results are
 memoized in a bounded LRU cache keyed by the bytes of the marginalized
 Sigma, the thresholds and the integration settings, so the repeated
 thresholds of a power study integrate once.  The minimum test's level-
-alpha critical value is the root of that tail, found on the probit scale
-by Brent's method from a bracket the marginals give.
+alpha critical value is the root of that tail on the probit scale, found
+in two stages: Brent's method, from a bracket the marginals give, on a
+cheap 500-point tail, then the secant method from that pre-root on the
+full-precision tail (Brent's method again, at full precision, should
+the secant fail or leave the bracket).
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
 fallback that holds the path fixed and re-draws label arrangements, all
 from one ``np.random.default_rng(seed)`` stream per call; a replicate
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, newton
 from scipy.special import ndtr, ndtri
 
 from .counts import GroupAssignment, count_edges, tabulate
@@ -58,6 +61,17 @@ __all__ = [
 
 _MVN_SEED = 20210802  # fixed default so every report is reproducible
 _MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys at K=45
+_COARSE_MVN = {"n_points": 500, "error_target": 1.0}  # pre-root tail; never doubles its points
+_COARSE_XTOL = 1e-4  # pre-root tolerance; the secant finish refines it to 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, built once per k and read-only."""
+    iu, ju = np.triu_indices(k, 1)
+    for index in (iu, ju):
+        index.setflags(write=False)
+    return iu, ju
 
 
 @dataclass(frozen=True)
@@ -85,7 +99,7 @@ class WeightMatrix:
         np.fill_diagonal(w, 0.0)
         if not (w > 0).any():
             raise ValueError("at least one off-diagonal weight must be positive")
-        iu, ju = np.triu_indices(w.shape[0], 1)
+        iu, ju = _pairs(w.shape[0])
         vector = w[iu, ju]
         for table in (w, vector):
             table.setflags(write=False)
@@ -100,7 +114,7 @@ class WeightMatrix:
     def default(cls, ctx: MomentContext) -> "WeightMatrix":
         """Inverse null standard deviation per pair: w = Var(S)^(-1/2)."""
         k = ctx.n_groups
-        iu, ju = np.triu_indices(k, 1)
+        iu, ju = _pairs(k)
         w = np.zeros((k, k))
         w[iu, ju] = w[ju, iu] = ctx.pair_var("default weights undefined") ** -0.5
         return cls(w)
@@ -196,7 +210,7 @@ def _minima(counts: np.ndarray, wvec: np.ndarray, mean: np.ndarray) -> np.ndarra
 def weighted_sum_statistic(table, w: WeightMatrix) -> float:
     """Sum over pairs m < l of w[m][l] * counts[m][l]."""
     t = _check_table(table, w.k)
-    iu, ju = np.triu_indices(w.k, 1)
+    iu, ju = _pairs(w.k)
     return float(_weighted_sums(t[iu, ju], w.vector()))
 
 
@@ -213,8 +227,7 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
     _warn_singletons(ctx)
     stat = weighted_sum_statistic(table, w)
     wvec = w.vector()
-    iu, ju = np.triu_indices(w.k, 1)
-    null_mean = float(wvec @ ctx.mean[iu, ju])
+    null_mean = float(wvec @ ctx.pair_mean)
     null_var = float(wvec @ build_sigma(ctx) @ wvec)
     if null_var <= 0.0:
         raise ValueError("null variance of the weighted sum is zero; test is degenerate")
@@ -237,8 +250,8 @@ def minimum_statistic(table, w: WeightMatrix, ctx: MomentContext) -> float:
     """Smallest weighted centered count over pairs with positive weight."""
     _check_k(w, ctx)
     t = _check_table(table, w.k)
-    iu, ju = np.triu_indices(w.k, 1)
-    return float(_minima(t[iu, ju], w.vector(), ctx.mean[iu, ju]))
+    iu, ju = _pairs(w.k)
+    return float(_minima(t[iu, ju], w.vector(), ctx.pair_mean))
 
 
 # --------------------------------------------------------------------------
@@ -443,32 +456,12 @@ def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray, **mvn_kw) -> f
     return mvn_upper_tail(sigma_pos, x / w_pos, **mvn_kw)
 
 
-def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: tuple) -> float:
-    """Root z of 1 - P(min > z) = alpha, by Brent's method; cached per config.
+def _bracketed_root(g, lo: float, hi: float, xtol: float) -> tuple[float, float, float]:
+    """Root of the increasing ``g`` by Brent's method: ``(root, lo, hi)``.
 
-    P(min <= z) is at least every marginal P(w_i Z_i <= z) and at most
-    their sum, so with s_i = w_i sd(Z_i) the root lies in
-    [max(s) ndtri(alpha/K), min(s) ndtri(alpha)].  The bracket is padded
-    by a tenth of max(s), since its ends meet when K = 1, and widened
-    outward if the integrated tail still shows no sign change.
-
-    Brent's method runs on the probit scale, ndtri(P(min <= z)) -
-    ndtri(alpha): the root is the same, but the function is nearly
-    linear in z (exactly so when K = 1), so its interpolation steps
-    converge in fewer integrations.
+    ``[lo, hi]`` is widened outward, in doubling steps, until ``g``
+    changes sign over it; the widened bracket is returned with the root.
     """
-    if key in _CRIT_CACHE:
-        return _CRIT_CACHE[key]
-    probit_alpha = float(ndtri(alpha))
-
-    @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
-    def g(z: float) -> float:
-        return float(ndtri(1.0 - _min_tail(z, sigma_pos, w_pos))) - probit_alpha
-
-    s = w_pos * np.sqrt(np.diag(sigma_pos))
-    pad = 0.1 * float(s.max())
-    lo = float(s.max() * ndtri(alpha / s.size)) - pad
-    hi = float(s.min() * ndtri(alpha)) + pad
     step = max(hi - lo, 1.0)
     g_lo, g_hi = g(lo), g(hi)
     for _ in range(60):
@@ -485,8 +478,49 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
         g_hi = g(hi)
     else:
         raise FloatingPointError("could not bracket the minimum-test critical value from above")
-    crit = float(brentq(g, lo, hi, xtol=1e-6))
-    _CRIT_CACHE[key] = crit
+    return float(brentq(g, lo, hi, xtol=xtol)), lo, hi
+
+
+def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: tuple) -> float:
+    """Root z of 1 - P(min > z) = alpha, in two stages; cached per config.
+
+    P(min <= z) is at least every marginal P(w_i Z_i <= z) and at most
+    their sum, so with s_i = w_i sd(Z_i) the root lies in
+    [max(s) ndtri(alpha/K), min(s) ndtri(alpha)].  The bracket is padded
+    by a tenth of max(s), since its ends meet when K = 1, and widened
+    outward if the integrated tail still shows no sign change.
+
+    Both stages solve on the probit scale, ndtri(P(min <= z)) -
+    ndtri(alpha): the root is the same, but the function is nearly
+    linear in z (exactly so when K = 1).  The pre-root runs Brent's
+    method on that bracket with a cheap tail (``_COARSE_MVN``, to
+    ``_COARSE_XTOL``).  The finish runs the secant method from the
+    pre-root at the default integration settings, which converges in
+    about three integrations on a nearly linear function.  If the secant
+    fails or leaves the pre-root's bracket, the bracketed Brent root is
+    found again from that bracket at the default settings.
+    """
+    if key in _CRIT_CACHE:
+        return _CRIT_CACHE[key]
+    probit_alpha = float(ndtri(alpha))
+
+    def probit_gap(**mvn_kw):
+        @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
+        def g(z: float) -> float:
+            return float(ndtri(1.0 - _min_tail(z, sigma_pos, w_pos, **mvn_kw))) - probit_alpha
+
+        return g
+
+    g_coarse, g_full = probit_gap(**_COARSE_MVN), probit_gap()
+    s = w_pos * np.sqrt(np.diag(sigma_pos))
+    pad = 0.1 * float(s.max())
+    lo = float(s.max() * ndtri(alpha / s.size)) - pad
+    hi = float(s.min() * ndtri(alpha)) + pad
+    z0, lo, hi = _bracketed_root(g_coarse, lo, hi, _COARSE_XTOL)
+    crit, info = newton(g_full, z0, x1=z0 + 1e-3, tol=1e-6, full_output=True, disp=False)
+    if not (info.converged and lo <= crit <= hi):
+        crit = _bracketed_root(g_full, lo, hi, 1e-6)[0]
+    _CRIT_CACHE[key] = crit = float(crit)
     return crit
 
 
@@ -565,9 +599,9 @@ def permutation_pvalue(
     ctx = MomentContext.from_assignment(groups)
     _check_k(w, ctx)
     k, N = ctx.n_groups, ctx.total
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju = _pairs(k)
     wvec = w.vector()
-    mean = ctx.mean[iu, ju]
+    mean = ctx.pair_mean
     statistics = {
         "weighted_sum": lambda counts: _weighted_sums(counts, wvec),
         "minimum": lambda counts: _minima(counts, wvec, mean),

@@ -5,9 +5,9 @@ between- and within-group edge counts have closed-form first and second
 moments depending only on the group sizes (Chen & Friedman, JASA 2017).
 This module is the one place those closed forms live:
 :class:`MomentContext` carries the k x k mean and variance tables of
-every count and, built on first use, the covariance matrix of the
-between counts (:func:`build_sigma`) that the tests read.  An
-exhaustive enumeration oracle (:func:`enumerate_null_moments`)
+every count and, built on first use, the between counts' means in pair
+order and their covariance matrix (:func:`build_sigma`) that the tests
+read.  An exhaustive enumeration oracle (:func:`enumerate_null_moments`)
 recomputes every moment exactly for small N by iterating over all
 distinct label arrangements.
 """
@@ -109,6 +109,17 @@ class MomentContext:
             p = zero[0]
             raise ValueError(f"null variance of pair ({iu[p] + 1},{ju[p] + 1}) is zero; {what}")
         return var
+
+    @functools.cached_property
+    def pair_mean(self) -> np.ndarray:
+        """Between-count null means in ``np.triu_indices(k, 1)`` pair order.
+
+        Built on first use and returned read-only on every later one.
+        """
+        iu, ju = np.triu_indices(self.n_groups, 1)
+        mean = self.mean[iu, ju]
+        mean.setflags(write=False)
+        return mean
 
     @functools.cached_property
     def sigma(self) -> np.ndarray:

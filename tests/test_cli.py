@@ -229,6 +229,16 @@ class TestIngestCsv:
             assert ds.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert main(["shp", "--input", str(bom), "--group-col", "g", "--out", str(tmp_path / "r.json")]) == 0
 
+    @pytest.mark.parametrize("bad_line", [1, 3, 2000])
+    def test_not_utf8_names_path_and_line(self, tmp_path, bad_line):
+        # Line 2000 lies past the first chunk the text reader decodes.
+        lines = [b"g,x1"] + [b"%s,%d.0" % (b"ab"[i % 2:i % 2 + 1], i) for i in range(2500)]
+        lines[bad_line - 1] = b"g\xe9,x1" if bad_line == 1 else b"caf\xe9,1.0"
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(p))}: line {bad_line} is not UTF-8"):
+            ingest_csv(str(p), "g")
+
     def test_valid_file_never_takes_the_per_line_path(self, tmp_path, monkeypatch):
         # The per-line parser is the error path only: export_csv output
         # must come back from numpy's reader alone.
@@ -665,6 +675,13 @@ class TestMainExitCodes:
                        "--test", "min", "--weights", "unit"])
         assert rc == 2
         assert "test is degenerate" in capsys.readouterr().err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("g,x1\na,1.0\ncafé,2.0\na,3.0\n".encode("latin-1"))
+        rc = main(["shp", "--input", str(p), "--group-col", "g"])
+        assert rc == 2
+        assert f"{p}: line 3 is not UTF-8" in capsys.readouterr().err
 
     def test_non_finite_cell(self, tmp_path, capsys):
         p = tmp_path / "nan.csv"

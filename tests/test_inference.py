@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
@@ -427,22 +428,27 @@ class TestMinimumTest:
 
 
 class TestMinimumCriticalRoot:
-    """The level-alpha root found by Brent's method from an analytic bracket."""
+    """The level-alpha root: a cheap Brent pre-root, then a full-precision secant."""
 
     def test_cold_root_makes_few_mvn_calls(self, monkeypatch):
+        # One full-precision call for the p-value and three for the secant;
+        # the pre-root's calls use the cheap tail.
         ctx = MomentContext([50] * 10)
         w = WeightMatrix.default(ctx)
-        calls = []
+        n_points = []
         engine = inference.mvn_upper_tail
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            n_points.append(kwargs.get("n_points", 10_000))
             return engine(*args, **kwargs)
 
         inference._CRIT_CACHE.clear()
         monkeypatch.setattr(inference, "mvn_upper_tail", counting)
         minimum_test(np.round(ctx.mean), w, ctx)
-        assert len(calls) <= 7  # one for the p-value, six for the root
+        coarse = inference._COARSE_MVN["n_points"]
+        assert n_points.count(10_000) <= 4
+        assert n_points.count(coarse) <= 8
+        assert len(n_points) == n_points.count(10_000) + n_points.count(coarse)
 
     @pytest.mark.parametrize(
         "sizes, bisected, alpha",
@@ -461,6 +467,74 @@ class TestMinimumCriticalRoot:
         w = WeightMatrix.default(ctx)
         res = minimum_test(np.round(ctx.mean), w, ctx, alpha=alpha)
         assert res.critical_value == pytest.approx(bisected, abs=1e-5)
+
+    @staticmethod
+    def full_precision_root(ctx, alpha, lo, hi, engine=mvn_upper_tail):
+        """Brent root of the full-precision probit tail gap on [lo, hi], to 1e-9."""
+        wvec = WeightMatrix.default(ctx).vector()
+        sigma = build_sigma(ctx)
+
+        def g(z):
+            return ndtri(1.0 - engine(sigma, z / wvec)) - ndtri(alpha)
+
+        return brentq(g, lo, hi, xtol=1e-9)
+
+    @staticmethod
+    def count_brentq(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "brentq", counting)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize(
+        "sizes",
+        [[8, 13], [2, 2, 60], [5, 5, 5, 100], [3, 3, 3, 3, 200], [2] * 5, [20, 30, 40]],
+    )
+    def test_matches_full_precision_brent_root(self, monkeypatch, sizes, alpha):
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        ctx = MomentContext(sizes)
+        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx, alpha=alpha)
+        expected = self.full_precision_root(ctx, alpha, crit.critical_value - 0.05,
+                                            crit.critical_value + 0.05)
+        assert crit.critical_value == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("sizes", [[8, 13], [20, 30, 40]])
+    def test_guard_when_the_secant_leaves_the_bracket(self, monkeypatch, sizes):
+        # Only the full-precision tail is shifted, so its root lies far
+        # outside the pre-root's bracket, and the secant lands there.
+        ctx = MomentContext(sizes)
+        w = WeightMatrix.default(ctx)
+        engine = inference.mvn_upper_tail
+        coarse = inference._COARSE_MVN["n_points"]
+
+        def disagreeing(s, t, **kw):
+            shift = 0.0 if kw.get("n_points") == coarse else 10.0
+            return engine(s, np.asarray(t) + shift, **kw)
+
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(inference, "mvn_upper_tail", disagreeing)
+        brent_calls = self.count_brentq(monkeypatch)
+        crit = minimum_test(np.round(ctx.mean), w, ctx).critical_value
+        assert len(brent_calls) == 2  # the pre-root, then the guard's full-precision root
+        expected = self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05, disagreeing)
+        assert crit == pytest.approx(expected, abs=1e-6)
+
+    def test_guard_when_the_secant_does_not_converge(self, monkeypatch):
+        ctx = MomentContext([20, 30, 40])
+        w = WeightMatrix.default(ctx)
+        newton = inference.newton
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(inference, "newton", lambda *a, **kw: newton(*a, **kw, maxiter=1))
+        brent_calls = self.count_brentq(monkeypatch)
+        crit = minimum_test(np.round(ctx.mean), w, ctx).critical_value
+        assert len(brent_calls) == 2
+        assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
+                                     abs=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
     def test_single_pair_root_is_normal_quantile(self, alpha):

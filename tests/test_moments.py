@@ -115,6 +115,14 @@ class TestSizeValidation:
                     assert ctx.mean[i, j] == ctx.mean[j, i] == m
                     assert ctx.var[i, j] == ctx.var[j, i] == max(second - m * m, 0.0)
 
+    def test_pair_mean_is_the_upper_triangle_built_once(self):
+        ctx = MomentContext([3, 9, 4, 7])
+        iu, ju = np.triu_indices(4, 1)
+        assert np.array_equal(ctx.pair_mean, ctx.mean[iu, ju])
+        assert ctx.pair_mean is ctx.pair_mean
+        with pytest.raises(ValueError):
+            ctx.pair_mean[0] = 0.0
+
     def test_pair_var_names_first_zero_pair(self):
         ctx = MomentContext([1, 1])
         with pytest.raises(ValueError, match=r"pair \(1,2\) is zero; z-score undefined"):
