@@ -88,12 +88,12 @@ def _not_utf8(path: str) -> ValueError:
     return ValueError(f"{path}: file is not UTF-8")
 
 
-def _csv_rows(fh, path: str):
-    """The rows of ``csv.reader(fh)``; a file that is not UTF-8 raises a
+def _csv_rows(reader, path: str):
+    """The rows of a ``csv.reader``; a file that is not UTF-8 raises a
     ``ValueError`` naming ``path`` and the line, whether the bad byte is
     met in the header or in the data rows."""
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
@@ -135,7 +135,7 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
     the same dataset bit for bit.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header, gidx, feature_names = _read_header(_csv_rows(fh, path), path, group_col)
+        header, gidx, feature_names = _read_header(_csv_rows(csv.reader(fh), path), path, group_col)
         label_map = {}
 
         def dense_id(cell):
@@ -176,14 +176,17 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
 def _ingest_csv_per_line(path: str, group_col: str) -> InputDataset:
     """``ingest_csv`` one line at a time with ``csv.reader`` and ``float``.
 
-    Slow, but every error names its line and column; ``ingest_csv``
+    Slow, but every error names its physical line (the last line of a
+    record whose quoted label spans lines) and its column; ``ingest_csv``
     falls back to it whenever numpy's reader cannot take the file.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_rows(fh, path)
-        header, gidx, feature_names = _read_header(reader, path, group_col)
+        reader = csv.reader(fh)
+        records = _csv_rows(reader, path)
+        header, gidx, feature_names = _read_header(records, path, group_col)
         rows, dense, linenos, label_map = [], [], [], {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in records:
+            lineno = reader.line_num  # a quoted label can span lines, so not the record count
             if not row or all(not c.strip() for c in row):
                 continue  # blank line
             if len(row) != len(header):

@@ -10,15 +10,20 @@ null tail is a multivariate-normal orthant probability.  That orthant
 probability is computed natively by :func:`mvn_upper_tail`, a
 quasi-Monte-Carlo integrator using the separation-of-variables transform
 of Genz (reordered Cholesky plus a randomized Richtmyer lattice) that
-builds each lattice row as it integrates over it.  Its results are
+builds each lattice row as it integrates over it.  The reordering
+conditions all remaining variables at once at each step, and the
+lattice rows reuse a few preallocated buffers.  Its results are
 memoized in a bounded LRU cache keyed by the bytes of the marginalized
 Sigma, the thresholds and the integration settings, so the repeated
 thresholds of a power study integrate once.  The minimum test's level-
 alpha critical value is the root of that tail on the probit scale, found
 in two stages: Brent's method, from a bracket the marginals give, on a
-cheap 500-point tail, then the secant method from that pre-root on the
-full-precision tail (Brent's method again, at full precision, should
-the secant fail or leave the bracket).
+cheap 500-point tail, then a chord-Newton finish on the full-precision
+tail.  The finish's fixed slope is the chord through the two cheap
+evaluations nearest the pre-root, which Brent's method has already
+made, so a cold root takes about two full-precision integrations
+(Brent's method again, at full precision, should the slope be unusable
+or the finish fail or leave the bracket).
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
 fallback that holds the path fixed and re-draws label arrangements, all
 from one ``np.random.default_rng(seed)`` stream per call; a replicate
@@ -62,7 +67,7 @@ __all__ = [
 _MVN_SEED = 20210802  # fixed default so every report is reproducible
 _MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys at K=45
 _COARSE_MVN = {"n_points": 500, "error_target": 1.0}  # pre-root tail; never doubles its points
-_COARSE_XTOL = 1e-4  # pre-root tolerance; the secant finish refines it to 1e-6
+_COARSE_XTOL = 1e-4  # pre-root tolerance; the chord finish refines it to 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,7 +292,9 @@ def _reorder_cholesky(sigma: np.ndarray, upper: np.ndarray):
     probability mass below its limit is factored next; conditioning uses
     the truncated-normal mean of the already-factored variables.  This
     ordering reduces the variance of the separation-of-variables
-    integrand.  Returns the lower factor and the permuted limits.
+    integrand.  Each step conditions all remaining variables as one
+    array; ties go to the first of them.  Returns the lower factor and
+    the permuted limits.
     """
     n = sigma.shape[0]
     C = np.array(sigma, dtype=np.float64)
@@ -295,33 +302,30 @@ def _reorder_cholesky(sigma: np.ndarray, upper: np.ndarray):
     y = np.zeros(n)
     eps = 1e-12
     for i in range(n):
-        best_j, best_e, best_ut = i, np.inf, 0.0
-        for j in range(i, n):
-            denom2 = C[j, j] - (C[j, :i] ** 2).sum()
-            num = u[j] - C[j, :i] @ y[:i]
-            if denom2 > eps:
-                ut = num / np.sqrt(denom2)
-            else:
-                ut = np.inf if num >= 0 else -np.inf
-            e = ndtr(ut)
-            if e < best_e:
-                best_j, best_e, best_ut = j, e, ut
+        # conditional limits of the remaining variables j >= i, all at once
+        denom2 = np.diagonal(C)[i:] - (C[i:, :i] ** 2).sum(axis=1)
+        num = u[i:] - C[i:, :i] @ y[:i]
+        ut = np.where(num >= 0, np.inf, -np.inf)
+        spread = denom2 > eps
+        ut[spread] = num[spread] / np.sqrt(denom2[spread])
+        e = ndtr(ut)
+        best = int(np.argmin(e))
+        best_j, best_e, best_ut, diag2 = i + best, e[best], ut[best], denom2[best]
         if best_j != i:
             C[[i, best_j], :] = C[[best_j, i], :]
             C[:, [i, best_j]] = C[:, [best_j, i]]
             u[[i, best_j]] = u[[best_j, i]]
-        diag2 = C[i, i] - (C[i, :i] ** 2).sum()
         if diag2 > eps:
             C[i, i] = np.sqrt(diag2)
-            for j in range(i + 1, n):
-                C[j, i] = (C[j, i] - C[j, :i] @ C[i, :i]) / C[i, i]
+            C[i + 1:, i] = (C[i + 1:, i] - C[i + 1:, :i] @ C[i, :i]) / C[i, i]
+            y[i] = -_norm_pdf(best_ut) / best_e if best_e > 1e-300 else best_ut
         else:
             # Degenerate direction: variable is determined by its
             # predecessors; keep a zero column so it contributes a
-            # 0/1 factor through its (infinite) scaled limit.
+            # 0/1 factor through its (infinite) scaled limit.  Its y
+            # meets only that zero column, so it stays 0: an infinite
+            # one would make 0 * inf = nan in every later limit.
             C[i:, i] = 0.0
-            C[i, i] = 0.0
-        y[i] = -_norm_pdf(best_ut) / best_e if best_e > 1e-300 else best_ut
     return C, u
 
 
@@ -426,16 +430,30 @@ def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int, n_shift
         estimates = np.empty(n_shifts)
         j = np.arange(1, pts + 1, dtype=np.float64)
         Y = np.empty((n - 1, pts))
+        f, e, x, whole = (np.empty(pts) for _ in range(4))
         for s, shift in enumerate(rng.random((n_shifts, n - 1))):
-            f, e = np.full(pts, e0), e0
+            f.fill(e0)
+            e.fill(e0)
             for i in range(n):
                 if i > 0:
-                    num = u[i] - C[i, :i] @ Y[:i]
-                    e = ndtr(num / C[i, i]) if C[i, i] > 0 else (num >= 0).astype(np.float64)
-                    f = f * e
+                    np.matmul(C[i, :i], Y[:i], out=x)
+                    np.subtract(u[i], x, out=x)  # the conditional limit's numerator
+                    if C[i, i] > 0:
+                        ndtr(np.divide(x, C[i, i], out=x), out=e)
+                    else:
+                        np.greater_equal(x, 0.0, out=e)
+                    f *= e
                 if i < n - 1:
-                    x = np.abs(2.0 * np.modf(j * sqrt_primes[i] + shift[i])[0] - 1.0)
-                    Y[i] = ndtri(np.clip(x * e, tiny, 1.0 - 1e-16))
+                    # lattice row |2 frac(j sqrt(p_i) + shift_i) - 1|; x - floor(x) is
+                    # modf's fractional part exactly, since x >= 0
+                    np.multiply(j, sqrt_primes[i], out=x)
+                    x += shift[i]
+                    x -= np.floor(x, out=whole)
+                    x *= 2.0
+                    x -= 1.0
+                    np.abs(x, out=x)
+                    x *= e
+                    ndtri(np.clip(x, tiny, 1.0 - 1e-16, out=x), out=Y[i])
             estimates[s] = f.mean()
         prob = float(estimates.mean())
         err = float(estimates.std(ddof=1) / np.sqrt(n_shifts))
@@ -481,6 +499,12 @@ def _bracketed_root(g, lo: float, hi: float, xtol: float) -> tuple[float, float,
     return float(brentq(g, lo, hi, xtol=xtol)), lo, hi
 
 
+def _chord_slope(seen: dict, z0: float) -> float:
+    """Slope of the chord through the two points of ``seen`` (z -> g(z)) nearest z0."""
+    (za, ga), (zb, gb) = sorted(seen.items(), key=lambda zg: abs(zg[0] - z0))[:2]
+    return (gb - ga) / (zb - za)
+
+
 def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: tuple) -> float:
     """Root z of 1 - P(min > z) = alpha, in two stages; cached per config.
 
@@ -492,33 +516,49 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
 
     Both stages solve on the probit scale, ndtri(P(min <= z)) -
     ndtri(alpha): the root is the same, but the function is nearly
-    linear in z (exactly so when K = 1).  The pre-root runs Brent's
+    linear in z (exactly so when K = 1).  The pre-root z0 runs Brent's
     method on that bracket with a cheap tail (``_COARSE_MVN``, to
-    ``_COARSE_XTOL``).  The finish runs the secant method from the
-    pre-root at the default integration settings, which converges in
-    about three integrations on a nearly linear function.  If the secant
-    fails or leaves the pre-root's bracket, the bracketed Brent root is
-    found again from that bracket at the default settings.
+    ``_COARSE_XTOL``).  The finish is Newton's method from z0 at the
+    default integration settings with a fixed slope: the chord through
+    the two cheap evaluations nearest z0 (``_chord_slope``), which cost
+    nothing more.  The cheap and full tails differ by their quadrature
+    error only, so the first step lands within about 1e-7 of the root and
+    the second integration confirms it.  (A secant finish could not
+    stop before a third: scipy's secant first tests convergence against
+    the worse of its two starting points.)  If that slope is not finite
+    and positive, or the finish fails to converge or leaves the
+    pre-root's bracket, the bracketed Brent root is found again from
+    that bracket at the default settings.
     """
     if key in _CRIT_CACHE:
         return _CRIT_CACHE[key]
     probit_alpha = float(ndtri(alpha))
 
-    def probit_gap(**mvn_kw):
-        @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
-        def g(z: float) -> float:
-            return float(ndtri(1.0 - _min_tail(z, sigma_pos, w_pos, **mvn_kw))) - probit_alpha
+    def probit_gap(values: dict, **mvn_kw):
+        def g(z: float) -> float:  # remembers its values: brentq re-evaluates the bracket ends
+            if z not in values:
+                tail = _min_tail(z, sigma_pos, w_pos, **mvn_kw)
+                values[z] = float(ndtri(1.0 - tail)) - probit_alpha
+            return values[z]
 
         return g
 
-    g_coarse, g_full = probit_gap(**_COARSE_MVN), probit_gap()
+    coarse = {}
+    g_coarse, g_full = probit_gap(coarse, **_COARSE_MVN), probit_gap({})
     s = w_pos * np.sqrt(np.diag(sigma_pos))
     pad = 0.1 * float(s.max())
     lo = float(s.max() * ndtri(alpha / s.size)) - pad
     hi = float(s.min() * ndtri(alpha)) + pad
     z0, lo, hi = _bracketed_root(g_coarse, lo, hi, _COARSE_XTOL)
-    crit, info = newton(g_full, z0, x1=z0 + 1e-3, tol=1e-6, full_output=True, disp=False)
-    if not (info.converged and lo <= crit <= hi):
+    slope = _chord_slope(coarse, z0)
+    crit, converged = z0, False
+    if 0.0 < slope < np.inf:  # a nan, infinite or flat chord goes to the bracketed root
+        # nan outside the bracket: a stray step then ends the finish unconverged
+        # without integrating, rather than chasing an infinite probit gap
+        crit, info = newton(lambda z: g_full(z) if lo <= z <= hi else np.nan, z0,
+                            fprime=lambda z: slope, tol=1e-6, full_output=True, disp=False)
+        converged = info.converged
+    if not (converged and lo <= crit <= hi):
         crit = _bracketed_root(g_full, lo, hi, 1e-6)[0]
     _CRIT_CACHE[key] = crit = float(crit)
     return crit

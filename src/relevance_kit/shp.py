@@ -76,8 +76,9 @@ def approximate_shp(costs) -> np.ndarray:
     C = check_cost_matrix(costs)
     n = C.shape[0]
 
-    parent = np.arange(n)
-    degree = np.zeros(n, dtype=np.int64)
+    # Python lists and ints: the scan below touches them once per candidate edge
+    parent = list(range(n))
+    degree = [0] * n
     adjacency: list[list[int]] = [[] for _ in range(n)]
 
     def find(x: int) -> int:
@@ -90,9 +91,9 @@ def approximate_shp(costs) -> np.ndarray:
 
     selected = 0
     while selected < n - 1:
-        live = np.flatnonzero(degree < 2)
-        us, vs = _candidate_block(C, live, np.array([find(x) for x in live]))
-        for u, v in zip(us, vs):
+        live = np.flatnonzero(np.array(degree) < 2)
+        us, vs = _candidate_block(C, live, np.array([find(x) for x in live.tolist()]))
+        for u, v in zip(us.tolist(), vs.tolist()):
             if degree[u] >= 2 or degree[v] >= 2:
                 continue
             ru, rv = find(u), find(v)
@@ -107,8 +108,7 @@ def approximate_shp(costs) -> np.ndarray:
             if selected == n - 1:
                 break
 
-    endpoints = np.flatnonzero(degree <= 1)
-    start = int(endpoints.min())
+    start = degree.index(1)  # the endpoint with the smaller index
     order = np.empty(n, dtype=np.int64)
     order[0] = start
     prev = -1

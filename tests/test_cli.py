@@ -155,6 +155,23 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="line 3 has an empty group label"):
             ingest_csv(str(p), "g")
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("d,zz", "line 5, column 'x1': could not parse 'zz' as a number"),
+            ("d,1.0,2.0", "line 5 has 3 fields, expected 2"),
+            (",2.0", "line 5 has an empty group label"),
+            ("d,nan", "line 5, column 'x1': value nan is not a finite number"),
+        ],
+    )
+    def test_errors_after_a_multi_line_label_name_the_physical_line(self, tmp_path, bad_row,
+                                                                     message):
+        # the quoted label spans lines 2 and 3, so the bad row is on line 5
+        p = tmp_path / "multiline.csv"
+        p.write_text(f'g,x1\n"a\nb",1.0\nc,2.0\n{bad_row}\n')
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_csv(str(p), "g")
+
     def test_missing_group_column(self, tmp_path):
         p = tmp_path / "nocol.csv"
         p.write_text("g,x1\na,1.0\n")

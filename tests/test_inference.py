@@ -428,11 +428,11 @@ class TestMinimumTest:
 
 
 class TestMinimumCriticalRoot:
-    """The level-alpha root: a cheap Brent pre-root, then a full-precision secant."""
+    """The level-alpha root: a cheap Brent pre-root, then a full-precision chord-Newton finish."""
 
     def test_cold_root_makes_few_mvn_calls(self, monkeypatch):
-        # One full-precision call for the p-value and three for the secant;
-        # the pre-root's calls use the cheap tail.
+        # One full-precision call for the p-value and two for the chord
+        # finish; the pre-root's calls use the cheap tail.
         ctx = MomentContext([50] * 10)
         w = WeightMatrix.default(ctx)
         n_points = []
@@ -446,7 +446,7 @@ class TestMinimumCriticalRoot:
         monkeypatch.setattr(inference, "mvn_upper_tail", counting)
         minimum_test(np.round(ctx.mean), w, ctx)
         coarse = inference._COARSE_MVN["n_points"]
-        assert n_points.count(10_000) <= 4
+        assert n_points.count(10_000) <= 3
         assert n_points.count(coarse) <= 8
         assert len(n_points) == n_points.count(10_000) + n_points.count(coarse)
 
@@ -506,7 +506,7 @@ class TestMinimumCriticalRoot:
     @pytest.mark.parametrize("sizes", [[8, 13], [20, 30, 40]])
     def test_guard_when_the_secant_leaves_the_bracket(self, monkeypatch, sizes):
         # Only the full-precision tail is shifted, so its root lies far
-        # outside the pre-root's bracket, and the secant lands there.
+        # outside the pre-root's bracket, and the finish steps out of it.
         ctx = MomentContext(sizes)
         w = WeightMatrix.default(ctx)
         engine = inference.mvn_upper_tail
@@ -535,6 +535,44 @@ class TestMinimumCriticalRoot:
         assert len(brent_calls) == 2
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
                                      abs=1e-6)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_guard_when_the_coarse_slope_is_wrong(self, monkeypatch, scale):
+        # Only the full-precision tail is rescaled, so its slope is `scale`
+        # times the coarse one: the chord finish creeps toward a root outside
+        # the bracket (0.5) or overshoots, doubling its error each step (3.0).
+        ctx = MomentContext([20, 30, 40])
+        engine = inference.mvn_upper_tail
+        coarse = inference._COARSE_MVN["n_points"]
+
+        def rescaled(s, t, **kw):
+            return engine(s, np.asarray(t) * (1.0 if kw.get("n_points") == coarse else scale), **kw)
+
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(inference, "mvn_upper_tail", rescaled)
+        brent_calls = self.count_brentq(monkeypatch)
+        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx).critical_value
+        assert len(brent_calls) == 2
+        expected = self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05, rescaled)
+        assert crit == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0, np.nan, np.inf])
+    def test_guard_when_the_coarse_slope_is_unusable(self, monkeypatch, slope):
+        ctx = MomentContext([20, 30, 40])
+        newton_calls = []
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(inference, "_chord_slope", lambda seen, z0: slope)
+        monkeypatch.setattr(inference, "newton", lambda *a, **kw: newton_calls.append(1))
+        brent_calls = self.count_brentq(monkeypatch)
+        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx).critical_value
+        assert not newton_calls
+        assert len(brent_calls) == 2
+        assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
+                                     abs=1e-6)
+
+    def test_chord_slope_uses_the_two_points_nearest_the_pre_root(self):
+        seen = {-3.0: -2.0, -2.0: -0.5, -2.1: -0.6, -1.0: 1.0}
+        assert inference._chord_slope(seen, -2.05) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
     def test_single_pair_root_is_normal_quantile(self, alpha):

@@ -2,11 +2,14 @@
 
 Oracles: closed-form orthant probabilities in two and three dimensions,
 the independence product rule, plain Monte Carlo for a general
-correlated case, and the engine's earlier per-shift integration loop on
-a (points, n - 1) lattice matrix, kept here as ``reference_upper_tail``.
+correlated case, and the engine's earlier loops, kept here: the scalar
+variable reordering as ``reference_reorder`` and the per-shift
+integration on a (points, n - 1) lattice matrix as
+``reference_upper_tail``.
 """
 
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,12 +35,47 @@ def orthant_3d(rho):
     return 0.125 + 3.0 * np.arcsin(rho) / (4.0 * np.pi)
 
 
+def reference_reorder(sigma, upper):
+    """The engine's earlier reordering: one scalar step per remaining variable."""
+    n = sigma.shape[0]
+    C = np.array(sigma, dtype=np.float64)
+    u = np.array(upper, dtype=np.float64)
+    y = np.zeros(n)
+    eps = 1e-12
+    for i in range(n):
+        best_j, best_e, best_ut = i, np.inf, 0.0
+        for j in range(i, n):
+            denom2 = C[j, j] - (C[j, :i] ** 2).sum()
+            num = u[j] - C[j, :i] @ y[:i]
+            if denom2 > eps:
+                ut = num / np.sqrt(denom2)
+            else:
+                ut = np.inf if num >= 0 else -np.inf
+            e = ndtr(ut)
+            if e < best_e:
+                best_j, best_e, best_ut = j, e, ut
+        if best_j != i:
+            C[[i, best_j], :] = C[[best_j, i], :]
+            C[:, [i, best_j]] = C[:, [best_j, i]]
+            u[[i, best_j]] = u[[best_j, i]]
+        diag2 = C[i, i] - (C[i, :i] ** 2).sum()
+        if diag2 > eps:
+            C[i, i] = np.sqrt(diag2)
+            for j in range(i + 1, n):
+                C[j, i] = (C[j, i] - C[j, :i] @ C[i, :i]) / C[i, i]
+        else:
+            C[i:, i] = 0.0
+            C[i, i] = 0.0
+        y[i] = -norm.pdf(best_ut) / best_e if best_e > 1e-300 else best_ut
+    return C, u
+
+
 def reference_upper_tail(sigma, thresholds, *, n_points=10_000, n_shifts=12,
                          error_target=1e-4, seed=20210802):
-    """(P(Z > t), standard error) by the engine's earlier loop, unmemoized.
+    """(P(Z > t), standard error) by the engine's earlier loops, unmemoized.
 
-    Every shift builds the whole (pts, n - 1) lattice matrix and reads it
-    by column.
+    The factor comes from ``reference_reorder``.  Every shift builds the
+    whole (pts, n - 1) lattice matrix and reads it by column.
     """
     S = np.asarray(sigma, dtype=np.float64)
     t = np.asarray(thresholds, dtype=np.float64)
@@ -51,7 +89,7 @@ def reference_upper_tail(sigma, thresholds, *, n_points=10_000, n_shifts=12,
         S = S + 1e-10 * np.eye(n)
         np.linalg.cholesky(S)
 
-    C, u = inference._reorder_cholesky(S, -t)
+    C, u = reference_reorder(S, -t)
     rng = np.random.default_rng(seed)
     sqrt_primes = np.sqrt(inference._first_primes(n - 1).astype(np.float64))
 
@@ -224,6 +262,61 @@ def orthant_problems(draw):
         seed=draw(st.integers(0, 2 ** 32 - 1)),
     )
     return A @ A.T, t, kw
+
+
+@st.composite
+def reorder_problems(draw):
+    """A PSD Sigma of rank 0..K with some zero-variance variables, and limits.
+
+    Unless ``below`` is drawn, every zero-variance variable lies at or
+    above its limit, where the scalar loop is free of 0 * inf.
+    """
+    K = draw(st.integers(1, 15))
+    rank = draw(st.integers(0, K))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.standard_normal((K, rank))
+    zero = sorted(draw(st.sets(st.integers(0, K - 1), max_size=K - 1)))
+    A[zero] = 0.0
+    upper = rng.uniform(-2.0, 2.0, K)
+    upper[rng.random(K) < 0.2] = 0.0
+    if not draw(st.booleans()):
+        upper[zero] = np.abs(upper[zero])  # every zero-variance variable at or above its limit
+    return A @ A.T, upper
+
+
+class TestReorderAgainstScalarLoop:
+    """The vectorized reordering picks the scalar loop's pivots."""
+
+    @staticmethod
+    def check(sigma, upper):
+        C, u = inference._reorder_cholesky(sigma, upper)
+        assert np.isfinite(C).all()
+        assert np.array_equal(np.sort(u), np.sort(upper))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                C_ref, u_ref = reference_reorder(sigma, upper)
+            except RuntimeWarning:
+                # The scalar loop's own fault: a degenerate variable below
+                # its limit gets y = -inf, and 0 * -inf = nan reorders the
+                # rest.  The vectorized loop keeps that y at 0.
+                return False
+        assert np.array_equal(u, u_ref)
+        assert_allclose(C, C_ref, rtol=0.0, atol=1e-12)
+        return True
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(problem=reorder_problems())
+    def test_matches_scalar_loop(self, problem):
+        self.check(*problem)
+
+    @pytest.mark.parametrize("sizes", [[50] * 10, [2] * 10, [3, 3, 3, 3, 200], [1, 1, 4]])
+    @pytest.mark.parametrize("level", [-3.05, -1.0])
+    def test_matches_scalar_loop_on_count_covariances(self, sizes, level):
+        # exchangeable pairs give exactly tied pivots; [1, 1, 4] has a
+        # zero-variance pair
+        sigma = build_sigma(MomentContext(sizes))
+        assert self.check(sigma, -level * np.sqrt(np.diag(sigma)))
 
 
 class TestAgainstReferenceLoop:
