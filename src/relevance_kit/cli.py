@@ -236,8 +236,10 @@ def export_csv(data, labels, path: str, group_col: str = "group") -> None:
     ``ingest_csv`` strips each label and rejects empty ones and
     non-finite cells, so such labels and data are refused here.  Labels
     are written as ``str(label)``, so two distinct labels with the same
-    text (``1`` and ``"1"``) would come back as one group: refused too.
-    The file is UTF-8.
+    text (``1`` and ``"1"``) would come back as one group, and two equal
+    labels with different text (``1`` and ``1.0``, or ``True`` and
+    ``1``, one group to ``GroupAssignment.from_labels``) as two: both
+    are refused too.  The file is UTF-8.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = list(labels)
@@ -245,7 +247,7 @@ def export_csv(data, labels, path: str, group_col: str = "group") -> None:
         raise ValueError("data must be 2-D with one label per row")
     if not np.isfinite(data).all():
         raise ValueError("data must be finite")
-    by_text = {}
+    by_text, by_label = {}, {}
     for lab in labels:
         text = str(lab)
         if not text or text != text.strip():
@@ -253,6 +255,10 @@ def export_csv(data, labels, path: str, group_col: str = "group") -> None:
         first = by_text.setdefault(text, lab)
         if first is not lab and first != lab:
             raise ValueError(f"labels {first!r} and {lab!r} are both written as {text!r}")
+        written = by_label.setdefault(lab, text)
+        if written != text:
+            raise ValueError(f"labels {by_text[written]!r} and {lab!r} are equal but written "
+                             f"as {written!r} and {text!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([group_col] + [f"x{i + 1}" for i in range(data.shape[1])])

@@ -17,13 +17,16 @@ memoized in a bounded LRU cache keyed by the bytes of the marginalized
 Sigma, the thresholds and the integration settings, so the repeated
 thresholds of a power study integrate once.  The minimum test's level-
 alpha critical value is the root of that tail on the probit scale, found
-in two stages: Brent's method, from a bracket the marginals give, on a
-cheap 500-point tail, then a chord-Newton finish on the full-precision
-tail.  The finish's fixed slope is the chord through the two cheap
-evaluations nearest the pre-root, which Brent's method has already
-made, so a cold root takes about two full-precision integrations
-(Brent's method again, at full precision, should the slope be unusable
-or the finish fail or leave the bracket).
+in two stages.  The pre-root needs no integration: it is the root of the
+second-order inclusion-exclusion lower bound B2 = S1 - S2, built from K
+normal CDFs and K(K-1)/2 bivariate normal CDFs in closed form (Owen's
+T).  Newton steps on the full-precision tail, with B2's slope, finish
+it; a step short enough, between two points the engine integrates with
+the same factor, ends it without a confirming integration, so a cold
+root takes one or two full-precision integrations (Brent's method on
+the full-precision tail, from a bracket the marginals give, should B2
+not reach alpha, its slope be unusable or the finish fail or leave the
+bracket).
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
 fallback that holds the path fixed and re-draws label arrangements, all
 from one ``np.random.default_rng(seed)`` stream per call; a replicate
@@ -45,8 +48,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, newton
-from scipy.special import ndtr, ndtri
+from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri, owens_t
 
 from .counts import GroupAssignment, count_edges, tabulate
 from .moments import MomentContext, build_sigma
@@ -66,8 +69,9 @@ __all__ = [
 
 _MVN_SEED = 20210802  # fixed default so every report is reproducible
 _MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys at K=45
-_COARSE_MVN = {"n_points": 500, "error_target": 1.0}  # pre-root tail; never doubles its points
-_COARSE_XTOL = 1e-4  # pre-root tolerance; the chord finish refines it to 1e-6
+_B2_GRID = 17  # points at which the pre-root scans the analytic bracket for B2's first crossing
+_ACCEPT_STEP = 1e-4  # Newton step small enough to stop at; see _min_critical
+_FINISH_STEPS = 10  # full-precision Newton steps before the root falls back to Brent's method
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,26 +404,33 @@ def mvn_upper_tail(
     return out if full_output else out[0]
 
 
-@functools.lru_cache(maxsize=_MVN_MEMO_SIZE)
-def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int, n_shifts: int,
-             error_target: float, seed: int) -> tuple[float, float]:
-    """(P(Z > t), standard error) for n >= 2 components, from byte copies of Sigma and t."""
-    t = np.frombuffer(thresholds_bytes)
-    n = t.size
-    S = np.frombuffer(sigma_bytes).reshape(n, n)
+def _factor(S: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reordered factor and limits that :func:`_orthant` integrates P(Z > t) with.
+
+    A numerically indefinite Sigma gets a diagonal jitter of 1e-10 once
+    before it is rejected.  P(Z > t) = P(-Z < -t), the CDF of N(0, S) at
+    upper limits -t, which :func:`_reorder_cholesky` orders.
+    """
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        S = S + 1e-10 * np.eye(n)
+        S = S + 1e-10 * np.eye(t.size)
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "sigma is not positive semidefinite within tolerance"
             ) from exc
+    return _reorder_cholesky(S, -t)
 
-    # P(Z > t) = P(-Z < -t) = CDF of N(0, S) at upper limits -t.
-    C, u = _reorder_cholesky(S, -t)
+
+@functools.lru_cache(maxsize=_MVN_MEMO_SIZE)
+def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int, n_shifts: int,
+             error_target: float, seed: int) -> tuple[float, float]:
+    """(P(Z > t), standard error) for n >= 2 components, from byte copies of Sigma and t."""
+    t = np.frombuffer(thresholds_bytes)
+    n = t.size
+    C, u = _factor(np.frombuffer(sigma_bytes).reshape(n, n), t)
     rng = np.random.default_rng(seed)
     sqrt_primes = np.sqrt(_first_primes(n - 1).astype(np.float64))
     e0 = ndtr(u[0] / C[0, 0]) if C[0, 0] > 0 else float(u[0] >= 0)
@@ -469,16 +480,16 @@ def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int, n_shift
 _CRIT_CACHE: dict[tuple, float] = {}
 
 
-def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray, **mvn_kw) -> float:
+def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray) -> float:
     """P(min of weighted centered counts > x) under the null."""
-    return mvn_upper_tail(sigma_pos, x / w_pos, **mvn_kw)
+    return mvn_upper_tail(sigma_pos, x / w_pos)
 
 
-def _bracketed_root(g, lo: float, hi: float, xtol: float) -> tuple[float, float, float]:
-    """Root of the increasing ``g`` by Brent's method: ``(root, lo, hi)``.
+def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
+    """Root of the increasing ``g`` by Brent's method.
 
     ``[lo, hi]`` is widened outward, in doubling steps, until ``g``
-    changes sign over it; the widened bracket is returned with the root.
+    changes sign over it.
     """
     step = max(hi - lo, 1.0)
     g_lo, g_hi = g(lo), g(hi)
@@ -496,70 +507,171 @@ def _bracketed_root(g, lo: float, hi: float, xtol: float) -> tuple[float, float,
         g_hi = g(hi)
     else:
         raise FloatingPointError("could not bracket the minimum-test critical value from above")
-    return float(brentq(g, lo, hi, xtol=xtol)), lo, hi
+    return float(brentq(g, lo, hi, xtol=xtol))
 
 
-def _chord_slope(seen: dict, z0: float) -> float:
-    """Slope of the chord through the two points of ``seen`` (z -> g(z)) nearest z0."""
-    (za, ga), (zb, gb) = sorted(seen.items(), key=lambda zg: abs(zg[0] - z0))[:2]
-    return (gb - ga) / (zb - za)
+def _owen_term(x: np.ndarray, y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Owen's T(x, (y - r x) / (x c)) for c > 0, with its limit at x = 0.
+
+    At x = 0 the slope is +-inf by the sign of y; at x = y = 0 it is the
+    limit along x = y, (1 - r) / c.
+    """
+    num = y - r * x
+    at_zero = x == 0.0
+    a = np.where(at_zero, np.where(num == 0.0, (1.0 - r) / c, np.copysign(np.inf, num)),
+                 num / np.where(at_zero, 1.0, x * c))
+    return owens_t(x, a)
+
+
+def _bvn_cdf(h, k, r) -> np.ndarray:
+    """P(X <= h, Y <= k) for standard normals X, Y with correlation r.
+
+    Owen (1956); Genz & Bretz (2009), section 2.1: with c = sqrt(1 - r^2),
+    Phi2 = (Phi(h) + Phi(k)) / 2 - T(h, (k - r h) / (h c))
+    - T(k, (h - r k) / (k c)) - beta, where beta = 1/2 when exactly one
+    of h, k is negative and 0 otherwise.  At |r| = 1 it is the limit,
+    Phi(min(h, k)) or max(Phi(h) - Phi(-k), 0).  Elementwise over the
+    broadcast of its arguments.
+    """
+    h, k, r = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (h, k, r)))
+    out = np.where(r > 0, ndtr(np.minimum(h, k)), np.maximum(ndtr(h) - ndtr(-k), 0.0))
+    c = np.sqrt(np.maximum(1.0 - r * r, 0.0))
+    inner = c > 0
+    h, k, r, c = h[inner], k[inner], r[inner], c[inner]
+    out[inner] = (0.5 * (ndtr(h) + ndtr(k)) - _owen_term(h, k, r, c) - _owen_term(k, h, r, c)
+                  - 0.5 * ((h < 0) != (k < 0)))
+    return out
+
+
+def _second_order_bound(z, s: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B2(z) = S1 - S2 for P(min_i s_i X_i <= z), and dB2/dz, at each z.
+
+    X is standard normal with correlation matrix ``rho`` and every
+    s_i > 0.  S1 sums the K marginals Phi(z / s_i), S2 the K(K-1)/2
+    pairwise Phi2(z / s_i, z / s_j; rho_ij), so B2 <= P(min <= z) <= S1
+    (Bonferroni).  B2's slope takes the derivative of each Phi2, which is
+    phi(h) Phi((k - r h) / c) / s_i plus its mirror; at c = 0 the Phi
+    factor is the step it tends to, 1/2 at 0.
+    """
+    iu, ju = _pairs(s.size)
+    h = np.asarray(z, dtype=np.float64)[..., None] / s
+    density = _norm_pdf(h) / s
+    hi, hj, r = h[..., iu], h[..., ju], rho[iu, ju]
+    c = np.sqrt(np.maximum(1.0 - r * r, 0.0))
+
+    def given(num):  # Phi(num / c), with its step at c = 0
+        return np.where(c > 0, ndtr(num / np.where(c > 0, c, 1.0)), 0.5 * (1.0 + np.sign(num)))
+
+    bound = ndtr(h).sum(axis=-1) - _bvn_cdf(hi, hj, r).sum(axis=-1)
+    slope = density.sum(axis=-1) - (density[..., iu] * given(hj - r * hi)
+                                    + density[..., ju] * given(hi - r * hj)).sum(axis=-1)
+    return bound, slope
+
+
+def _b2_pre_root(s: np.ndarray, rho: np.ndarray, alpha: float, lo: float, hi: float):
+    """B2's first crossing of alpha in [lo, hi], and its probit gap's slope there.
+
+    B2 is scanned at ``_B2_GRID`` points from ``lo``, where B2 <= S1 <
+    alpha, and Brent's method refines the first interval that ends above
+    alpha.  Returns None when B2 stays at or below alpha on the whole
+    scan.
+    """
+    grid = np.linspace(lo, hi, _B2_GRID)
+    above = _second_order_bound(grid, s, rho)[0] > alpha
+    if not above.any():
+        return None
+    i = int(np.argmax(above))
+    z0 = brentq(lambda z: float(_second_order_bound(z, s, rho)[0]) - alpha,
+                grid[i - 1], grid[i], xtol=1e-10)
+    return z0, float(_second_order_bound(z0, s, rho)[1]) / float(_norm_pdf(ndtri(alpha)))
+
+
+def _same_factor(sigma_pos: np.ndarray, w_pos: np.ndarray, za: float, zb: float) -> bool:
+    """Whether the engine integrates the tail at za and zb with the same factor.
+
+    The reorder breaks near-ties of the standardized limits by rounding,
+    so between nearby z it can pick another pivot order, and the tail
+    jumps by about its standard error.  Within one factor it is smooth.
+    """
+    return np.array_equal(_factor(sigma_pos, za / w_pos)[0], _factor(sigma_pos, zb / w_pos)[0])
+
+
+def _newton_finish(g, z: float, slope: float, lo: float, hi: float, smooth) -> Optional[float]:
+    """Newton's method on ``g`` from z with a fixed slope, or None if it fails.
+
+    A step ends it when it is at most ``_ACCEPT_STEP`` and ``smooth(z,
+    z - step)`` holds.  It fails when a step leaves [lo, hi] or
+    ``_FINISH_STEPS`` steps do not end it.
+    """
+    for _ in range(_FINISH_STEPS):
+        step = g(z) / slope
+        z, last = z - step, z
+        if not lo <= z <= hi:  # also a step of +-inf, from a tail of exactly 0 or 1
+            return None
+        if abs(step) <= _ACCEPT_STEP and smooth(last, z):
+            return z
+    return None
 
 
 def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: tuple) -> float:
-    """Root z of 1 - P(min > z) = alpha, in two stages; cached per config.
+    """Root z of 1 - P(min > z) = alpha: a B2 pre-root and a Newton finish; cached per config.
 
     P(min <= z) is at least every marginal P(w_i Z_i <= z) and at most
     their sum, so with s_i = w_i sd(Z_i) the root lies in
     [max(s) ndtri(alpha/K), min(s) ndtri(alpha)].  The bracket is padded
-    by a tenth of max(s), since its ends meet when K = 1, and widened
-    outward if the integrated tail still shows no sign change.
+    by a tenth of max(s), since its ends meet when K = 1.
 
-    Both stages solve on the probit scale, ndtri(P(min <= z)) -
-    ndtri(alpha): the root is the same, but the function is nearly
-    linear in z (exactly so when K = 1).  The pre-root z0 runs Brent's
-    method on that bracket with a cheap tail (``_COARSE_MVN``, to
-    ``_COARSE_XTOL``).  The finish is Newton's method from z0 at the
-    default integration settings with a fixed slope: the chord through
-    the two cheap evaluations nearest z0 (``_chord_slope``), which cost
-    nothing more.  The cheap and full tails differ by their quadrature
-    error only, so the first step lands within about 1e-7 of the root and
-    the second integration confirms it.  (A secant finish could not
-    stop before a third: scipy's secant first tests convergence against
-    the worse of its two starting points.)  If that slope is not finite
-    and positive, or the finish fails to converge or leaves the
-    pre-root's bracket, the bracketed Brent root is found again from
-    that bracket at the default settings.
+    The pre-root z0 is the root of the second-order inclusion-exclusion
+    bound B2(z) = S1 - S2 <= P(min <= z) (``_second_order_bound``), which
+    takes K normal and K(K-1)/2 bivariate normal CDFs in closed form and
+    no integration.  B2 sits below the tail, so z0 lies right of the
+    root; it can also turn down again once S2 grows, so its first
+    crossing of alpha from ``lo`` is taken (``_b2_pre_root``).
+    Zero-variance pairs are left out of B2, which keeps it a lower bound.
+
+    The finish is Newton's method from z0 on the full-precision probit
+    gap, ndtri(P(min <= z)) - ndtri(alpha), whose root is the same but
+    which is nearly linear in z (exactly so when K = 1).  Its fixed slope
+    is that of B2's probit gap at z0.  A step ends the finish, without a
+    confirming integration, when it is at most ``_ACCEPT_STEP`` and the
+    engine's factor is the same at both of its ends (``_same_factor``),
+    so that the tail is smooth between them.  Over 42 cold roots (k =
+    2..10, sizes down to 2, alpha 0.01, 0.05 and 0.1) the error left
+    after a first step within one factor was at most 3.4e-3 of the step,
+    so an accepted step lands within 3.4e-7 of the root.  A cold root at
+    [50] * 10 and alpha 0.05 is then one full-precision integration, and
+    two or three where B2's root is farther off.
+
+    If B2 stays below alpha on the bracket, its slope is not finite and
+    positive, or the finish leaves the bracket or takes
+    ``_FINISH_STEPS`` steps without ending, Brent's method finds the root
+    of the full-precision gap instead, widening the bracket outward until
+    the gap changes sign.
     """
     if key in _CRIT_CACHE:
         return _CRIT_CACHE[key]
     probit_alpha = float(ndtri(alpha))
+    values = {}
 
-    def probit_gap(values: dict, **mvn_kw):
-        def g(z: float) -> float:  # remembers its values: brentq re-evaluates the bracket ends
-            if z not in values:
-                tail = _min_tail(z, sigma_pos, w_pos, **mvn_kw)
-                values[z] = float(ndtri(1.0 - tail)) - probit_alpha
-            return values[z]
+    def g(z: float) -> float:  # remembers its values: brentq re-evaluates the bracket ends
+        if z not in values:
+            values[z] = float(ndtri(1.0 - _min_tail(z, sigma_pos, w_pos))) - probit_alpha
+        return values[z]
 
-        return g
-
-    coarse = {}
-    g_coarse, g_full = probit_gap(coarse, **_COARSE_MVN), probit_gap({})
-    s = w_pos * np.sqrt(np.diag(sigma_pos))
+    sd = np.sqrt(np.diag(sigma_pos))
+    s = w_pos * sd
     pad = 0.1 * float(s.max())
     lo = float(s.max() * ndtri(alpha / s.size)) - pad
     hi = float(s.min() * ndtri(alpha)) + pad
-    z0, lo, hi = _bracketed_root(g_coarse, lo, hi, _COARSE_XTOL)
-    slope = _chord_slope(coarse, z0)
-    crit, converged = z0, False
-    if 0.0 < slope < np.inf:  # a nan, infinite or flat chord goes to the bracketed root
-        # nan outside the bracket: a stray step then ends the finish unconverged
-        # without integrating, rather than chasing an infinite probit gap
-        crit, info = newton(lambda z: g_full(z) if lo <= z <= hi else np.nan, z0,
-                            fprime=lambda z: slope, tol=1e-6, full_output=True, disp=False)
-        converged = info.converged
-    if not (converged and lo <= crit <= hi):
-        crit = _bracketed_root(g_full, lo, hi, 1e-6)[0]
+    spread = sd > 0
+    rho = sigma_pos[np.ix_(spread, spread)] / np.outer(sd[spread], sd[spread])
+    pre = _b2_pre_root(s[spread], rho, alpha, lo, hi)
+    crit = None
+    if pre is not None and 0.0 < pre[1] < np.inf:  # a nan, infinite or flat slope goes to Brent
+        crit = _newton_finish(g, *pre, lo, hi,
+                              lambda za, zb: _same_factor(sigma_pos, w_pos, za, zb))
+    if crit is None:
+        crit = _bracketed_root(g, lo, hi, 1e-6)
     _CRIT_CACHE[key] = crit = float(crit)
     return crit
 

@@ -387,6 +387,17 @@ class TestExportCsv:
             export_csv(np.zeros((4, 1)), [1, "1", 2, 2], str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 1.0, 2, 2], "labels 1 and 1.0 are equal but written as '1' and '1.0'"),
+        ([True, 1, 2, 2], "labels True and 1 are equal but written as 'True' and '1'"),
+    ], ids=["int-and-float", "bool-and-int"])
+    def test_rejects_equal_labels_with_different_text(self, tmp_path, labels, message):
+        # one group in memory, but two once each is written as its own text
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            export_csv(np.zeros((4, 1)), labels, str(out))
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_data(self, tmp_path, value):
         out = tmp_path / "x.csv"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
 from relevance_kit import inference
 from relevance_kit.counts import GroupAssignment, count_edges
@@ -428,27 +428,25 @@ class TestMinimumTest:
 
 
 class TestMinimumCriticalRoot:
-    """The level-alpha root: a cheap Brent pre-root, then a full-precision chord-Newton finish."""
+    """The level-alpha root: a closed-form B2 pre-root, then a full-precision Newton finish."""
 
     def test_cold_root_makes_few_mvn_calls(self, monkeypatch):
-        # One full-precision call for the p-value and two for the chord
-        # finish; the pre-root's calls use the cheap tail.
+        # One call for the p-value and one Newton step from B2's root, both at
+        # the default (full-precision) settings.
         ctx = MomentContext([50] * 10)
         w = WeightMatrix.default(ctx)
-        n_points = []
+        settings_used = []
         engine = inference.mvn_upper_tail
 
         def counting(*args, **kwargs):
-            n_points.append(kwargs.get("n_points", 10_000))
+            settings_used.append(kwargs)
             return engine(*args, **kwargs)
 
         inference._CRIT_CACHE.clear()
         monkeypatch.setattr(inference, "mvn_upper_tail", counting)
         minimum_test(np.round(ctx.mean), w, ctx)
-        coarse = inference._COARSE_MVN["n_points"]
-        assert n_points.count(10_000) <= 3
-        assert n_points.count(coarse) <= 8
-        assert len(n_points) == n_points.count(10_000) + n_points.count(coarse)
+        assert len(settings_used) <= 2
+        assert not any(settings_used)
 
     @pytest.mark.parametrize(
         "sizes, bisected, alpha",
@@ -490,10 +488,20 @@ class TestMinimumCriticalRoot:
         monkeypatch.setattr(inference, "brentq", counting)
         return calls
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
     @pytest.mark.parametrize(
-        "sizes",
-        [[8, 13], [2, 2, 60], [5, 5, 5, 100], [3, 3, 3, 3, 200], [2] * 5, [20, 30, 40]],
+        "sizes, alpha",
+        [
+            pytest.param(sizes, alpha, id=f"sizes{i}-{alpha}")
+            for i, sizes in enumerate(
+                [[8, 13], [2, 2, 60], [5, 5, 5, 100], [3, 3, 3, 3, 200], [2] * 5, [20, 30, 40]]
+            )
+            for alpha in (0.01, 0.05, 0.1)
+        ]
+        # K = 45 at alpha 0.01, where B2's root is farthest off: the first step
+        # is too long to accept there, and one step alone would miss by 1.2e-6
+        # ([3] * 10)
+        + [pytest.param([3] * 10, 0.01, id="sizes6-0.01"),
+           pytest.param([50] * 10, 0.01, id="sizes7-0.01")],
     )
     def test_matches_full_precision_brent_root(self, monkeypatch, sizes, alpha):
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
@@ -505,48 +513,47 @@ class TestMinimumCriticalRoot:
 
     @pytest.mark.parametrize("sizes", [[8, 13], [20, 30, 40]])
     def test_guard_when_the_secant_leaves_the_bracket(self, monkeypatch, sizes):
-        # Only the full-precision tail is shifted, so its root lies far
-        # outside the pre-root's bracket, and the finish steps out of it.
+        # The full-precision tail is shifted and B2 is not, so the tail's root
+        # lies far outside the bracket, and the finish steps out of it.
         ctx = MomentContext(sizes)
         w = WeightMatrix.default(ctx)
         engine = inference.mvn_upper_tail
-        coarse = inference._COARSE_MVN["n_points"]
 
         def disagreeing(s, t, **kw):
-            shift = 0.0 if kw.get("n_points") == coarse else 10.0
-            return engine(s, np.asarray(t) + shift, **kw)
+            return engine(s, np.asarray(t) + 10.0, **kw)
 
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "mvn_upper_tail", disagreeing)
         brent_calls = self.count_brentq(monkeypatch)
         crit = minimum_test(np.round(ctx.mean), w, ctx).critical_value
-        assert len(brent_calls) == 2  # the pre-root, then the guard's full-precision root
+        assert len(brent_calls) == 2  # B2's root, then the guard's full-precision root
         expected = self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05, disagreeing)
         assert crit == pytest.approx(expected, abs=1e-6)
 
     def test_guard_when_the_secant_does_not_converge(self, monkeypatch):
+        # The factor seems to change at every step, so no step is accepted.
         ctx = MomentContext([20, 30, 40])
         w = WeightMatrix.default(ctx)
-        newton = inference.newton
+        steps = []
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
-        monkeypatch.setattr(inference, "newton", lambda *a, **kw: newton(*a, **kw, maxiter=1))
+        monkeypatch.setattr(inference, "_same_factor", lambda *args: steps.append(1) or False)
         brent_calls = self.count_brentq(monkeypatch)
         crit = minimum_test(np.round(ctx.mean), w, ctx).critical_value
+        assert len(steps) == inference._FINISH_STEPS
         assert len(brent_calls) == 2
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
                                      abs=1e-6)
 
     @pytest.mark.parametrize("scale", [0.5, 3.0])
     def test_guard_when_the_coarse_slope_is_wrong(self, monkeypatch, scale):
-        # Only the full-precision tail is rescaled, so its slope is `scale`
-        # times the coarse one: the chord finish creeps toward a root outside
+        # The full-precision tail is rescaled and B2 is not, so the tail's
+        # slope is `scale` times B2's: the finish creeps toward a root outside
         # the bracket (0.5) or overshoots, doubling its error each step (3.0).
         ctx = MomentContext([20, 30, 40])
         engine = inference.mvn_upper_tail
-        coarse = inference._COARSE_MVN["n_points"]
 
         def rescaled(s, t, **kw):
-            return engine(s, np.asarray(t) * (1.0 if kw.get("n_points") == coarse else scale), **kw)
+            return engine(s, np.asarray(t) * scale, **kw)
 
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "mvn_upper_tail", rescaled)
@@ -559,20 +566,59 @@ class TestMinimumCriticalRoot:
     @pytest.mark.parametrize("slope", [0.0, -1.0, np.nan, np.inf])
     def test_guard_when_the_coarse_slope_is_unusable(self, monkeypatch, slope):
         ctx = MomentContext([20, 30, 40])
-        newton_calls = []
+        bound = inference._second_order_bound
+        finish_calls = []
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
-        monkeypatch.setattr(inference, "_chord_slope", lambda seen, z0: slope)
-        monkeypatch.setattr(inference, "newton", lambda *a, **kw: newton_calls.append(1))
+        monkeypatch.setattr(inference, "_second_order_bound",
+                            lambda z, s, rho: (bound(z, s, rho)[0], slope))
+        monkeypatch.setattr(inference, "_newton_finish", lambda *a: finish_calls.append(1))
         brent_calls = self.count_brentq(monkeypatch)
         crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx).critical_value
-        assert not newton_calls
+        assert not finish_calls
         assert len(brent_calls) == 2
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
                                      abs=1e-6)
 
-    def test_chord_slope_uses_the_two_points_nearest_the_pre_root(self):
-        seen = {-3.0: -2.0, -2.0: -0.5, -2.1: -0.6, -1.0: 1.0}
-        assert inference._chord_slope(seen, -2.05) == pytest.approx(1.0)
+    def test_guard_when_b2_stays_below_alpha(self, monkeypatch):
+        ctx = MomentContext([20, 30, 40])
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(inference, "_second_order_bound",
+                            lambda z, s, rho: (np.zeros(np.shape(z)), np.ones(np.shape(z))))
+        brent_calls = self.count_brentq(monkeypatch)
+        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx).critical_value
+        assert len(brent_calls) == 1  # no B2 root: only the full-precision one
+        assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
+                                     abs=1e-6)
+
+    def test_b2_pre_root_is_the_first_crossing(self):
+        # At K = 45, B2 = S1 - S2 falls far below alpha again before the
+        # bracket's upper end, so no sign change can be assumed there.
+        ctx = MomentContext([50] * 10)
+        sigma = build_sigma(ctx)
+        sd = np.sqrt(np.diag(sigma))
+        s = WeightMatrix.default(ctx).vector() * sd
+        rho = sigma / np.outer(sd, sd)
+        lo, hi = s.max() * ndtri(0.05 / s.size) - 0.1, s.min() * ndtri(0.05) + 0.1
+        z0, slope = inference._b2_pre_root(s, rho, 0.05, lo, hi)
+        bound = lambda z: inference._second_order_bound(z, s, rho)[0]
+        assert bound(hi) < 0.05
+        assert bound(z0) == pytest.approx(0.05, abs=1e-12)
+        assert (bound(np.linspace(lo, z0, 200)[:-1]) < 0.05).all()
+        # the root of the integrated tail is within 1e-4 of B2's
+        assert z0 == pytest.approx(-3.0516300, abs=1e-4)
+        assert 0.0 < slope < np.inf
+
+    def test_b2_slope_matches_a_finite_difference(self):
+        sigma = build_sigma(MomentContext([5, 7, 100, 3]))
+        sd = np.sqrt(np.diag(sigma))
+        s = np.linspace(0.8, 1.3, sd.size)
+        rho = sigma / np.outer(sd, sd)
+        z = np.array([-3.0, -2.2, -1.1])
+        h = 1e-6
+        bound, slope = inference._second_order_bound(z, s, rho)
+        upper, _ = inference._second_order_bound(z + h, s, rho)
+        lower, _ = inference._second_order_bound(z - h, s, rho)
+        assert_allclose(slope, (upper - lower) / (2 * h), rtol=1e-7)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
     def test_single_pair_root_is_normal_quantile(self, alpha):
@@ -603,6 +649,37 @@ class TestMinimumCriticalRoot:
         monkeypatch.setattr(inference, "mvn_upper_tail", lambda s, t, **kw: 1.0)
         with pytest.raises(FloatingPointError, match="from above"):
             minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx)
+
+
+class TestSecondOrderBound:
+    """The closed-form bivariate CDF and the bound B2 = S1 - S2 built from it."""
+
+    @pytest.mark.parametrize("r", [-1.0, -0.99, -0.6, 0.0, 0.3, 0.99, 1.0])
+    def test_bivariate_cdf_matches_scipy(self, r):
+        h, k = np.meshgrid([-2.7, -0.4, 0.0, 0.9, 3.1], [-1.8, 0.0, 0.25, 2.2])
+        got = inference._bvn_cdf(h, k, r)
+        joint = multivariate_normal([0.0, 0.0], [[1.0, r], [r, 1.0]], allow_singular=True)
+        want = np.array([joint.cdf([a, b]) for a, b in zip(h.ravel(), k.ravel())])
+        assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(2, 30), min_size=2, max_size=6),
+        level=st.floats(0.001, 0.3),
+    )
+    def test_bound_sandwiches_the_integrated_tail(self, sizes, level):
+        ctx = MomentContext(sizes)
+        sigma = build_sigma(ctx)
+        w = WeightMatrix.default(ctx).vector()
+        sd = np.sqrt(np.diag(sigma))
+        s = w * sd
+        z = float(s.max() * ndtri(level / s.size))  # S1 is about `level` here
+        tail, err = mvn_upper_tail(sigma, z / w, full_output=True)
+        b2, _ = inference._second_order_bound(z, s, sigma / np.outer(sd, sd))
+        s1 = ndtr(z / s).sum()
+        slack = 3.0 * err + 1e-12  # the engine is exact, err = 0, at K = 1
+        assert b2 <= 1.0 - tail + slack
+        assert 1.0 - tail <= s1 + slack
 
 
 @st.composite

@@ -5,7 +5,10 @@ the independence product rule, plain Monte Carlo for a general
 correlated case, and the engine's earlier loops, kept here: the scalar
 variable reordering as ``reference_reorder`` and the per-shift
 integration on a (points, n - 1) lattice matrix as
-``reference_upper_tail``.
+``reference_upper_tail``.  Each is checked on its own: the integration
+oracle factors with the production reorder, which the scalar loop pins
+separately, so a last-bit difference between the two reorders' factors
+never reaches the 1e-14 integration comparison.
 """
 
 import sys
@@ -74,8 +77,10 @@ def reference_upper_tail(sigma, thresholds, *, n_points=10_000, n_shifts=12,
                          error_target=1e-4, seed=20210802):
     """(P(Z > t), standard error) by the engine's earlier loops, unmemoized.
 
-    The factor comes from ``reference_reorder``.  Every shift builds the
-    whole (pts, n - 1) lattice matrix and reads it by column.
+    The factor comes from the engine's ``_reorder_cholesky``, which
+    ``TestReorderAgainstScalarLoop`` checks against ``reference_reorder``.
+    Every shift builds the whole (pts, n - 1) lattice matrix and reads it
+    by column.
     """
     S = np.asarray(sigma, dtype=np.float64)
     t = np.asarray(thresholds, dtype=np.float64)
@@ -89,7 +94,7 @@ def reference_upper_tail(sigma, thresholds, *, n_points=10_000, n_shifts=12,
         S = S + 1e-10 * np.eye(n)
         np.linalg.cholesky(S)
 
-    C, u = reference_reorder(S, -t)
+    C, u = inference._reorder_cholesky(S, -t)
     rng = np.random.default_rng(seed)
     sqrt_primes = np.sqrt(inference._first_primes(n - 1).astype(np.float64))
 
