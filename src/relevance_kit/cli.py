@@ -428,10 +428,9 @@ def _parse_test_selector(text: str):
         return True, True, None
     if text == "min":
         return False, True, None
-    for prefix in ("perm:", "permutation:"):
-        if text.startswith(prefix):
-            B = int(text[len(prefix):])
-            return True, True, B
+    B = text.removeprefix("perm:")
+    if B != text and B.isdecimal():
+        return True, True, int(B)
     raise ValueError(f"unknown test selector {text!r}; expected ws, min, both or perm:B")
 
 
@@ -448,7 +447,7 @@ def cmd_test(dataset: InputDataset, config: RunConfig) -> dict:
     if run_min:
         results["minimum"] = _result_block(minimum_test(table, w, ctx, config.alpha))
     if perm_B is not None:
-        perm = permutation_pvalue(path, dataset.assignment, w, perm_B, config.seed)
+        perm = permutation_pvalue(table, w, ctx, perm_B, config.seed)
         results["permutation"] = {
             "replicates": perm_B,
             "weighted_sum_p_value": perm["weighted_sum"],

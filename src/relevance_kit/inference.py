@@ -28,12 +28,14 @@ the full-precision tail, from a bracket the marginals give, should B2
 not reach alpha, its slope be unusable or the finish fail or leave the
 bracket).
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
-fallback that holds the path fixed and re-draws label arrangements, all
-from one ``np.random.default_rng(seed)`` stream per call; a replicate
-whose statistic ties the observed one counts as at or below it.  One
-call, ``permutation_pvalue(path, groups, w, B, seed)``, returns both
-p-values, ``{"weighted_sum": p, "minimum": p}``; edges are counted by
-:mod:`~relevance_kit.counts`, never here.
+fallback.  Under the permutation null the labels along any fixed path
+form a uniform arrangement, so its reference draws arrangements of the
+design's labels, from one ``np.random.default_rng(seed)`` stream per
+call, and reads no path or data; a replicate whose statistic ties the
+observed one counts as at or below it.  One call,
+``permutation_pvalue(table, w, ctx, B, seed)``, scores the observed
+table and returns both p-values, ``{"weighted_sum": p, "minimum": p}``;
+edges are counted by :mod:`~relevance_kit.counts`, never here.
 
 Both tests reject for small statistics: under a location or scale
 alternative the path crosses between samples less often than permutation
@@ -51,9 +53,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, owens_t
 
-from .counts import GroupAssignment, count_edges, tabulate
+from .counts import count_edges, tabulate  # noqa: F401 -- perfbench/tracing.py wraps inference.count_edges
 from .moments import MomentContext, build_sigma
-from .shp import check_path
 
 __all__ = [
     "WeightMatrix",
@@ -725,19 +726,13 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
 _PERM_CHUNK_CELLS = 2 ** 17  # labels (or count slots) per batch of replicates: 1 MB of int64
 
 
-def permutation_pvalue(
-    path,
-    groups: GroupAssignment,
-    w: WeightMatrix,
-    B: int,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Lower-tail Monte-Carlo p-values, ``{"weighted_sum": p, "minimum": p}``.
+def permutation_pvalue(table, w: WeightMatrix, ctx: MomentContext, B: int, seed: int = 0) -> dict[str, float]:
+    """Lower-tail Monte-Carlo p-values of a count table, ``{"weighted_sum": p, "minimum": p}``.
 
-    The path is held fixed.  All replicates come from one stream,
-    ``np.random.default_rng(seed)``: replicate r relabels the nodes by
-    the r-th ``rng.permutation(N)`` draw of that stream, so the result
-    depends on ``seed`` and ``B`` alone, not on how replicates are
+    The reference depends on the design alone.  All replicates come from
+    one stream, ``np.random.default_rng(seed)``: replicate r is the r-th
+    row-wise shuffle of the labels ``np.repeat(1..k, ctx.sizes)``, counted
+    in that order, so the result does not depend on how replicates are
     batched.  Each batch is tabulated once and scored by both
     statistics.  A replicate counts when its statistic is at or below
     the observed one; "at" allows a relative 100 machine epsilons, as in
@@ -747,31 +742,28 @@ def permutation_pvalue(
     B = int(B)
     if B < 100:
         raise ValueError(f"need at least 100 replicates, got B={B}")
-    path = check_path(path, groups.n_total)
-    ctx = MomentContext.from_assignment(groups)
     _check_k(w, ctx)
     k, N = ctx.n_groups, ctx.total
     iu, ju = _pairs(k)
+    observed = _check_table(table, k)[iu, ju]
     wvec = w.vector()
     mean = ctx.pair_mean
     statistics = {
         "weighted_sum": lambda counts: _weighted_sums(counts, wvec),
         "minimum": lambda counts: _minima(counts, wvec, mean),
     }
-
-    observed = count_edges(path, groups)[iu, ju]
     threshold = {}
     for name, stat in statistics.items():
         value = float(stat(observed))
         threshold[name] = value + 100.0 * np.finfo(np.float64).eps * abs(value)
 
+    labels = np.repeat(np.arange(1, k + 1), ctx.sizes)
     rng = np.random.default_rng(seed)
     rows = max(1, _PERM_CHUNK_CELLS // max(N, k * k))
     at_or_below = dict.fromkeys(statistics, 0)
     for start in range(0, B, rows):
         n = min(rows, B - start)
-        on_path = rng.permuted(np.broadcast_to(groups.labels, (n, N)), axis=1)[:, path]
-        counts = tabulate(on_path, k)[:, iu, ju]
+        counts = tabulate(rng.permuted(np.broadcast_to(labels, (n, N)), axis=1), k)[:, iu, ju]
         for name, stat in statistics.items():
             at_or_below[name] += int(np.count_nonzero(stat(counts) <= threshold[name]))
     return {name: (1 + hits) / (B + 1) for name, hits in at_or_below.items()}

@@ -23,14 +23,19 @@ from .moments import MomentContext
 __all__ = ["RelevanceReport", "z_score", "combined_z_score", "relevance_report"]
 
 
+def _check_table(table, k: int) -> np.ndarray:
+    table = np.asarray(table)
+    if table.shape != (k, k):
+        raise ValueError(f"count table shape {table.shape} does not match k={k}")
+    return table
+
+
 def z_score(m: int, l: int, table, ctx: MomentContext) -> float:
     """Standardized between-count for groups m and l (1-based)."""
     k = ctx.n_groups
     if not (1 <= m <= k and 1 <= l <= k) or m == l:
         raise ValueError(f"need two distinct group ids in 1..{k}, got ({m}, {l})")
-    table = np.asarray(table)
-    if table.shape != (k, k):
-        raise ValueError(f"count table shape {table.shape} does not match k={k}")
+    table = _check_table(table, k)
     var = ctx.var[m - 1, l - 1]
     if var <= 0.0:
         raise ValueError(f"null variance of pair ({m},{l}) is zero; z-score undefined")
@@ -50,8 +55,8 @@ def _union_z(table: np.ndarray, a1: list[int], a2: list[int], ctx: MomentContext
     return float((count - merged.mean[0, 1]) / np.sqrt(var))
 
 
-def combined_z_score(A1, A2, path, groups: GroupAssignment, ctx: MomentContext) -> tuple[float, float]:
-    """Standardized count between two unions of samples.
+def combined_z_score(A1, A2, table, ctx: MomentContext) -> tuple[float, float]:
+    """Standardized count between two unions of samples, read from a count table.
 
     The unions are merged into pseudo-groups whose sizes, with the rest
     of the groups as a third, give the null mean and variance, so the
@@ -60,8 +65,9 @@ def combined_z_score(A1, A2, path, groups: GroupAssignment, ctx: MomentContext) 
     crossings than chance (negative, samples differ) from more
     (positive, samples mix).
     """
-    a1, a2 = union_ids(A1, A2, ctx.n_groups)
-    z = _union_z(count_edges(path, groups), a1, a2, ctx)
+    k = ctx.n_groups
+    a1, a2 = union_ids(A1, A2, k)
+    z = _union_z(_check_table(table, k), a1, a2, ctx)
     return z, abs(z)
 
 

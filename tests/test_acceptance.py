@@ -183,8 +183,8 @@ def test_criterion_07_asymptotic_matches_permutation():
         table = count_edges(path, groups)
         p_ws = weighted_sum_test(table, w, ctx).p_value
         p_min = minimum_test(table, w, ctx).p_value
-        perm_ws = permutation_pvalue(path, groups, w, B=2000, seed=(77, rep, 1))["weighted_sum"]
-        perm_min = permutation_pvalue(path, groups, w, B=2000, seed=(77, rep, 2))["minimum"]
+        perm_ws = permutation_pvalue(table, w, ctx, B=2000, seed=(77, rep, 1))["weighted_sum"]
+        perm_min = permutation_pvalue(table, w, ctx, B=2000, seed=(77, rep, 2))["minimum"]
         gaps_ws.append(abs(p_ws - perm_ws))
         gaps_min.append(abs(p_min - perm_min))
     med_ws = float(np.median(gaps_ws))

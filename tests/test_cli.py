@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from relevance_kit import cli, cost
+from relevance_kit import cli, cost, inference
 from relevance_kit.cli import (
     RunConfig,
     export_csv,
@@ -476,6 +476,18 @@ class TestTestCommand:
             assert 1.0 / 151.0 <= perm[key] <= 1.0
             assert perm[key] <= 0.05  # separation this strong is never matched
 
+    def test_permutation_scores_the_counted_table(self, two_group_csv, tmp_path, monkeypatch):
+        def recount(*args):
+            raise AssertionError("the permutation reference recounted the table")
+
+        monkeypatch.setattr(inference, "count_edges", recount)
+        report = run_report(
+            ["test", "--input", str(two_group_csv), "--group-col", "g", "--test", "perm:200"],
+            tmp_path,
+        )
+        perm = report["results"]["permutation"]
+        assert set(perm) == {"replicates", "weighted_sum_p_value", "minimum_p_value"}
+
     def test_zero_pairs_reflected_in_weights(self, three_group_csv, tmp_path):
         report = run_report(
             [
@@ -682,6 +694,12 @@ class TestMainExitCodes:
                    "--alpha", "1.5"])
         assert rc == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selector", ["permutation:200", "perm:abc", "perm:", "perm:1e4"])
+    def test_unknown_test_selector(self, two_group_csv, capsys, selector):
+        rc = main(["test", "--input", str(two_group_csv), "--group-col", "g", "--test", selector])
+        assert rc == 2
+        assert "unknown test selector" in capsys.readouterr().err
 
     def test_malformed_combine(self, three_group_csv, capsys):
         rc = main(["relevance", "--input", str(three_group_csv), "--group-col", "g",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm
@@ -716,21 +716,21 @@ class TestDecisionMatchesPValue:
         assert res.reject == (res.p_value <= alpha)
 
 
-def looped_permutation_pvalue(path, groups, statistic, w, B, seed):
-    """One GroupAssignment and count table per rng.permutation draw."""
-    ctx = MomentContext.from_assignment(groups)
+def looped_permutation_pvalue(table, statistic, w, ctx, B, seed):
+    """One rng.permutation draw of the design's labels, counted along them in order, per replicate."""
+    labels = np.repeat(np.arange(1, ctx.n_groups + 1), ctx.sizes)
 
-    def stat_of(assignment):
-        table = count_edges(path, assignment)
+    def stat_of(t):
         if statistic == "weighted_sum":
-            return weighted_sum_statistic(table, w)
-        return minimum_statistic(table, w, ctx)
+            return weighted_sum_statistic(t, w)
+        return minimum_statistic(t, w, ctx)
 
-    observed = stat_of(groups)
+    observed = stat_of(table)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(B):
-        stat = stat_of(GroupAssignment(groups.labels[rng.permutation(groups.n_total)]))
+        arrangement = GroupAssignment(labels[rng.permutation(ctx.total)])
+        stat = stat_of(count_edges(np.arange(ctx.total), arrangement))
         hits += stat <= observed + 100 * np.finfo(float).eps * abs(observed)
     return (1 + hits) / (B + 1)
 
@@ -738,65 +738,93 @@ def looped_permutation_pvalue(path, groups, statistic, w, B, seed):
 class TestPermutationPvalue:
     @pytest.fixture
     def separated(self):
-        """Twenty nodes walked group-1 block then group-2 block."""
+        """The table of twenty nodes walked group-1 block then group-2 block."""
         groups = GroupAssignment(np.repeat([1, 2], [10, 10]))
-        return np.arange(20), groups
+        ctx = MomentContext.from_assignment(groups)
+        return count_edges(np.arange(20), groups), WeightMatrix.default(ctx), ctx
 
     def test_separated_data_gives_small_p(self, separated):
-        path, groups = separated
-        ctx = MomentContext.from_assignment(groups)
-        w = WeightMatrix.default(ctx)
-        p = permutation_pvalue(path, groups, w, B=199, seed=3)
+        table, w, ctx = separated
+        p = permutation_pvalue(table, w, ctx, B=199, seed=3)
         assert set(p) == {"weighted_sum", "minimum"}
         for stat in p:
             assert p[stat] <= 0.05
 
     def test_deterministic_given_seed(self, separated):
-        path, groups = separated
-        w = WeightMatrix.default(MomentContext.from_assignment(groups))
-        p1 = permutation_pvalue(path, groups, w, B=150, seed=11)
-        p2 = permutation_pvalue(path, groups, w, B=150, seed=11)
+        table, w, ctx = separated
+        p1 = permutation_pvalue(table, w, ctx, B=150, seed=11)
+        p2 = permutation_pvalue(table, w, ctx, B=150, seed=11)
         assert p1 == p2
 
     def test_bounded_away_from_zero(self, separated):
-        path, groups = separated
-        w = WeightMatrix.default(MomentContext.from_assignment(groups))
-        for p in permutation_pvalue(path, groups, w, B=100, seed=0).values():
+        table, w, ctx = separated
+        for p in permutation_pvalue(table, w, ctx, B=100, seed=0).values():
             assert 1.0 / 101.0 <= p <= 1.0
 
     def test_interleaved_data_gives_large_p(self):
         # alternating labels cross between groups as often as possible
         groups = GroupAssignment(np.tile([1, 2], 10))
-        w = WeightMatrix.default(MomentContext.from_assignment(groups))
-        p = permutation_pvalue(np.arange(20), groups, w, B=199, seed=5)["weighted_sum"]
+        ctx = MomentContext.from_assignment(groups)
+        w = WeightMatrix.default(ctx)
+        table = count_edges(np.arange(20), groups)
+        p = permutation_pvalue(table, w, ctx, B=199, seed=5)["weighted_sum"]
         assert p > 0.5
 
     def test_rejects_tiny_replicate_count(self, separated):
-        path, groups = separated
-        w = WeightMatrix.default(MomentContext.from_assignment(groups))
+        table, w, ctx = separated
         with pytest.raises(ValueError, match="at least 100"):
-            permutation_pvalue(path, groups, w, B=50)
+            permutation_pvalue(table, w, ctx, B=50)
+
+    def test_rejects_table_of_wrong_shape(self, separated):
+        table, w, ctx = separated
+        with pytest.raises(ValueError, match="does not match k=2"):
+            permutation_pvalue(np.zeros((3, 3)), w, ctx, B=100)
+
+    def test_rejects_k_mismatch(self, separated):
+        table, _, ctx = separated
+        with pytest.raises(ValueError, match="context has k=2"):
+            permutation_pvalue(table, WeightMatrix.unit(3), ctx, B=100)
+
+    def test_depends_on_the_table_alone(self):
+        # Renumbering the nodes and reversing the path reads the same
+        # labels backwards: another label order and path, the same table.
+        rng = np.random.default_rng(404)
+        groups = GroupAssignment(rng.permutation(np.repeat([1, 2, 3], [6, 7, 8])))
+        path = rng.permutation(21)
+        renumber = rng.permutation(21)
+        moved = GroupAssignment(groups.labels[renumber])
+        moved_path = np.argsort(renumber)[path][::-1]
+        table, moved_table = count_edges(path, groups), count_edges(moved_path, moved)
+        assert_array_equal(moved_table, table)
+        assert not np.array_equal(moved.labels, groups.labels)
+        ctx = MomentContext.from_assignment(groups)
+        w = WeightMatrix.default(ctx)
+        assert (permutation_pvalue(moved_table, w, ctx, B=300, seed=8)
+                == permutation_pvalue(table, w, ctx, B=300, seed=8))
 
     def test_counts_exact_ties(self):
         # Equal weights make the weighted sum 0.1 x (total between count),
         # an integer tally; summing 0.1 * count over six pairs rounds
         # differently for different count vectors with the same total.
-        groups = GroupAssignment(np.repeat([1, 2, 3, 4], 6)[np.random.default_rng(2).permutation(24)])
+        labels = np.repeat([1, 2, 3, 4], 6)
+        groups = GroupAssignment(labels[np.random.default_rng(2).permutation(24)])
         path = np.arange(24)
         w = WeightMatrix(np.full((4, 4), 0.1))
         B, seed = 400, 9
         iu, ju = np.triu_indices(4, 1)
 
-        def between(labels):
-            return int(count_edges(path, GroupAssignment(labels))[iu, ju].sum())
+        def between(arrangement):
+            return int(count_edges(path, GroupAssignment(arrangement))[iu, ju].sum())
 
         observed = between(groups.labels)
         rng = np.random.default_rng(seed)
-        totals = np.array([between(groups.labels[rng.permutation(24)]) for _ in range(B)])
+        totals = np.array([between(labels[rng.permutation(24)]) for _ in range(B)])
         ties = int((totals == observed).sum())
         assert ties > 0
         expected = (1 + int((totals <= observed).sum())) / (B + 1)
-        assert permutation_pvalue(path, groups, w, B=B, seed=seed)["weighted_sum"] == expected
+        ctx = MomentContext.from_assignment(groups)
+        table = count_edges(path, groups)
+        assert permutation_pvalue(table, w, ctx, B=B, seed=seed)["weighted_sum"] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -812,15 +840,17 @@ class TestPermutationPvalue:
         labels = np.repeat(np.arange(1, k + 1), sizes)
         groups = GroupAssignment(labels[np.random.default_rng(path_seed).permutation(N)])
         path = np.random.default_rng(path_seed + 1).permutation(N)
+        table = count_edges(path, groups)
+        ctx = MomentContext(sizes)
         grid = np.random.default_rng(weight_seed).choice([0.0, 0.3, 1.0, 2.7], size=(k, k))
         grid = np.triu(grid, 1) + np.triu(grid, 1).T
         grid[0, 1] = grid[1, 0] = 1.0  # at least one positive weight
         w = WeightMatrix(grid)
         expected = {
-            statistic: looped_permutation_pvalue(path, groups, statistic, w, B, seed)
+            statistic: looped_permutation_pvalue(table, statistic, w, ctx, B, seed)
             for statistic in ("weighted_sum", "minimum")
         }
-        assert permutation_pvalue(path, groups, w, B, seed) == expected
+        assert permutation_pvalue(table, w, ctx, B, seed) == expected
         for cells in (1, 7 * N):  # one replicate per batch, then several
             with mock.patch.object(inference, "_PERM_CHUNK_CELLS", cells):
-                assert permutation_pvalue(path, groups, w, B, seed) == expected
+                assert permutation_pvalue(table, w, ctx, B, seed) == expected

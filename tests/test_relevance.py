@@ -66,7 +66,7 @@ class TestCombinedZScore:
         """Merging {2,3} into one pseudo-group must equal relabeling them."""
         path, groups = three_group_walk
         ctx = MomentContext.from_assignment(groups)
-        signed, _ = combined_z_score([1], [2, 3], path, groups, ctx)
+        signed, _ = combined_z_score([1], [2, 3], count_edges(path, groups), ctx)
 
         merged = GroupAssignment(np.where(groups.labels == 1, 1, 2))
         merged_ctx = MomentContext.from_assignment(merged)
@@ -76,33 +76,38 @@ class TestCombinedZScore:
     def test_returns_signed_and_absolute(self, three_group_walk):
         path, groups = three_group_walk
         ctx = MomentContext.from_assignment(groups)
-        signed, magnitude = combined_z_score([1, 3], [2], path, groups, ctx)
+        signed, magnitude = combined_z_score([1, 3], [2], count_edges(path, groups), ctx)
         assert magnitude == abs(signed)
 
     def test_order_of_subsets_is_immaterial(self, three_group_walk):
         path, groups = three_group_walk
         ctx = MomentContext.from_assignment(groups)
-        a = combined_z_score([1], [2, 3], path, groups, ctx)
-        b = combined_z_score([2, 3], [1], path, groups, ctx)
+        a = combined_z_score([1], [2, 3], count_edges(path, groups), ctx)
+        b = combined_z_score([2, 3], [1], count_edges(path, groups), ctx)
         assert a == b
 
     def test_rejects_overlapping_subsets(self, three_group_walk):
         path, groups = three_group_walk
         ctx = MomentContext.from_assignment(groups)
         with pytest.raises(ValueError, match="disjoint"):
-            combined_z_score([1, 2], [2, 3], path, groups, ctx)
+            combined_z_score([1, 2], [2, 3], count_edges(path, groups), ctx)
 
     def test_rejects_empty_subset(self, three_group_walk):
         path, groups = three_group_walk
         ctx = MomentContext.from_assignment(groups)
         with pytest.raises(ValueError, match="non-empty"):
-            combined_z_score([], [1], path, groups, ctx)
+            combined_z_score([], [1], count_edges(path, groups), ctx)
+
+    def test_rejects_table_of_wrong_shape(self, three_group_walk):
+        _, groups = three_group_walk
+        with pytest.raises(ValueError, match="does not match k=3"):
+            combined_z_score([1], [2], np.zeros((2, 2)), MomentContext.from_assignment(groups))
 
     def test_rejects_out_of_range_id(self, three_group_walk):
         path, groups = three_group_walk
         ctx = MomentContext.from_assignment(groups)
         with pytest.raises(ValueError, match="outside 1..3"):
-            combined_z_score([1], [4], path, groups, ctx)
+            combined_z_score([1], [4], count_edges(path, groups), ctx)
 
 
 class TestRelevanceReport:
@@ -126,7 +131,7 @@ class TestRelevanceReport:
         report = relevance_report(path, groups, combined=[([3, 2], [1])])
         assert list(report.combined) == [((2, 3), (1,))]
         ctx = MomentContext.from_assignment(groups)
-        signed, _ = combined_z_score([2, 3], [1], path, groups, ctx)
+        signed, _ = combined_z_score([2, 3], [1], count_edges(path, groups), ctx)
         assert report.combined[((2, 3), (1,))] == signed
 
     def test_grid_is_read_only(self):
