@@ -413,6 +413,8 @@ def _result_block(res) -> dict:
     if res.null_mean is not None:
         out["null_mean"] = res.null_mean
         out["null_sd"] = res.null_sd
+    if res.p_value_standard_error is not None:
+        out["p_value_standard_error"] = res.p_value_standard_error
     return out
 
 

@@ -7,26 +7,33 @@ form is written out in this module.  The weighted-sum test aggregates
 all between-group counts into a single asymptotically normal statistic,
 and the minimum test takes the smallest weighted centered count, whose
 null tail is a multivariate-normal orthant probability.  That orthant
-probability is computed natively by :func:`mvn_upper_tail`, a
-quasi-Monte-Carlo integrator using the separation-of-variables transform
-of Genz (reordered Cholesky plus a randomized Richtmyer lattice) that
-builds each lattice row as it integrates over it.  The reordering
-conditions all remaining variables at once at each step, and the
-lattice rows reuse a few preallocated buffers.  Its results are
-memoized in a bounded LRU cache keyed by the bytes of the marginalized
-Sigma, the thresholds and the integration settings, so the repeated
-thresholds of a power study integrate once.  The minimum test's level-
-alpha critical value is the root of that tail on the probit scale, found
-in two stages.  The pre-root needs no integration: it is the root of the
-second-order inclusion-exclusion lower bound B2 = S1 - S2, built from K
-normal CDFs and K(K-1)/2 bivariate normal CDFs in closed form (Owen's
-T).  Newton steps on the full-precision tail, with B2's slope, finish
-it; a step short enough, between two points the engine integrates with
-the same factor, ends it without a confirming integration, so a cold
-root takes one or two full-precision integrations (Brent's method on
-the full-precision tail, from a bracket the marginals give, should B2
-not reach alpha, its slope be unusable or the finish fail or leave the
-bracket).
+probability is computed natively by :func:`mvn_upper_tail`.  Up to
+three components, which covers k = 2 and the paper's k = 3 (K = 3
+pairs), it is exact and deterministic: a normal CDF, a bivariate one by
+Owen's T, or a trivariate one by Plackett's reduction to a one-
+dimensional integral, as Genz (Stat. Comput. 2004) computes it with
+adaptive Gauss-Legendre rules.  Beyond that it is a quasi-Monte-Carlo
+integrator using the separation-of-variables transform of Genz
+(reordered Cholesky plus a randomized Richtmyer lattice) that builds
+each lattice row as it integrates over it.  The reordering conditions
+all remaining variables at once at each step, and the lattice rows
+reuse a few preallocated buffers.  Its results are memoized in a
+bounded LRU cache keyed by the bytes of the marginalized Sigma, the
+thresholds and the integration settings, so the repeated thresholds of
+a power study integrate once.  The minimum test's level-alpha critical
+value is the root of that tail on the probit scale, found in two
+stages.  Beyond three pairs the pre-root needs no integration: it is
+the root of the second-order inclusion-exclusion lower bound B2 = S1 -
+S2, built from K normal CDFs and K(K-1)/2 bivariate normal CDFs in
+closed form (Owen's T); up to three it is the root of the exact tail.
+Newton steps on the full-precision tail, with B2's slope, finish it; a
+step short enough, between two points the engine integrates with the
+same factor, ends it without a confirming integration, so a cold root
+takes one or two full-precision integrations (Brent's method on the
+full-precision tail, from a bracket the marginals give, should B2 not
+reach alpha, its slope be unusable or the finish fail or leave the
+bracket).  On an exact tail the finish's first step is accepted, and
+the critical value is its root to about 1e-12.
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
 fallback.  Under the permutation null the labels along any fixed path
 form a uniform arrangement, so its reference draws arrangements of the
@@ -73,6 +80,22 @@ _MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys 
 _B2_GRID = 17  # points at which the pre-root scans the analytic bracket for B2's first crossing
 _ACCEPT_STEP = 1e-4  # Newton step small enough to stop at; see _min_critical
 _FINISH_STEPS = 10  # full-precision Newton steps before the root falls back to Brent's method
+_EXACT_MAX = 3  # components whose tail mvn_upper_tail computes exactly rather than integrating
+_EXACT_STEP = 1e-12  # root tolerance, and Newton step small enough to stop at, on exact tails
+# The positive nodes and their weights of the 10-point Gauss-Legendre rule on
+# [-1, 1], as scipy.special.roots_legendre(10) gives them; a table, because
+# computing the rule pages in about 1 MiB of eigensolver at import.
+_GL_X, _GL_W = np.array([
+    [0.14887433898163116, 0.4333953941292472, 0.6794095682990244, 0.8650633666889844,
+     0.9739065285171717],
+    [0.2955242247147533, 0.26926671930999674, 0.21908636251598224, 0.14945134915058053,
+     0.06667134430868714],
+])
+_GL_X = np.concatenate([1.0 - _GL_X[::-1], 1.0 + _GL_X]) / 2.0  # the trivariate integral's rule, on [0, 1]
+_GL_W = np.concatenate([_GL_W[::-1], _GL_W]) / 2.0
+_TVN_TOL = 1e-14  # error per unit length at which the trivariate integral stops halving
+_TVN_HALVINGS = 40  # rounds of halving before it keeps what it has
+_TVN_OPEN = 64  # intervals still open at which it keeps what it has
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,6 +181,8 @@ class TestResult:
 
     ``null_mean``/``null_sd`` are populated for the weighted-sum test
     only; the minimum test's null is not a single normal.
+    ``p_value_standard_error`` is populated for the minimum test only:
+    the standard error of its multivariate-normal tail.
     """
 
     statistic: float
@@ -168,6 +193,7 @@ class TestResult:
     alpha: float
     null_mean: Optional[float] = None
     null_sd: Optional[float] = None
+    p_value_standard_error: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 <= self.p_value <= 1.0):
@@ -347,20 +373,25 @@ def mvn_upper_tail(
     """P(Z > thresholds) for Z ~ N(0, sigma), componentwise strict.
 
     Components with threshold -inf are always satisfied and are
-    marginalized out before integration.  The remaining orthant
-    probability is evaluated by the separation-of-variables transform
-    over a randomized Richtmyer lattice; the point count doubles until
-    the shift-to-shift standard error meets ``error_target`` (at most
-    three doublings).  Each shift works on an (n - 1, points) array, one
-    contiguous row per variable, and builds lattice row i only when
-    variable i is reached.
+    marginalized out before integration.  Up to ``_EXACT_MAX`` remaining
+    components have an exact tail (:func:`_exact_tail`: a normal CDF, a
+    bivariate one by Owen's T, or a trivariate one by Plackett's
+    reduction), with a standard error of 0.0; the integration settings
+    do not reach it.  A larger orthant probability is evaluated by the
+    separation-of-variables transform over a randomized Richtmyer
+    lattice; the point count doubles until the shift-to-shift standard
+    error meets ``error_target`` (at most three doublings).  Each shift
+    works on an (n - 1, points) array, one contiguous row per variable,
+    and builds lattice row i only when variable i is reached.
 
     The integral is a pure function of the marginalized Sigma, the
     thresholds, ``n_points``, ``n_shifts``, ``error_target`` and
     ``seed``, so it is memoized: the last ``_MVN_MEMO_SIZE`` results are
     kept, keyed by copies of those inputs, and a repeated call returns
     the same ``(probability, standard_error)`` without integrating.  The
-    argument checks run on every call; a remembered call skips only the
+    argument checks run on every call, the positive-semidefinite one
+    with two or more components on the exact path and when the
+    integration is not remembered; a remembered call skips only the
     factorization and the integration.
 
     Parameters
@@ -395,34 +426,45 @@ def mvn_upper_tail(
     S = S[np.ix_(keep, keep)]
     t = t[keep]
     n = t.size
-    if n == 0:
-        return (1.0, 0.0) if full_output else 1.0
-    if n == 1:
-        p = float(ndtr(-t[0] / np.sqrt(S[0, 0]))) if S[0, 0] > 0 else float(t[0] < 0)
-        return (p, 0.0) if full_output else p
-    out = _orthant(S.tobytes(), t.tobytes(), int(n_points), int(n_shifts),
-                   float(error_target), int(seed))
-    return out if full_output else out[0]
+    if n > _EXACT_MAX:
+        out = _orthant(S.tobytes(), t.tobytes(), int(n_points), int(n_shifts),
+                       float(error_target), int(seed))
+        return out if full_output else out[0]
+    if n > 1:
+        _jittered(S)  # the check only: the exact tail is that of S itself
+    p = _exact_tail(S, t)
+    return (p, 0.0) if full_output else p
 
 
-def _factor(S: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reordered factor and limits that :func:`_orthant` integrates P(Z > t) with.
+def _jittered(S: np.ndarray) -> np.ndarray:
+    """S, or S + 1e-10 I if only that has a Cholesky factor.
 
-    A numerically indefinite Sigma gets a diagonal jitter of 1e-10 once
-    before it is rejected.  P(Z > t) = P(-Z < -t), the CDF of N(0, S) at
-    upper limits -t, which :func:`_reorder_cholesky` orders.
+    Raises ``LinAlgError`` when neither has one: Sigma is not positive
+    semidefinite within tolerance.
     """
     try:
         np.linalg.cholesky(S)
+        return S
     except np.linalg.LinAlgError:
-        S = S + 1e-10 * np.eye(t.size)
+        S = S + 1e-10 * np.eye(S.shape[0])
         try:
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "sigma is not positive semidefinite within tolerance"
             ) from exc
-    return _reorder_cholesky(S, -t)
+        return S
+
+
+def _factor(S: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reordered factor and limits that :func:`_orthant` integrates P(Z > t) with.
+
+    A numerically indefinite Sigma gets a diagonal jitter of 1e-10 once
+    before it is rejected (:func:`_jittered`).  P(Z > t) = P(-Z < -t),
+    the CDF of N(0, S) at upper limits -t, which
+    :func:`_reorder_cholesky` orders.
+    """
+    return _reorder_cholesky(_jittered(S), -t)
 
 
 @functools.lru_cache(maxsize=_MVN_MEMO_SIZE)
@@ -476,39 +518,7 @@ def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int, n_shift
 
 
 # --------------------------------------------------------------------------
-# Minimum test
-
-_CRIT_CACHE: dict[tuple, float] = {}
-
-
-def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray) -> float:
-    """P(min of weighted centered counts > x) under the null."""
-    return mvn_upper_tail(sigma_pos, x / w_pos)
-
-
-def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
-    """Root of the increasing ``g`` by Brent's method.
-
-    ``[lo, hi]`` is widened outward, in doubling steps, until ``g``
-    changes sign over it.
-    """
-    step = max(hi - lo, 1.0)
-    g_lo, g_hi = g(lo), g(hi)
-    for _ in range(60):
-        if g_lo < 0.0:
-            break
-        lo, step = lo - step, 2.0 * step
-        g_lo = g(lo)
-    else:
-        raise FloatingPointError("could not bracket the minimum-test critical value from below")
-    for _ in range(60):
-        if g_hi > 0.0:
-            break
-        hi, step = hi + step, 2.0 * step
-        g_hi = g(hi)
-    else:
-        raise FloatingPointError("could not bracket the minimum-test critical value from above")
-    return float(brentq(g, lo, hi, xtol=xtol))
+# Exact tails of up to three components
 
 
 def _owen_term(x: np.ndarray, y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -542,6 +552,152 @@ def _bvn_cdf(h, k, r) -> np.ndarray:
     out[inner] = (0.5 * (ndtr(h) + ndtr(k)) - _owen_term(h, k, r, c) - _owen_term(k, h, r, c)
                   - 0.5 * ((h < 0) != (k < 0)))
     return out
+
+
+def _plackett_term(x, theta, r_ac, r_bc: float, ha: float, hb, hc):
+    """2 pi dPhi3/dx through r_ab = sin(theta x), where r_ac is the other moving correlation at x.
+
+    Plackett (1954): dPhi3/dr_ab = phi2(ha, hb; r_ab) Phi(u), with u the
+    standardized limit hc of X_c given X_a = ha and X_b = hb.  The path's
+    dr_ab/dx = theta cos(theta x) cancels phi2's 1 / sqrt(1 - r_ab^2).
+    The determinant of the correlation matrix at x is written as
+    (1 - r_ab^2)(1 - r_bc^2) - (r_ac - r_ab r_bc)^2, which keeps its
+    relative precision as the matrix nears singularity.  Where it is 0,
+    Phi(u) is the step it tends to.
+    """
+    r = np.sin(theta * x)
+    rr = np.cos(theta * x) ** 2  # 1 - r_ab^2
+    gap = r_ac - r * r_bc
+    det = rr * ((1.0 - r_bc) * (1.0 + r_bc)) - gap * gap
+    num = hc * rr - ha * gap + hb * (r * r_ac - r_bc)
+    spread = det > 0
+    u = np.where(spread, num / np.sqrt(rr * np.where(spread, det, 1.0)), np.copysign(np.inf, num))
+    return theta * np.exp(-((ha - r * hb) ** 2 / rr + hb * hb) / 2.0) * ndtr(u)
+
+
+def _gauss_legendre(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``_GL_X`` rule for the integral of f over each [a_i, b_i], from one call of f."""
+    width = b - a
+    return f(a[:, None] + width[:, None] * _GL_X) @ _GL_W * width
+
+
+def _adaptive_integral(f) -> float:
+    """Integral of f over [0, 1] by Gauss-Legendre rules on halved intervals.
+
+    An interval is done when its rule and the sum of its halves' rules
+    differ by at most ``_TVN_TOL`` times its length; the halves' sum is
+    kept.  Each round evaluates f once, on the nodes of the halves of
+    every interval not yet done (the first also on [0, 1] itself).  The
+    halves' sums are kept as they stand after ``_TVN_HALVINGS`` rounds,
+    or once more than ``_TVN_OPEN`` intervals are not done, which bounds
+    the work where rounding keeps f from meeting the tolerance.
+    """
+    rules = _gauss_legendre(f, np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.5, 1.0]))
+    a, b, whole, halves = np.zeros(1), np.ones(1), rules[:1], rules[1:, None]
+    total = 0.0
+    for _ in range(_TVN_HALVINGS):
+        both = halves.sum(axis=0)
+        open_ = np.abs(both - whole) > _TVN_TOL * (b - a)
+        if not open_.any() or np.count_nonzero(open_) > _TVN_OPEN:
+            break
+        total += float(both[~open_].sum())
+        m = 0.5 * (a + b)
+        a, b = np.concatenate([a[open_], m[open_]]), np.concatenate([m[open_], b[open_]])
+        whole = halves[:, open_].ravel()
+        m = 0.5 * (a + b)
+        halves = _gauss_legendre(f, np.concatenate([a, m]), np.concatenate([m, b])).reshape(2, -1)
+    return total + float(halves.sum())
+
+
+def _tvn_cdf(h: np.ndarray, rho: np.ndarray) -> float:
+    """P(X <= h) for standard trivariate normal X with correlation matrix rho.
+
+    Plackett's reduction as Genz (2004) computes it.  The pair of
+    largest |r| becomes (2, 3) and keeps its correlation; r12 and r13 go
+    to 0 along r = sin(x asin r), x from 1 to 0, where variable 1 is
+    independent of the others.  So Phi3 = Phi(h1) Phi2(h2, h3; r23) plus
+    the integral over x in [0, 1] of the two ``_plackett_term``, over
+    2 pi.  In x the integrand has no 1 / sqrt(1 - r^2) singularity, and
+    ``_adaptive_integral`` resolves its sharp end on a nearly singular
+    rho.  At r23 = +-1, X3 = +-X2 and Phi3 is a bivariate CDF.
+    """
+    j, k = max(((0, 1), (0, 2), (1, 2)), key=lambda pair: abs(rho[pair]))
+    i = 3 - j - k
+    h1, h2, h3 = h[i], h[j], h[k]
+    r12, r13, r23 = rho[i, j], rho[i, k], rho[j, k]
+    if r23 >= 1.0:
+        return float(_bvn_cdf(h1, min(h2, h3), r12))
+    if r23 <= -1.0:
+        return float(_bvn_cdf(h1, h2, r12) - _bvn_cdf(h1, -h3, r12)) if h2 > -h3 else 0.0
+    # the terms of pairs (1, 2) and (1, 3), stacked on a leading axis
+    theta = np.arcsin([r12, r13])[:, None, None]
+    hb = np.array([h2, h3])[:, None, None]
+
+    def derivative(x):
+        return _plackett_term(x, theta, np.sin(theta[::-1] * x), r23, h1, hb, hb[::-1]).sum(axis=0)
+
+    return float(ndtr(h1) * _bvn_cdf(h2, h3, r23)) + _adaptive_integral(derivative) / (2.0 * np.pi)
+
+
+def _exact_tail(S: np.ndarray, t: np.ndarray) -> float:
+    """P(Z > t) for Z ~ N(0, S) with at most ``_EXACT_MAX`` components, without sampling.
+
+    A zero-variance component is the indicator t_i < 0.  The rest are
+    standardized: P(Z > t) = P(X <= h) with h = -t / sd, for standard
+    normal X with the correlations of S, clipped to [-1, 1].
+    """
+    spread = np.diag(S) > 0
+    if (t[~spread] >= 0).any():
+        return 0.0
+    S, t = S[np.ix_(spread, spread)], t[spread]
+    sd = np.sqrt(np.diag(S))
+    h = -t / sd
+    rho = np.clip(S / np.outer(sd, sd), -1.0, 1.0)
+    if h.size == 0:
+        p = 1.0
+    elif h.size == 1:
+        p = ndtr(h[0])
+    elif h.size == 2:
+        p = _bvn_cdf(h[0], h[1], rho[0, 1])
+    else:
+        p = _tvn_cdf(h, rho)
+    return min(max(float(p), 0.0), 1.0)
+
+
+# --------------------------------------------------------------------------
+# Minimum test
+
+_CRIT_CACHE: dict[tuple, float] = {}
+
+
+def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray) -> float:
+    """P(min of weighted centered counts > x) under the null."""
+    return mvn_upper_tail(sigma_pos, x / w_pos)
+
+
+def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
+    """Root of the increasing ``g`` by Brent's method.
+
+    ``[lo, hi]`` is widened outward, in doubling steps, until ``g``
+    changes sign over it.
+    """
+    step = max(hi - lo, 1.0)
+    g_lo, g_hi = g(lo), g(hi)
+    for _ in range(60):
+        if g_lo < 0.0:
+            break
+        lo, step = lo - step, 2.0 * step
+        g_lo = g(lo)
+    else:
+        raise FloatingPointError("could not bracket the minimum-test critical value from below")
+    for _ in range(60):
+        if g_hi > 0.0:
+            break
+        hi, step = hi + step, 2.0 * step
+        g_hi = g(hi)
+    else:
+        raise FloatingPointError("could not bracket the minimum-test critical value from above")
+    return float(brentq(g, lo, hi, xtol=xtol))
 
 
 def _second_order_bound(z, s: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,25 +753,25 @@ def _same_factor(sigma_pos: np.ndarray, w_pos: np.ndarray, za: float, zb: float)
     return np.array_equal(_factor(sigma_pos, za / w_pos)[0], _factor(sigma_pos, zb / w_pos)[0])
 
 
-def _newton_finish(g, z: float, slope: float, lo: float, hi: float, smooth) -> Optional[float]:
+def _newton_finish(g, z: float, slope: float, lo: float, hi: float, accept) -> Optional[float]:
     """Newton's method on ``g`` from z with a fixed slope, or None if it fails.
 
-    A step ends it when it is at most ``_ACCEPT_STEP`` and ``smooth(z,
-    z - step)`` holds.  It fails when a step leaves [lo, hi] or
-    ``_FINISH_STEPS`` steps do not end it.
+    A step from z to z - step ends it when ``accept(z, z - step)`` holds.
+    It fails when a step leaves [lo, hi] or ``_FINISH_STEPS`` steps do
+    not end it.
     """
     for _ in range(_FINISH_STEPS):
         step = g(z) / slope
         z, last = z - step, z
         if not lo <= z <= hi:  # also a step of +-inf, from a tail of exactly 0 or 1
             return None
-        if abs(step) <= _ACCEPT_STEP and smooth(last, z):
+        if accept(last, z):
             return z
     return None
 
 
 def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: tuple) -> float:
-    """Root z of 1 - P(min > z) = alpha: a B2 pre-root and a Newton finish; cached per config.
+    """Root z of 1 - P(min > z) = alpha: a pre-root and a Newton finish; cached per config.
 
     P(min <= z) is at least every marginal P(w_i Z_i <= z) and at most
     their sum, so with s_i = w_i sd(Z_i) the root lies in
@@ -629,6 +785,9 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
     root; it can also turn down again once S2 grows, so its first
     crossing of alpha from ``lo`` is taken (``_b2_pre_root``).
     Zero-variance pairs are left out of B2, which keeps it a lower bound.
+    Up to ``_EXACT_MAX`` pairs the tail itself is exact and increasing
+    (``_exact_tail``), so the pre-root is its root, by Brent's method on
+    the bracket to ``_EXACT_STEP``.
 
     The finish is Newton's method from z0 on the full-precision probit
     gap, ndtri(P(min <= z)) - ndtri(alpha), whose root is the same but
@@ -641,7 +800,10 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
     after a first step within one factor was at most 3.4e-3 of the step,
     so an accepted step lands within 3.4e-7 of the root.  A cold root at
     [50] * 10 and alpha 0.05 is then one full-precision integration, and
-    two or three where B2's root is farther off.
+    two or three where B2's root is farther off.  On an exact tail a
+    step ends the finish when it is at most ``_EXACT_STEP``, so the root
+    is that of the tail the p-values come from; from the exact pre-root
+    the first step does, and a cold root is one call of the engine.
 
     If B2 stays below alpha on the bracket, its slope is not finite and
     positive, or the finish leaves the bracket or takes
@@ -665,14 +827,26 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
     lo = float(s.max() * ndtri(alpha / s.size)) - pad
     hi = float(s.min() * ndtri(alpha)) + pad
     spread = sd > 0
-    rho = sigma_pos[np.ix_(spread, spread)] / np.outer(sd[spread], sd[spread])
-    pre = _b2_pre_root(s[spread], rho, alpha, lo, hi)
+    s, rho = s[spread], sigma_pos[np.ix_(spread, spread)] / np.outer(sd[spread], sd[spread])
+    if sigma_pos.shape[0] <= _EXACT_MAX:
+        z0 = brentq(lambda z: 1.0 - _exact_tail(sigma_pos, z / w_pos) - alpha, lo, hi,
+                    xtol=_EXACT_STEP)
+        pre = z0, float(_second_order_bound(z0, s, rho)[1]) / float(_norm_pdf(probit_alpha))
+        xtol = _EXACT_STEP
+
+        def accept(za, zb):
+            return abs(zb - za) <= _EXACT_STEP
+    else:
+        pre = _b2_pre_root(s, rho, alpha, lo, hi)
+        xtol = 1e-6
+
+        def accept(za, zb):
+            return abs(zb - za) <= _ACCEPT_STEP and _same_factor(sigma_pos, w_pos, za, zb)
     crit = None
     if pre is not None and 0.0 < pre[1] < np.inf:  # a nan, infinite or flat slope goes to Brent
-        crit = _newton_finish(g, *pre, lo, hi,
-                              lambda za, zb: _same_factor(sigma_pos, w_pos, za, zb))
+        crit = _newton_finish(g, *pre, lo, hi, accept)
     if crit is None:
-        crit = _bracketed_root(g, lo, hi, 1e-6)
+        crit = _bracketed_root(g, lo, hi, xtol)
     _CRIT_CACHE[key] = crit = float(crit)
     return crit
 
@@ -689,7 +863,8 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
     alpha root of the same tail function.  Raises ``ValueError`` when
     every positive-weight pair has zero null variance, as for sizes
     [1, 1], since the tail is then a step function with no level-alpha
-    root.
+    root.  ``p_value_standard_error`` is the engine's: 0.0 on an exact
+    tail, of at most ``_EXACT_MAX`` positive-weight pairs.
     """
     alpha = _check_alpha(alpha)
     _warn_singletons(ctx)
@@ -701,8 +876,8 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
     if (np.diag(sigma_pos) <= 0.0).all():
         raise ValueError("null variance of every positive-weight pair is zero; test is degenerate")
     w_pos = wvec[pos]
-    p = 1.0 - _min_tail(stat, sigma_pos, w_pos)
-    p = min(max(p, 0.0), 1.0)
+    tail, standard_error = mvn_upper_tail(sigma_pos, stat / w_pos, full_output=True)
+    p = min(max(1.0 - tail, 0.0), 1.0)
     key = (
         tuple(ctx.sizes.tolist()),
         tuple(w_pos.tolist()),
@@ -717,6 +892,7 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
         reject=bool(stat <= critical),
         method="minimum",
         alpha=alpha,
+        p_value_standard_error=standard_error,
     )
 
 

@@ -454,6 +454,23 @@ class TestTestCommand:
         counts = np.array(report["counts"])
         assert counts[np.triu_indices(2)].sum() == 19
 
+    def test_minimum_block_reports_its_standard_error(self, three_group_csv, tmp_path):
+        report = run_report(
+            ["test", "--input", str(three_group_csv), "--group-col", "g"], tmp_path
+        )
+        validate_schema(report)
+        ws, mn = report["results"]["weighted_sum"], report["results"]["minimum"]
+        assert mn["p_value_standard_error"] == 0.0  # K = 3 pairs: the exact tail
+        assert "p_value_standard_error" not in ws
+
+    def test_minimum_block_reports_the_engine_standard_error(self, tmp_path):
+        rng = np.random.default_rng(316)
+        labels = [g for g in "abcd" for _ in range(6)]
+        path = write_csv(tmp_path / "four.csv", labels, rng.normal(0.0, 1.0, (24, 3)))
+        report = run_report(["test", "--input", str(path), "--group-col", "g"], tmp_path)
+        validate_schema(report)
+        assert 0.0 < report["results"]["minimum"]["p_value_standard_error"] <= 1e-4
+
     def test_two_groups_tests_agree(self, two_group_csv, tmp_path):
         report = run_report(
             ["test", "--input", str(two_group_csv), "--group-col", "g"], tmp_path

@@ -432,7 +432,8 @@ class TestMinimumCriticalRoot:
 
     def test_cold_root_makes_few_mvn_calls(self, monkeypatch):
         # One call for the p-value and one Newton step from B2's root, both at
-        # the default (full-precision) settings.
+        # the default (full-precision) settings; the p-value's call asks for
+        # its standard error too.
         ctx = MomentContext([50] * 10)
         w = WeightMatrix.default(ctx)
         settings_used = []
@@ -446,17 +447,61 @@ class TestMinimumCriticalRoot:
         monkeypatch.setattr(inference, "mvn_upper_tail", counting)
         minimum_test(np.round(ctx.mean), w, ctx)
         assert len(settings_used) <= 2
-        assert not any(settings_used)
+        assert all(set(kwargs) <= {"full_output"} for kwargs in settings_used)
+
+    @pytest.mark.parametrize("sizes, zeroed", [([8, 13], []), ([20, 30, 40], [(1, 2)]),
+                                               ([20, 30, 40], []), ([2, 2, 60], [])])
+    def test_cold_exact_root_makes_one_mvn_call(self, monkeypatch, sizes, zeroed):
+        # Up to three pairs the pre-root is the root of the exact tail, so the
+        # finish's first step is accepted: the p-value and that step.
+        ctx = MomentContext(sizes)
+        w = WeightMatrix.default(ctx).with_zeroed_pairs(zeroed)
+        calls = []
+        engine = inference.mvn_upper_tail
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        monkeypatch.setattr(inference, "mvn_upper_tail",
+                            lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
+        minimum_test(np.round(ctx.mean), w, ctx)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("sizes, alpha", [([2, 2, 60], 0.1), ([8, 13, 5], 0.05),
+                                              ([20, 30, 40], 0.05)])
+    def test_exact_tail_is_monotone_through_the_root(self, monkeypatch, sizes, alpha):
+        # At K = 3 the tail does not rise anywhere over 200 points 1e-7 apart
+        # around the critical value, which is its level-alpha root.  (The
+        # engine's tail jumped up there by 8.5e-6 ([2, 2, 60]) and 1.6e-6
+        # ([8, 13, 5]) where its factor changed.)
+        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+        ctx = MomentContext(sizes)
+        w = WeightMatrix.default(ctx)
+        crit = minimum_test(np.round(ctx.mean), w, ctx, alpha=alpha).critical_value
+        sigma, wvec = build_sigma(ctx), w.vector()
+        tails = [mvn_upper_tail(sigma, z / wvec) for z in crit + 1e-7 * np.arange(-100, 100)]
+        assert np.diff(tails).max() <= 0.0
+        assert 1.0 - mvn_upper_tail(sigma, crit / wvec) == pytest.approx(alpha, abs=1e-12)
+
+    @pytest.mark.parametrize("sizes", [[8, 13], [20, 30, 40], [5, 7, 100, 3]])
+    def test_reports_the_tail_standard_error(self, sizes):
+        ctx = MomentContext(sizes)
+        w = WeightMatrix.default(ctx)
+        res = minimum_test(np.round(ctx.mean), w, ctx)
+        _, err = mvn_upper_tail(build_sigma(ctx), res.statistic / w.vector(), full_output=True)
+        assert res.p_value_standard_error == err
+        assert (err == 0.0) == (len(sizes) <= 3)  # exact up to K = 3 pairs
+        assert weighted_sum_test(np.round(ctx.mean), w, ctx).p_value_standard_error is None
 
     @pytest.mark.parametrize(
         "sizes, bisected, alpha",
         [
             ([50] * 10, -3.0516300, 0.05),
-            ([20, 30, 40], -2.1259151, 0.05),
+            # [20, 30, 40] (K = 3): roots of the exact tail.  Brent roots of the
+            # engine's tail at error_target=1e-9 (standard errors near 4e-7)
+            # were -2.1259120 and -2.7128046.
+            ([20, 30, 40], -2.1259095, 0.05),
             ([5, 7, 100, 3], -2.3852584, 0.05),
             # roots of the linear-scale tail function at alpha 0.01
             ([50] * 10, -3.5107415, 0.01),
-            ([20, 30, 40], -2.7128111, 0.01),
+            ([20, 30, 40], -2.7127968, 0.01),
             ([5, 7, 100, 3], -2.9335378, 0.01),
         ],
     )
@@ -532,7 +577,8 @@ class TestMinimumCriticalRoot:
 
     def test_guard_when_the_secant_does_not_converge(self, monkeypatch):
         # The factor seems to change at every step, so no step is accepted.
-        ctx = MomentContext([20, 30, 40])
+        # K = 6: up to K = 3 the tail is exact and no factor is compared.
+        ctx = MomentContext([20, 30, 40, 50])
         w = WeightMatrix.default(ctx)
         steps = []
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
@@ -580,7 +626,8 @@ class TestMinimumCriticalRoot:
                                      abs=1e-6)
 
     def test_guard_when_b2_stays_below_alpha(self, monkeypatch):
-        ctx = MomentContext([20, 30, 40])
+        # K = 6: up to K = 3 the pre-root is the exact tail's, not B2's.
+        ctx = MomentContext([5, 7, 100, 3])
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "_second_order_bound",
                             lambda z, s, rho: (np.zeros(np.shape(z)), np.ones(np.shape(z))))
@@ -646,7 +693,8 @@ class TestMinimumCriticalRoot:
     def test_raises_when_no_sign_change_is_found(self, monkeypatch):
         ctx = MomentContext([4, 5, 6])
         monkeypatch.setattr(inference, "_CRIT_CACHE", {})
-        monkeypatch.setattr(inference, "mvn_upper_tail", lambda s, t, **kw: 1.0)
+        monkeypatch.setattr(inference, "mvn_upper_tail",
+                            lambda s, t, full_output=False, **kw: (1.0, 0.0) if full_output else 1.0)
         with pytest.raises(FloatingPointError, match="from above"):
             minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx)
 

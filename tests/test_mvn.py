@@ -1,14 +1,17 @@
-"""Tests for the multivariate-normal upper-tail integrator.
+"""Tests for the multivariate-normal upper tail: exact up to three components, integrated beyond.
 
 Oracles: closed-form orthant probabilities in two and three dimensions,
-the independence product rule, plain Monte Carlo for a general
-correlated case, and the engine's earlier loops, kept here: the scalar
-variable reordering as ``reference_reorder`` and the per-shift
-integration on a (points, n - 1) lattice matrix as
-``reference_upper_tail``.  Each is checked on its own: the integration
-oracle factors with the production reorder, which the scalar loop pins
-separately, so a last-bit difference between the two reorders' factors
-never reaches the 1e-14 integration comparison.
+the independence product rule, interval probabilities for rank-1 and a
+quadrature over one latent variable for rank-2 covariances, scipy's bivariate
+CDF, plain Monte Carlo for a general correlated case, and the lattice
+engine's earlier loops, kept here: the scalar variable reordering as
+``reference_reorder`` and the per-shift integration on a (points, n - 1)
+lattice matrix as ``reference_upper_tail``.  Each is checked on its own:
+the integration oracle factors with the production reorder, which the
+scalar loop pins separately, so a last-bit difference between the two
+reorders' factors never reaches the 1e-14 integration comparison.  Up to
+three components ``mvn_upper_tail`` does not integrate, so the lattice
+engine is called as ``inference._orthant`` where it is the subject.
 """
 
 import sys
@@ -20,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr, ndtri
-from scipy.stats import norm
+from scipy.integrate import quad
+from scipy.special import ndtr, ndtri, roots_legendre
+from scipy.stats import multivariate_normal, norm
 
 from relevance_kit import inference
 from relevance_kit.inference import mvn_upper_tail
@@ -128,6 +132,43 @@ def reference_upper_tail(sigma, thresholds, *, n_points=10_000, n_shifts=12,
     return prob, err
 
 
+def orthant(sigma, thresholds, *, n_points=10_000, n_shifts=12, error_target=1e-4,
+            seed=20210802):
+    """The lattice engine's (P(Z > t), standard error), as mvn_upper_tail calls it beyond three components."""
+    S = np.asarray(sigma, dtype=np.float64)
+    t = np.asarray(thresholds, dtype=np.float64)
+    keep = ~np.isneginf(t)
+    return inference._orthant(S[np.ix_(keep, keep)].tobytes(), t[keep].tobytes(), int(n_points),
+                              int(n_shifts), float(error_target), int(seed))
+
+
+def rank_one_tail(a, t):
+    """P(a X > t) for standard normal X, an interval of X (every a_i nonzero)."""
+    lo = max([ti / ai for ai, ti in zip(a, t) if ai > 0], default=-np.inf)
+    hi = min([ti / ai for ai, ti in zip(a, t) if ai < 0], default=np.inf)
+    return max(float(ndtr(hi) - ndtr(lo)), 0.0)
+
+
+def rank_two_tail(A, t):
+    """P(A W > t) for W ~ N(0, I_2), by quadrature over W_1.
+
+    Given W_1 = w, the constraints bound W_2 to an interval.  The
+    integrand has kinks only where two of their bounds cross, which are
+    the quadrature's break points (every A[i, 1] nonzero).
+    """
+    crossings = [(A[j, 1] * t[i] - A[i, 1] * t[j]) / (A[j, 1] * A[i, 0] - A[i, 1] * A[j, 0])
+                 for i in range(len(t)) for j in range(i)]
+
+    def given(w):
+        bounds = (t - A[:, 0] * w) / A[:, 1]
+        lo = bounds[A[:, 1] > 0].max(initial=-np.inf)
+        hi = bounds[A[:, 1] < 0].min(initial=np.inf)
+        return norm.pdf(w) * max(float(ndtr(hi) - ndtr(lo)), 0.0)
+
+    points = sorted(w for w in crossings if -40.0 < w < 40.0)
+    return quad(given, -40.0, 40.0, points=points, epsabs=1e-14, limit=500)[0]
+
+
 def mc_upper_tail(sigma, t, reps, seed):
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(sigma)
@@ -166,6 +207,109 @@ class TestClosedFormOrthants:
         sigma = np.diag([1.0, 4.0])
         expected = ndtr(-0.5) * ndtr(1.0 / 2.0)
         assert_allclose(mvn_upper_tail(sigma, [0.5, -1.0]), expected, atol=2e-4)
+
+
+def correlated(r, sd=(1.0, 2.0, 0.5)):
+    """Covariance with correlations (r12, r13, r23) and standard deviations sd."""
+    R = np.eye(3)
+    R[0, 1], R[0, 2], R[1, 2] = r
+    R = np.triu(R) + np.triu(R, 1).T
+    return R * np.outer(sd, sd)
+
+
+def engine_problem(kind, seed):
+    """A 3 x 3 Sigma of the given kind and thresholds inside its bulk."""
+    rng = np.random.default_rng(seed)
+    if kind == "full rank":
+        A = rng.standard_normal((3, 3))
+        sigma = A @ A.T
+    elif kind == "rank 2":
+        A = rng.standard_normal((3, 2))
+        sigma = A @ A.T
+    else:  # |r| -> 1: one dominant direction and a little independent noise
+        a = rng.standard_normal(3)
+        sigma = np.outer(a, a) + 1e-8 * np.diag(rng.uniform(0.5, 1.5, 3))
+    return sigma, -np.sqrt(np.diag(sigma)) * rng.uniform(-1.0, 2.5, 3)
+
+
+class TestExactTails:
+    """Up to three components the tail is exact and its standard error is 0.0."""
+
+    @pytest.mark.parametrize("r", [(0.5, 0.3, 0.2), (-0.4, -0.3, -0.2), (0.9, -0.5, -0.2),
+                                   (0.0, 0.0, 0.7), (-0.45, -0.45, -0.1),
+                                   (0.999, 0.998, 0.9975)])
+    def test_zero_threshold_trivariate_orthant(self, r):
+        p, err = mvn_upper_tail(correlated(r), np.zeros(3), full_output=True)
+        assert err == 0.0
+        assert abs(p - (0.125 + np.arcsin(r).sum() / (4.0 * np.pi))) <= 1e-14
+
+    @pytest.mark.parametrize("variances, t", [([1.0, 4.0], [0.5, -1.0]),
+                                              ([1.0, 4.0, 0.25], [0.5, -1.0, 2.0]),
+                                              ([2.0, 0.5, 3.0], [-0.3, 0.0, 1.2])])
+    def test_independence_product(self, variances, t):
+        p, err = mvn_upper_tail(np.diag(variances), t, full_output=True)
+        assert err == 0.0
+        assert_allclose(p, np.prod(ndtr(-np.array(t) / np.sqrt(variances))), rtol=1e-14, atol=1e-16)
+
+    def test_zero_variance_component_is_an_indicator(self):
+        sigma = np.diag([2.0, 0.0, 1.0])
+        assert_allclose(mvn_upper_tail(sigma, [0.4, -1e-300, -0.2]),
+                        ndtr(-0.4 / np.sqrt(2.0)) * ndtr(0.2), rtol=1e-14)
+        assert mvn_upper_tail(sigma, [0.4, 0.0, -0.2]) == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.1, 10.0))
+    def test_rank_one_is_an_interval(self, seed, scale):
+        # The lattice engine integrates Sigma + 1e-10 I here (Cholesky fails),
+        # which moves such a tail by up to about 3e-9; the exact tail is that
+        # of Sigma itself.
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal(3)
+        t = np.abs(a) * rng.uniform(-1.5, 1.5, 3)
+        p, err = mvn_upper_tail(np.outer(a, a), t, full_output=True)
+        assert err == 0.0
+        assert abs(p - rank_one_tail(a, t)) <= 1e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_rank_two_matches_quadrature(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3, 2))
+        t = np.sqrt((A ** 2).sum(axis=1)) * rng.uniform(-1.5, 1.5, 3)
+        assert abs(mvn_upper_tail(A @ A.T, t) - rank_two_tail(A, t)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["full rank", "rank 2", "|r| -> 1"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_lattice_engine(self, kind, seed):
+        sigma, t = engine_problem(kind, seed)
+        p, err = mvn_upper_tail(sigma, t, full_output=True)
+        want, se = orthant(sigma, t, error_target=1e-8)
+        assert err == 0.0
+        assert abs(p - want) <= 4.0 * se + 1e-10
+
+    @pytest.mark.parametrize("r", [-0.95, -0.3, 0.0, 0.6, 0.999])
+    def test_bivariate_matches_scipy(self, r):
+        sigma = np.array([[2.0, r], [r, 0.5]])
+        joint = multivariate_normal([0.0, 0.0], sigma)
+        for t in ([0.0, 0.0], [1.3, -0.4], [-2.0, -1.5], [0.7, 2.1], [-0.2, 0.3]):
+            p, err = mvn_upper_tail(sigma, t, full_output=True)
+            assert err == 0.0
+            assert abs(p - joint.cdf(-np.array(t))) <= 1e-12
+
+    def test_settings_do_not_reach_the_exact_tail(self):
+        sigma = correlated((0.5, 0.3, 0.2))
+        t = [0.1, -0.2, 0.3]
+        assert mvn_upper_tail(sigma, t) == mvn_upper_tail(sigma, t, n_points=16, n_shifts=2,
+                                                          error_target=1.0, seed=7)
+
+    def test_gauss_legendre_table(self):
+        x, w = roots_legendre(10)
+        assert np.array_equal(inference._GL_X, (x + 1.0) / 2.0)
+        assert np.array_equal(inference._GL_W, w / 2.0)
+
+    def test_checks_positive_semidefiniteness(self):
+        with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+            mvn_upper_tail(correlated((0.9, 0.9, -0.9)), [0.0, 0.0, 0.0])
 
 
 class TestIndependenceProduct:
@@ -212,23 +356,23 @@ class TestLimitHandling:
         assert_allclose(mvn_upper_tail(sigma, [0.4, 0.4]), ndtr(-0.4), atol=5e-4)
 
 
+# Four components, so that mvn_upper_tail integrates
+SIGMA_4 = np.array([[1.0, 0.4, 0.1, 0.2], [0.4, 1.0, 0.3, -0.1],
+                    [0.1, 0.3, 1.0, 0.25], [0.2, -0.1, 0.25, 1.0]])
+T_4 = np.array([0.1, 0.2, -0.1, 0.3])
+
+
 class TestReproducibility:
     def test_same_seed_same_answer(self):
-        sigma = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.3], [0.1, 0.3, 1.0]])
-        t = [0.1, 0.2, -0.1]
-        assert mvn_upper_tail(sigma, t) == mvn_upper_tail(sigma, t)
+        assert mvn_upper_tail(SIGMA_4, T_4) == mvn_upper_tail(SIGMA_4, T_4)
 
     def test_default_call_matches_explicit_seed(self):
-        sigma = np.array([[1.0, 0.4], [0.4, 1.0]])
-        assert mvn_upper_tail(sigma, [0.0, 0.5]) == mvn_upper_tail(
-            sigma, [0.0, 0.5], seed=20210802
-        )
+        assert mvn_upper_tail(SIGMA_4, T_4) == mvn_upper_tail(SIGMA_4, T_4, seed=20210802)
 
     def test_full_output_error_is_small(self):
-        sigma = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.3], [0.1, 0.3, 1.0]])
-        p, err = mvn_upper_tail(sigma, [0.1, 0.2, -0.1], full_output=True)
+        p, err = mvn_upper_tail(SIGMA_4, T_4, full_output=True)
         assert 0.0 <= p <= 1.0
-        assert 0.0 <= err <= 1e-4
+        assert 0.0 < err <= 1e-4
 
 
 class TestInputValidation:
@@ -331,7 +475,7 @@ class TestAgainstReferenceLoop:
     @given(problem=orthant_problems())
     def test_matches_reference(self, problem):
         sigma, t, kw = problem
-        got = mvn_upper_tail(sigma, t, full_output=True, **kw)
+        got = orthant(sigma, t, **kw)
         want = reference_upper_tail(sigma, t, **kw)
         assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
@@ -343,8 +487,8 @@ class TestAgainstReferenceLoop:
 
 
 class TestMemo:
-    SIGMA = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.3], [0.1, 0.3, 1.0]])
-    T = np.array([0.1, 0.2, -0.1])
+    SIGMA = SIGMA_4
+    T = T_4
 
     @pytest.fixture
     def integrations(self, monkeypatch):
@@ -369,7 +513,7 @@ class TestMemo:
     @pytest.mark.parametrize(
         "change",
         [
-            dict(thresholds=np.array([0.1, 0.2, -0.2])),
+            dict(thresholds=np.array([0.1, 0.2, -0.2, 0.3])),
             dict(seed=1),
             dict(n_points=5_000),
             dict(n_shifts=10),

@@ -236,8 +236,9 @@ class TestEstimatePower:
         assert estimate_power(case, "gamma:1.0", "min", trials=50, seed=2) == serial
 
     def test_minimum_power_independent_of_threads_with_shared_memo(self, monkeypatch):
-        # Each run starts from an empty MVN memo and critical-value cache,
-        # so the threaded run integrates afresh while its workers share both.
+        # Each run starts from an empty MVN memo and critical-value cache.
+        # Case 5 has K = 3 pairs, so its tails are exact and the threaded
+        # run's workers share the critical-value cache alone.
         case = preset_case(5, d=20)
         powers = []
         for threads in ("1", "2"):
