@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 __all__ = [
     "gamma_cost",
@@ -33,6 +33,13 @@ __all__ = [
     "check_data_matrix",
     "check_cost_matrix",
 ]
+
+_STRIP_CELLS = 2 ** 18  # costs per row strip of the cost build, its checks and the path: 2 MiB
+
+
+def _strip_rows(n: int) -> int:
+    """Rows per strip of a block with ``n`` columns."""
+    return max(1, _STRIP_CELLS // n)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -47,10 +54,13 @@ def check_data_matrix(data) -> np.ndarray:
     """Validate and return an N x d data matrix as float64.
 
     Requires N >= 2 rows, d >= 1 columns, and finite entries.  Every
-    cost family builds an N x N float64 matrix from the N(N-1)/2
-    condensed costs, about 12 N^2 bytes; an N for which that exceeds
-    the machine's physical memory raises ``ValueError`` here, before
-    any of it is allocated.
+    cost family builds its N x N float64 matrix (8 N^2 bytes) in row
+    strips, and :func:`~relevance_kit.shp.approximate_shp` reads it in
+    strips too; measured at N = 600 to 4000, their working memory beyond
+    the matrix stays under three strips of ``_STRIP_CELLS`` costs.  An N
+    for which 8 N^2 bytes plus four strips (8 MiB) exceed the machine's
+    physical memory raises ``ValueError`` here, before any of it is
+    allocated.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -58,7 +68,7 @@ def check_data_matrix(data) -> np.ndarray:
     n, d = X.shape
     if n < 2 or d < 1:
         raise ValueError(f"data must have at least 2 rows and 1 column, got shape {X.shape}")
-    need, have = 12 * n * n, _physical_memory_bytes()
+    need, have = 8 * (n * n + 4 * _STRIP_CELLS), _physical_memory_bytes()
     if have is not None and need > have:
         raise ValueError(
             f"N={n} observations need about {need / 2**30:.1f} GiB for the cost matrix, "
@@ -77,18 +87,51 @@ def check_cost_matrix(costs) -> np.ndarray:
         raise ValueError(f"cost matrix must be square, got shape {C.shape}")
     if C.shape[0] < 2:
         raise ValueError("cost matrix needs at least 2 nodes")
-    if not np.isfinite(C).all():
+    rows = _strip_rows(C.shape[0])  # a strip's mask at a time, not an N x N one
+    if not all(np.isfinite(C[a : a + rows]).all() for a in range(0, C.shape[0], rows)):
         raise ValueError("cost matrix contains non-finite entries")
     return C
 
 
-def _finalize(condensed: np.ndarray, n: int) -> np.ndarray:
-    """Expand condensed pairwise costs to a full symmetric matrix.
+def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
+    """Symmetric N x N costs from ``metric`` on the rows of ``X``, built in row strips.
 
-    Each unordered pair is computed once and mirrored, so symmetry is
-    bit-exact and the diagonal is exactly zero.
+    ``finish(D, pairs)`` turns raw metric values ``D`` into costs in place;
+    ``pairs()`` returns the row and column indices (i < j) of ``D``'s
+    entries, broadcastable against it.  Pairs within a strip come from
+    ``pdist`` and pairs from a strip to every later row from ``cdist``,
+    whose rows equal ``pdist``'s bit for bit.  Each pair is computed once
+    and mirrored, so symmetry is bit-exact and the diagonal is exactly
+    zero.  Beyond the matrix, the working memory is under two strips of
+    ``_STRIP_CELLS`` costs; an N that fits in one strip takes a single
+    ``pdist`` and ``squareform``, as a plain condensed build would.
     """
-    C = squareform(condensed)
+    n = X.shape[0]
+    rows = _strip_rows(n)
+
+    def within(a: int, e: int) -> np.ndarray:
+        def pairs():
+            i, j = np.triu_indices(e - a, 1)
+            i += a
+            j += a
+            return i, j
+
+        D = pdist(X[a:e], metric, **kwargs)
+        finish(D, pairs)
+        return squareform(D)
+
+    if rows >= n:
+        C = within(0, n)
+    else:
+        C = np.empty((n, n))
+        for a in range(0, n, rows):
+            e = min(a + rows, n)
+            C[a:e, a:e] = within(a, e)
+            if e < n:
+                D = cdist(X[a:e], X[e:], metric, **kwargs)
+                finish(D, lambda: (np.arange(a, e)[:, None], np.arange(e, n)))
+                C[a:e, e:] = D
+                C[e:, a:e] = D.T
     C.setflags(write=False)
     return C
 
@@ -116,14 +159,16 @@ def gamma_cost(data, gamma: float) -> np.ndarray:
     if not (0.0 < gamma <= 2.0):
         raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
     X = check_data_matrix(data)
-    n, d = X.shape
+    scale = X.shape[1] ** (-1.0 / gamma)
+
+    def finish(D, pairs):
+        D *= scale
+
     if gamma == 2.0:
-        condensed = pdist(X, "euclidean")
-    elif gamma == 1.0:
-        condensed = pdist(X, "cityblock")
-    else:
-        condensed = pdist(X, "minkowski", p=gamma)
-    return _finalize(condensed * d ** (-1.0 / gamma), n)
+        return _strip_costs(X, finish, "euclidean")
+    if gamma == 1.0:
+        return _strip_costs(X, finish, "cityblock")
+    return _strip_costs(X, finish, "minkowski", p=gamma)
 
 
 def average_cost(data) -> np.ndarray:
@@ -135,10 +180,8 @@ def average_cost(data) -> np.ndarray:
     shifts separate the samples.
     """
     X = check_data_matrix(data)
-    n, d = X.shape
-    sums = X.sum(axis=1) / d
-    condensed = pdist(sums[:, None], "cityblock")
-    return _finalize(condensed, n)
+    sums = X.sum(axis=1) / X.shape[1]
+    return _strip_costs(sums[:, None], lambda D, pairs: None, "cityblock")
 
 
 def diff_augmented_cost(data) -> np.ndarray:
@@ -153,14 +196,19 @@ def diff_augmented_cost(data) -> np.ndarray:
     autocovariance structure, not just the mean.  Requires d >= 2.
     """
     X = check_data_matrix(data)
-    n, d = X.shape
+    d = X.shape[1]
     if d < 2:
         raise ValueError(f"diff_augmented_cost needs at least 2 features, got d={d}")
-    sq = pdist(X, "sqeuclidean")
     dot_sq = (np.diff(X, axis=1) ** 2).sum(axis=1)
-    iu, ju = np.triu_indices(n, 1)
-    condensed = np.sqrt((sq + dot_sq[iu] + dot_sq[ju]) / d)
-    return _finalize(condensed, n)
+
+    def finish(D, pairs):
+        i, j = pairs()
+        D += dot_sq[i]  # the sum in the order (sq + dot_sq[i]) + dot_sq[j]
+        D += dot_sq[j]
+        D /= d
+        np.sqrt(D, out=D)
+
+    return _strip_costs(X, finish, "sqeuclidean")
 
 
 @dataclass(frozen=True)

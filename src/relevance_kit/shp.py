@@ -16,10 +16,11 @@ fragments), scans it, prunes to the nodes still live, and repeats.
 Pruned edges could never be admitted later, and each block comes in
 the global (cost, i, j) order, so the path is the one a full sort
 gives, ties included.  On Gaussian data at N = 2000 the first block
-holds 8000 of the 2M edges and seven rounds finish the path.  The
-first round reads the cost matrix in place; its extra memory is one
-N x N bool mask and a copy of the N(N-1)/2 upper-triangle costs
-(4 MB and 16 MB at N = 2000, where the cost matrix is 32 MB).
+holds 8000 of the 2M edges and seven rounds finish the path.  Each
+round reads the live rows in strips of about 2**18 costs
+(``cost._STRIP_CELLS``), the first round as views of the cost matrix,
+so its extra memory is a few strips and the block (under 5 MB at
+N = 2000, where the cost matrix is 32 MB).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .cost import check_cost_matrix
+from .cost import _strip_rows, check_cost_matrix
 
 __all__ = ["approximate_shp", "brute_force_shp", "path_cost", "check_path"]
 
@@ -64,8 +65,9 @@ def approximate_shp(costs) -> np.ndarray:
     rejected whenever the full scan reached it, since degree 2 stays
     degree 2 and fragments only merge, and any pair still joining two
     fragments costs more than the last block, whose scan would have
-    admitted it.  The first round reads ``costs`` in place, using one
-    N x N bool mask and a copy of the N(N-1)/2 candidate costs.
+    admitted it.  Each round reads the live rows of ``costs`` in
+    strips, the first round in place, so beyond ``costs`` it holds a
+    few strips of ``cost._STRIP_CELLS`` costs and the block.
 
     Returns
     -------
@@ -128,17 +130,48 @@ def _candidate_block(C: np.ndarray, live: np.ndarray, roots: np.ndarray):
     ``roots`` their fragments.  The block holds every pair of live nodes
     in different fragments costing at most the
     ``_EDGES_PER_NODE * live.size``-th cheapest such pair.
+
+    The live rows are read in strips, with m = ``_EDGES_PER_NODE *
+    live.size``.  A pool keeps every candidate seen so far at or below
+    the running threshold, the m-th smallest of them; that threshold
+    only falls, so the pool ends holding exactly the block.  Until the
+    pool holds m candidates, a strip with more than m sets a first
+    threshold from its own values before its indices are taken: the
+    m-th smallest of any m candidates bounds the block's from above.
     """
-    sub = C if live.size == C.shape[0] else C[np.ix_(live, live)]
-    mask = np.triu(roots[:, None] != roots, 1)
     m = _EDGES_PER_NODE * live.size
-    if np.count_nonzero(mask) > m:
-        vals = sub[mask]
-        vals.partition(m - 1)
-        mask &= sub <= vals[m - 1]
-    i, j = np.nonzero(mask)
-    order = np.lexsort((j, i, sub[i, j]))
-    return live[i[order]], live[j[order]]
+    full = live.size == C.shape[0]
+    rows = _strip_rows(live.size)
+    thr = np.inf
+    ii = jj = np.empty(0, dtype=np.int64)
+    vv = np.empty(0)
+    for a in range(0, live.size - 1, rows):
+        e = min(a + rows, live.size - 1)
+        # row i = a + r against column j = a + 1 + c; only j > i, i.e. c >= r, is a pair
+        S = C[a:e, a + 1:] if full else C[np.ix_(live[a:e], live[a + 1:])]
+        mask = roots[a:e, None] != roots[a + 1:]
+        mask[:, : e - a] &= np.tri(e - a, dtype=bool).T
+        if thr == np.inf and np.count_nonzero(mask) > m:
+            # a first threshold from this strip alone, before taking its indices
+            vals = S[mask]
+            vals.partition(m - 1)
+            thr = vals[m - 1]
+            del vals
+        if thr < np.inf:
+            mask &= S <= thr
+        r, c = np.nonzero(mask)
+        if vv.size == 0:  # nothing pooled yet: no threshold, or one from this strip alone
+            ii, jj, vv = r + a, c + (a + 1), S[r, c]
+        elif r.size:
+            ii = np.concatenate((ii, r + a))
+            jj = np.concatenate((jj, c + (a + 1)))
+            vv = np.concatenate((vv, S[r, c]))
+            if vv.size > m:
+                thr = np.partition(vv, m - 1)[m - 1]
+                keep = vv <= thr
+                ii, jj, vv = ii[keep], jj[keep], vv[keep]
+    order = np.lexsort((jj, ii, vv))
+    return live[ii[order]], live[jj[order]]
 
 
 def _half_permutations(n: int) -> np.ndarray:

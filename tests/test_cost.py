@@ -1,8 +1,11 @@
 """Tests for the three edge-cost families and the assumption diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist, squareform
 
 from relevance_kit import cost
 from relevance_kit.cost import (
@@ -51,7 +54,7 @@ class TestGammaCost:
 
     def test_symmetric_and_zero_diagonal(self, rng):
         C = gamma_cost(rng.standard_normal((10, 4)), 1.3)
-        assert np.array_equal(C, C.T)  # mirrored from condensed form, so bit-exact
+        assert np.array_equal(C, C.T)  # each pair computed once and mirrored, so bit-exact
         assert np.array_equal(np.diag(C), np.zeros(10))
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, 2.5, np.nan])
@@ -133,13 +136,98 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="square"):
             check_cost_matrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("cells", [4, 2**18], ids=["one-row-strips", "one-strip"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cost_matrix_must_be_finite(self, monkeypatch, bad, cells):
+        monkeypatch.setattr(cost, "_STRIP_CELLS", cells)
+        C = np.zeros((4, 4))
+        C[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_cost_matrix(C)
+
     def test_integer_input_accepted(self):
         C = gamma_cost(np.array([[0, 0], [3, 4]]), 2.0)
         assert C[0, 1] == pytest.approx(5.0 / np.sqrt(2.0))
 
 
+FAMILIES = {
+    "gamma0.5": lambda X: gamma_cost(X, 0.5),
+    "gamma1": lambda X: gamma_cost(X, 1.0),
+    "gamma2": lambda X: gamma_cost(X, 2.0),
+    "average": average_cost,
+    "diff": diff_augmented_cost,
+}
+
+
+def condensed_oracle(X, family):
+    """The cost matrix from one ``pdist`` over all pairs and one ``squareform``."""
+    n, d = X.shape
+    if family == "average":
+        return squareform(pdist((X.sum(axis=1) / d)[:, None], "cityblock"))
+    if family == "diff":
+        sq = pdist(X, "sqeuclidean")
+        dot_sq = (np.diff(X, axis=1) ** 2).sum(axis=1)
+        iu, ju = np.triu_indices(n, 1)
+        return squareform(np.sqrt((sq + dot_sq[iu] + dot_sq[ju]) / d))
+    gamma, metric, kwargs = {
+        "gamma0.5": (0.5, "minkowski", {"p": 0.5}),
+        "gamma1": (1.0, "cityblock", {}),
+        "gamma2": (2.0, "euclidean", {}),
+    }[family]
+    return squareform(pdist(X, metric, **kwargs) * d ** (-1.0 / gamma))
+
+
+def strip_data(kind, n, d, rng):
+    if kind == "continuous":
+        return rng.standard_normal((n, d))
+    if kind == "tied_integer":
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    distinct = rng.standard_normal((max(1, n // 4), d))  # "duplicate_rows"
+    return distinct[rng.integers(0, len(distinct), size=n)]
+
+
+class TestStripBuilder:
+    """Strip-built cost matrices equal the one-pdist build bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 5, None], ids=["one-row", "ragged", "single"])
+    @pytest.mark.parametrize("kind", ["continuous", "tied_integer", "duplicate_rows"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bit_identical_to_condensed_build(self, monkeypatch, rng, family, kind, rows):
+        n = 23  # 5-row strips: four full and a ragged 3-row one
+        X = strip_data(kind, n, 6, rng)
+        monkeypatch.setattr(cost, "_STRIP_CELLS", n * rows if rows else 2**18)
+        C = FAMILIES[family](X)
+        assert np.array_equal(C, condensed_oracle(X, family))
+        assert np.array_equal(C, C.T)
+        assert not C.flags.writeable
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_multi_strip_at_default_strip_size(self, rng, family):
+        X = rng.standard_normal((700, 4))  # 374-row strips: two of them
+        assert cost._strip_rows(700) < 700
+        assert np.array_equal(FAMILIES[family](X), condensed_oracle(X, family))
+
+
+class TestStripMemory:
+    """Beyond its 8 N^2-byte result, a cost build holds a strip or two, not a condensed copy."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_peak_is_the_matrix_plus_strips(self, family):
+        n = 1500
+        X = np.random.default_rng(1).standard_normal((n, 3))
+        tracemalloc.start()
+        try:
+            C = FAMILIES[family](X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C.shape == (n, n)
+        # a condensed build holds 1.5x to 3x the matrix
+        assert peak <= 1.25 * 8 * n * n + 8 * cost._STRIP_CELLS
+
+
 class TestMemoryGuard:
-    """N whose ~12 N^2-byte cost matrix exceeds physical memory is refused up front."""
+    """N whose cost matrix and strips exceed physical memory is refused up front."""
 
     @pytest.mark.parametrize(
         "family",
@@ -147,7 +235,8 @@ class TestMemoryGuard:
         ids=["gamma", "average", "diff_augmented"],
     )
     def test_every_family_refuses_too_large_n(self, monkeypatch, family):
-        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: 12 * 100 * 100 - 1)
+        need = 8 * 100 * 100 + 4 * 8 * cost._STRIP_CELLS  # the matrix and four strips
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=r"N=100 observations need about .* GiB"):
             family(np.ones((100, 3)))
         assert family(np.ones((99, 3))).shape == (99, 99)

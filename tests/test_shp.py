@@ -1,6 +1,7 @@
 """Tests for the Hamiltonian-path heuristic and its exact oracle."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from relevance_kit import shp
-from relevance_kit.cost import check_cost_matrix, gamma_cost
+from relevance_kit import cost, shp
+from relevance_kit.cost import check_cost_matrix, diff_augmented_cost, gamma_cost
 from relevance_kit.shp import approximate_shp, brute_force_shp, check_path, path_cost
 
 
@@ -264,7 +265,38 @@ class TestMatchesFullSort:
         with mock.patch.object(shp, "_EDGES_PER_NODE", 1):  # many more, smaller rounds
             assert np.array_equal(approximate_shp(C), expected)
 
+    @pytest.mark.parametrize("cells", [1, 150, 2**18], ids=["one-row", "ragged", "single"])
+    @pytest.mark.parametrize(
+        "kind", ["continuous", "integer_ties", "duplicate_rows", "all_equal", "asymmetric"]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 41, 150])
+    def test_strips_keep_the_full_sort_path(self, monkeypatch, kind, n, cells):
+        # 150 cells: strips of 1 to 75 rows as the live set shrinks, most of them ragged
+        C = oracle_costs(kind, n, seed=n)
+        expected = full_sort_shp(C)
+        monkeypatch.setattr(cost, "_STRIP_CELLS", cells)
+        assert np.array_equal(approximate_shp(C), expected)
+        with mock.patch.object(shp, "_EDGES_PER_NODE", 1):
+            assert np.array_equal(approximate_shp(C), expected)
+
     def test_large_gamma_cost(self):
         X = np.random.default_rng(2000).normal(size=(2000, 20))
         C = gamma_cost(X, gamma=1.0)
         assert np.array_equal(approximate_shp(C), full_sort_shp(C))
+
+
+@pytest.mark.parametrize("family", ["gamma1", "diff"])
+def test_path_memory_is_a_few_strips(family):
+    """Beyond the cost matrix, a path holds a few strips, not an N x N copy."""
+    n = 1500
+    X = np.random.default_rng(1).standard_normal((n, 3))
+    C = gamma_cost(X, 1.0) if family == "gamma1" else diff_augmented_cost(X)
+    tracemalloc.start()
+    try:
+        p = approximate_shp(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    check_path(p, n)
+    # an N x N bool mask and the upper-triangle copy come to 0.8x of 8 N^2
+    assert peak <= 0.25 * 8 * n * n + 8 * cost._STRIP_CELLS
