@@ -782,7 +782,10 @@ class TestModuleEntryPoint:
 
 
 class TestImportGraph:
-    """The CLI never loads ``scipy.stats`` or ``scipy.signal``: every command pays an import.
+    """The CLI never loads ``scipy.stats``, ``scipy.signal`` or ``scipy.optimize``.
+
+    Every command pays its import; ``inference.brentq`` stands in for
+    scipy's, which would load linprog, HiGHS and ``scipy.fft``.
 
     Checked in a fresh interpreter, since pytest plugins may already have
     loaded scipy here; the small ``simulate`` run also catches an import
@@ -792,7 +795,7 @@ class TestImportGraph:
     PROBE = (
         "import contextlib, io, json, sys\n"
         "import relevance_kit.cli as cli\n"
-        "banned = ('scipy.stats', 'scipy.signal')\n"
+        "banned = ('scipy.stats', 'scipy.signal', 'scipy.optimize')\n"
         "after_import = [m for m in banned if m in sys.modules]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = cli.main(['simulate', '--case', '5', '--d', '20', '--trials', '50'])\n"

@@ -699,6 +699,108 @@ class TestMinimumCriticalRoot:
             minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx)
 
 
+def _brent_problems(family, seed, count=40):
+    """Seeded root problems of one family: (f, a, b) with a sign change on [a, b]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c, s = rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0)
+        a, b = c - rng.uniform(0.01, 10.0), c + rng.uniform(0.01, 10.0)
+        f = {
+            "tanh": lambda x, c=c, s=s: np.tanh(s * (x - c)),
+            "cubic": lambda x, c=c, s=s: (x - c) ** 3 + s * (x - c),
+            "exp": lambda x, c=c, s=s: np.expm1(s * (x - c)),
+            "flat": lambda x, c=c, s=s: min(max(s * (x - c), -1.0), 1.0),
+            "kinked": lambda x, c=c, s=s: np.copysign(abs(x - c) ** (s / 5.0), x - c),
+            "step": lambda x, c=c, s=s: -1.0 if x < c else s,
+            "stairs": lambda x, c=c, s=s: np.floor(s * (x - c)) + 0.5,
+        }[family]
+        yield f, a, b
+
+
+# k = 2 to 10, sizes down to 2, one dominant group
+BRENT_DESIGNS = [[8, 13], [2, 2, 60], [20, 30, 40], [5, 7, 100, 3], [5, 5, 5, 100],
+                 [16, 9, 45, 26], [3, 3, 3, 3, 200], [2] * 5, [2, 3, 4, 5, 6, 40], [3] * 10]
+
+
+class TestBrentq:
+    """``inference.brentq`` follows ``scipy.optimize.brentq`` step for step, to the last bit."""
+
+    @staticmethod
+    def traced(root, f, a, b, **kwargs):
+        """The root's hex digits and every point ``root`` evaluated ``f`` at."""
+        points = []
+        x = root(lambda t: points.append(t) or f(t), a, b, **kwargs)
+        return x.hex(), points
+
+    @pytest.mark.parametrize("family", ["tanh", "cubic", "exp", "flat", "kinked", "step", "stairs"])
+    def test_bit_identical_to_scipy(self, family):
+        for f, a, b in _brent_problems(family, seed=sum(map(ord, family))):
+            for xtol in (1e-12, 1e-10, 1e-6, 1e-3, 0.1):
+                for lo, hi in ((a, b), (b, a)):
+                    ours = self.traced(inference.brentq, f, lo, hi, xtol=xtol)
+                    assert ours == self.traced(brentq, f, lo, hi, xtol=xtol)
+
+    def test_good_step_bound_is_scipys(self):
+        # Here twice a trial step lies between 3 |sbis| - delta and
+        # 3 |sbis|, so the bound's "- delta" decides between it and a bisection.
+        f = lambda x: np.expm1(5.0 * (x + 0.19))  # noqa: E731
+        assert (self.traced(inference.brentq, f, -7.2, 0.4, xtol=0.1)
+                == self.traced(brentq, f, -7.2, 0.4, xtol=0.1))
+
+    @pytest.mark.parametrize("a, b, root", [(1.0, 3.0, 1.0), (-2.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+    def test_an_end_at_zero_is_the_root(self, a, b, root):
+        f = lambda x: x - 1.0  # noqa: E731
+        assert inference.brentq(f, a, b, xtol=1e-12) == root == brentq(f, a, b, xtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "f, a, b, kwargs, error, match",
+        [
+            (lambda x: x + 1.0, 0.0, 1.0, {}, ValueError, "different signs"),
+            (lambda x: x - 0.3, 0.0, np.nan, {}, ValueError, "NaN"),
+            (lambda x: np.nan if 0.2 < x < 0.4 else x - 0.3, 0.0, 1.0, {}, ValueError, "NaN"),
+            (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}, ValueError, "xtol too small"),
+            (lambda x: x - 0.3, 0.0, 1.0, {"xtol": -1e-3}, ValueError, "xtol too small"),
+            (lambda x: x - 0.3, 0.0, 1.0, {"rtol": np.finfo(float).eps}, ValueError,
+             "rtol too small"),
+            (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": -1}, ValueError, "maxiter"),
+            (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 3}, RuntimeError, "3 iterations"),
+            (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 0}, RuntimeError, "0 iterations"),
+        ],
+    )
+    def test_rejects_what_scipy_rejects(self, f, a, b, kwargs, error, match):
+        kwargs = {"xtol": 1e-12, **kwargs}
+        with pytest.raises(error, match=match):
+            inference.brentq(f, a, b, **kwargs)
+        with pytest.raises(error):
+            brentq(f, a, b, **kwargs)
+
+    @pytest.mark.parametrize(
+        "sizes, fallback",
+        [(sizes, False) for sizes in BRENT_DESIGNS]
+        + [(sizes, True) for sizes in BRENT_DESIGNS if len(sizes) <= 5],
+    )
+    def test_critical_values_match_scipy_roots(self, monkeypatch, sizes, fallback):
+        # Up to K = 3 pairs Brent roots the exact tail, beyond that B2; with
+        # the Newton finish failing, _bracketed_root roots the engine's tail
+        # (not at K = 15 and 45, where each of its steps is an integration).
+        ctx = MomentContext(sizes)
+        w = WeightMatrix.default(ctx)
+        if fallback:
+            monkeypatch.setattr(inference, "_newton_finish", lambda *args: None)
+        crits, port = {}, inference.brentq
+        for root in (brentq, port):
+            calls = []
+            monkeypatch.setattr(inference, "brentq",
+                                lambda *a, root=root, **kw: calls.append(1) or root(*a, **kw))
+            for alpha in (0.01, 0.05, 0.1):
+                monkeypatch.setattr(inference, "_CRIT_CACHE", {})
+                crits[root, alpha] = minimum_test(np.round(ctx.mean), w, ctx,
+                                                  alpha=alpha).critical_value
+            assert len(calls) == 3 * (1 + fallback)
+        for alpha in (0.01, 0.05, 0.1):
+            assert crits[port, alpha] == crits[brentq, alpha]
+
+
 class TestSecondOrderBound:
     """The closed-form bivariate CDF and the bound B2 = S1 - S2 built from it."""
 
