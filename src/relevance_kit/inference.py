@@ -32,11 +32,8 @@ same factor, ends it without a confirming integration, so a cold root
 takes one or two full-precision integrations (Brent's method on the
 full-precision tail, from a bracket the marginals give, should B2 not
 reach alpha, its slope be unusable or the finish fail or leave the
-bracket).  Brent's method is :func:`brentq`, transcribed from scipy's C
-loop so that its roots are bit-identical, which keeps
-``scipy.optimize`` out of the import.  On an exact tail the finish's
-first step is accepted, and the critical value is its root to about
-1e-12.
+bracket).  On an exact tail the finish's first step is accepted, and
+the critical value is its root to about 1e-12.
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
 fallback.  Under the permutation null the labels along any fixed path
 form a uniform arrangement, so its reference draws arrangements of the
@@ -85,7 +82,8 @@ _ACCEPT_STEP = 1e-4  # Newton step small enough to stop at; see _min_critical
 _FINISH_STEPS = 10  # full-precision Newton steps before the root falls back to Brent's method
 _EXACT_MAX = 3  # components whose tail mvn_upper_tail computes exactly rather than integrating
 _EXACT_STEP = 1e-12  # root tolerance, and Newton step small enough to stop at, on exact tails
-_BRENT_RTOL = 4 * float(np.finfo(np.float64).eps)  # brentq's least and default rtol, as scipy's
+_BRENT_RTOL = 4 * float(np.finfo(np.float64).eps)  # brentq's relative tolerance, scipy's default
+_BRENT_MAXITER = 100  # brentq's iterations before it gives up, scipy's default
 # The positive nodes and their weights of the 10-point Gauss-Legendre rule on
 # [-1, 1], as scipy.special.roots_legendre(10) gives them; a table, because
 # computing the rule pages in about 1 MiB of eigensolver at import.
@@ -679,28 +677,24 @@ def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray) -> float:
     return mvn_upper_tail(sigma_pos, x / w_pos)
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """A root of ``f`` between a and b by Brent's method, as ``scipy.optimize.brentq``'s.
 
     The loop transcribes scipy's ``Zeros/brentq.c`` line for line: the
     same sign tests, the same interpolate, extrapolate and bisect
     branches and the same order of floating-point operations, so it
     evaluates ``f`` at the same points and returns a bit-identical
-    root.  It keeps scipy's checks too: ``xtol <= 0``, ``rtol`` below
-    4 eps, a negative ``maxiter``, a NaN value of ``f`` and ends whose
+    root.  The relative tolerance and the iteration limit are scipy's
+    defaults (``_BRENT_RTOL``, ``_BRENT_MAXITER``).  It keeps scipy's
+    checks too: ``xtol <= 0``, a NaN value of ``f`` and ends whose
     values have the same sign raise ValueError, running out of
     iterations raises RuntimeError, and an end where ``f`` is exactly 0
     is the root.  Importing ``scipy.optimize`` for it would add about
     11 MiB and 0.1 s (linprog, HiGHS, ``scipy.fft``) to every CLI
     command.
     """
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
 
     def value(x: float) -> float:
         fx = float(f(x))
@@ -718,14 +712,14 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -751,15 +745,14 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
-    """Root of the increasing ``g`` by Brent's method (``brentq``).
+    """Root of the increasing ``g`` by Brent's method.
 
     ``[lo, hi]`` is widened outward, in doubling steps, until ``g``
-    changes sign over it.  ``brentq`` is the in-module transcription of
-    scipy's, so the root is bit-identical to ``scipy.optimize.brentq``'s.
+    changes sign over it.
     """
     step = max(hi - lo, 1.0)
     g_lo, g_hi = g(lo), g(hi)
@@ -777,7 +770,7 @@ def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
         g_hi = g(hi)
     else:
         raise FloatingPointError("could not bracket the minimum-test critical value from above")
-    return float(brentq(g, lo, hi, xtol=xtol))
+    return brentq(g, lo, hi, xtol=xtol)
 
 
 def _second_order_bound(z, s: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -810,9 +803,8 @@ def _b2_pre_root(s: np.ndarray, rho: np.ndarray, alpha: float, lo: float, hi: fl
 
     B2 is scanned at ``_B2_GRID`` points from ``lo``, where B2 <= S1 <
     alpha, and Brent's method refines the first interval that ends above
-    alpha, with the in-module ``brentq`` (bit-identical to
-    ``scipy.optimize.brentq``).  Returns None when B2 stays at or below
-    alpha on the whole scan.
+    alpha.  Returns None when B2 stays at or below alpha on the whole
+    scan.
     """
     grid = np.linspace(lo, hi, _B2_GRID)
     above = _second_order_bound(grid, s, rho)[0] > alpha
@@ -868,9 +860,7 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
     Zero-variance pairs are left out of B2, which keeps it a lower bound.
     Up to ``_EXACT_MAX`` pairs the tail itself is exact and increasing
     (``_exact_tail``), so the pre-root is its root, by Brent's method on
-    the bracket to ``_EXACT_STEP``.  Every Brent root here is the
-    in-module ``brentq``, a transcription of scipy's that returns
-    bit-identical roots without loading ``scipy.optimize``.
+    the bracket to ``_EXACT_STEP``.
 
     The finish is Newton's method from z0 on the full-precision probit
     gap, ndtri(P(min <= z)) - ndtri(alpha), whose root is the same but

@@ -784,12 +784,9 @@ class TestModuleEntryPoint:
 class TestImportGraph:
     """The CLI never loads ``scipy.stats``, ``scipy.signal`` or ``scipy.optimize``.
 
-    Every command pays its import; ``inference.brentq`` stands in for
-    scipy's, which would load linprog, HiGHS and ``scipy.fft``.
-
-    Checked in a fresh interpreter, since pytest plugins may already have
-    loaded scipy here; the small ``simulate`` run also catches an import
-    placed inside a function.
+    Every command pays an import.  Checked in a fresh interpreter, since
+    pytest plugins may already have loaded scipy here; the small
+    ``simulate`` run also catches an import placed inside a function.
     """
 
     PROBE = (

@@ -524,11 +524,11 @@ class TestMinimumCriticalRoot:
 
     @staticmethod
     def count_brentq(monkeypatch):
-        calls = []
+        calls, port = [], inference.brentq
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return brentq(*args, **kwargs)
+            return port(*args, **kwargs)
 
         monkeypatch.setattr(inference, "brentq", counting)
         return calls
@@ -753,26 +753,29 @@ class TestBrentq:
         assert inference.brentq(f, a, b, xtol=1e-12) == root == brentq(f, a, b, xtol=1e-12)
 
     @pytest.mark.parametrize(
-        "f, a, b, kwargs, error, match",
+        "f, a, b, xtol, match",
         [
-            (lambda x: x + 1.0, 0.0, 1.0, {}, ValueError, "different signs"),
-            (lambda x: x - 0.3, 0.0, np.nan, {}, ValueError, "NaN"),
-            (lambda x: np.nan if 0.2 < x < 0.4 else x - 0.3, 0.0, 1.0, {}, ValueError, "NaN"),
-            (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}, ValueError, "xtol too small"),
-            (lambda x: x - 0.3, 0.0, 1.0, {"xtol": -1e-3}, ValueError, "xtol too small"),
-            (lambda x: x - 0.3, 0.0, 1.0, {"rtol": np.finfo(float).eps}, ValueError,
-             "rtol too small"),
-            (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": -1}, ValueError, "maxiter"),
-            (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 3}, RuntimeError, "3 iterations"),
-            (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 0}, RuntimeError, "0 iterations"),
+            (lambda x: x + 1.0, 0.0, 1.0, 1e-12, "different signs"),
+            (lambda x: x - 0.3, 0.0, np.nan, 1e-12, "NaN"),
+            (lambda x: np.nan if 0.2 < x < 0.4 else x - 0.3, 0.0, 1.0, 1e-12, "NaN"),
+            (lambda x: x - 0.3, 0.0, 1.0, 0.0, "xtol too small"),
+            (lambda x: x - 0.3, 0.0, 1.0, -1e-3, "xtol too small"),
         ],
     )
-    def test_rejects_what_scipy_rejects(self, f, a, b, kwargs, error, match):
-        kwargs = {"xtol": 1e-12, **kwargs}
-        with pytest.raises(error, match=match):
-            inference.brentq(f, a, b, **kwargs)
-        with pytest.raises(error):
-            brentq(f, a, b, **kwargs)
+    def test_rejects_what_scipy_rejects(self, f, a, b, xtol, match):
+        with pytest.raises(ValueError, match=match):
+            inference.brentq(f, a, b, xtol=xtol)
+        with pytest.raises(ValueError):
+            brentq(f, a, b, xtol=xtol)
+
+    @pytest.mark.parametrize("maxiter", [0, 3])
+    def test_gives_up_where_scipy_does(self, monkeypatch, maxiter):
+        f = lambda x: x ** 3 - 2.0  # noqa: E731
+        monkeypatch.setattr(inference, "_BRENT_MAXITER", maxiter)
+        with pytest.raises(RuntimeError, match=f"{maxiter} iterations"):
+            inference.brentq(f, 0.0, 2.0, xtol=1e-12)
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 2.0, xtol=1e-12, maxiter=maxiter)
 
     @pytest.mark.parametrize(
         "sizes, fallback",
