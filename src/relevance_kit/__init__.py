@@ -24,6 +24,7 @@ from .counts import GroupAssignment, count_between_unions, count_edges
 from .inference import (
     TestResult,
     WeightMatrix,
+    minimum_critical_value,
     minimum_statistic,
     minimum_test,
     mvn_upper_tail,
@@ -73,6 +74,7 @@ __all__ = [
     "weighted_sum_test",
     "minimum_statistic",
     "minimum_test",
+    "minimum_critical_value",
     "mvn_upper_tail",
     "permutation_pvalue",
     # relevance

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .cost import validate_assumptions
 from .counts import GroupAssignment, count_edges
 from .inference import (
     WeightMatrix,
+    minimum_critical_value,
     minimum_test,
     permutation_pvalue,
     weighted_sum_test,
@@ -447,7 +448,9 @@ def cmd_test(dataset: InputDataset, config: RunConfig) -> dict:
     if run_ws:
         results["weighted_sum"] = _result_block(weighted_sum_test(table, w, ctx, config.alpha))
     if run_min:
-        results["minimum"] = _result_block(minimum_test(table, w, ctx, config.alpha))
+        res = minimum_test(table, w, ctx, config.alpha)
+        critical = minimum_critical_value(w, ctx, config.alpha)  # reported, not used to decide
+        results["minimum"] = _result_block(replace(res, critical_value=critical))
     if perm_B is not None:
         perm = permutation_pvalue(table, w, ctx, perm_B, config.seed)
         results["permutation"] = {

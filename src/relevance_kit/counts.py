@@ -100,6 +100,14 @@ def count_edges(path, assignment: GroupAssignment) -> np.ndarray:
     return table
 
 
+def check_table(table, k: int) -> np.ndarray:
+    """``table`` as a k x k float64 array (counts convert exactly)."""
+    t = np.asarray(table, dtype=np.float64)
+    if t.shape != (k, k):
+        raise ValueError(f"count table shape {t.shape} does not match k={k}")
+    return t
+
+
 def union_ids(groups_a, groups_b, k: int) -> tuple[list[int], list[int]]:
     """Sorted distinct 1-based ids of two non-empty, disjoint unions of groups 1..k."""
     a = sorted(set(int(g) for g in groups_a))

@@ -20,8 +20,10 @@ all remaining variables at once at each step, and the lattice rows
 reuse a few preallocated buffers.  Its results are memoized in a
 bounded LRU cache keyed by the bytes of the marginalized Sigma, the
 thresholds and the integration settings, so the repeated thresholds of
-a power study integrate once.  The minimum test's level-alpha critical
-value is the root of that tail on the probit scale, found in two
+a power study integrate once.  Both tests decide by their p-value
+(``TestResult.reject`` is ``p_value <= alpha``).  The minimum test's
+critical value, only reported, is :func:`minimum_critical_value`: the
+level-alpha root of that tail on the probit scale, found in two
 stages.  Beyond three pairs the pre-root needs no integration: it is
 the root of the second-order inclusion-exclusion lower bound B2 = S1 -
 S2, built from K normal CDFs and K(K-1)/2 bivariate normal CDFs in
@@ -60,7 +62,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
-from .counts import count_edges, tabulate  # noqa: F401 -- perfbench/tracing.py wraps inference.count_edges
+from .counts import check_table, tabulate
+from .counts import count_edges  # noqa: F401 -- perfbench/tracing.py wraps inference.count_edges
 from .moments import MomentContext, build_sigma
 
 __all__ = [
@@ -70,6 +73,7 @@ __all__ = [
     "weighted_sum_test",
     "minimum_statistic",
     "minimum_test",
+    "minimum_critical_value",
     "build_sigma",
     "mvn_upper_tail",
     "permutation_pvalue",
@@ -179,18 +183,18 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one hypothesis test.
+    """Outcome of one hypothesis test; ``reject`` is ``p_value <= alpha``.
 
-    ``null_mean``/``null_sd`` are populated for the weighted-sum test
-    only; the minimum test's null is not a single normal.
+    ``null_mean``/``null_sd``/``critical_value`` are populated for the
+    weighted-sum test only; the minimum test's null is not a single
+    normal, and its critical value is :func:`minimum_critical_value`.
     ``p_value_standard_error`` is populated for the minimum test only:
     the standard error of its multivariate-normal tail.
     """
 
     statistic: float
     p_value: float
-    critical_value: float
-    reject: bool
+    critical_value: Optional[float]
     method: str
     alpha: float
     null_mean: Optional[float] = None
@@ -200,6 +204,10 @@ class TestResult:
     def __post_init__(self):
         if not (0.0 <= self.p_value <= 1.0):
             raise ValueError(f"p_value {self.p_value} outside [0, 1]")
+
+    @property
+    def reject(self) -> bool:
+        return bool(self.p_value <= self.alpha)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -217,13 +225,6 @@ def _warn_singletons(ctx: MomentContext) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def _check_table(table, k: int) -> np.ndarray:
-    t = np.asarray(table, dtype=np.float64)
-    if t.shape != (k, k):
-        raise ValueError(f"count table shape {t.shape} does not match k={k}")
-    return t
 
 
 def _check_k(w: WeightMatrix, ctx: MomentContext) -> None:
@@ -247,7 +248,7 @@ def _minima(counts: np.ndarray, wvec: np.ndarray, mean: np.ndarray) -> np.ndarra
 
 def weighted_sum_statistic(table, w: WeightMatrix) -> float:
     """Sum over pairs m < l of w[m][l] * counts[m][l]."""
-    t = _check_table(table, w.k)
+    t = check_table(table, w.k)
     iu, ju = _pairs(w.k)
     return float(_weighted_sums(t[iu, ju], w.vector()))
 
@@ -257,8 +258,8 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
 
     The null mean and variance come from the closed-form moments (the
     variance is the full quadratic form over the pair covariance
-    matrix, not a sum of marginal variances).  Rejects when the
-    statistic falls below ``null_mean - z_alpha * null_sd``.
+    matrix, not a sum of marginal variances).  The critical value
+    ``null_mean + ndtri(alpha) * null_sd`` is where the p-value is alpha.
     """
     alpha = _check_alpha(alpha)
     _check_k(w, ctx)
@@ -276,7 +277,6 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
         statistic=stat,
         p_value=p,
         critical_value=critical,
-        reject=bool(stat < critical),
         method="weighted_sum",
         alpha=alpha,
         null_mean=null_mean,
@@ -287,7 +287,7 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
 def minimum_statistic(table, w: WeightMatrix, ctx: MomentContext) -> float:
     """Smallest weighted centered count over pairs with positive weight."""
     _check_k(w, ctx)
-    t = _check_table(table, w.k)
+    t = check_table(table, w.k)
     iu, ju = _pairs(w.k)
     return float(_minima(t[iu, ju], w.vector(), ctx.pair_mean))
 
@@ -669,8 +669,6 @@ def _exact_tail(S: np.ndarray, t: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # Minimum test
 
-_CRIT_CACHE: dict[tuple, float] = {}
-
 
 def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray) -> float:
     """P(min of weighted centered counts > x) under the null."""
@@ -843,8 +841,8 @@ def _newton_finish(g, z: float, slope: float, lo: float, hi: float, accept) -> O
     return None
 
 
-def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: tuple) -> float:
-    """Root z of 1 - P(min > z) = alpha: a pre-root and a Newton finish; cached per config.
+def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float) -> float:
+    """Root z of 1 - P(min > z) = alpha: a pre-root and a Newton finish.
 
     P(min <= z) is at least every marginal P(w_i Z_i <= z) and at most
     their sum, so with s_i = w_i sd(Z_i) the root lies in
@@ -884,8 +882,6 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
     of the full-precision gap instead, widening the bracket outward until
     the gap changes sign.
     """
-    if key in _CRIT_CACHE:
-        return _CRIT_CACHE[key]
     probit_alpha = float(ndtri(alpha))
     values = {}
 
@@ -920,8 +916,22 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float, key: t
         crit = _newton_finish(g, *pre, lo, hi, accept)
     if crit is None:
         crit = _bracketed_root(g, lo, hi, xtol)
-    _CRIT_CACHE[key] = crit = float(crit)
-    return crit
+    return float(crit)
+
+
+def _positive_pairs(w: WeightMatrix, ctx: MomentContext) -> tuple[np.ndarray, np.ndarray]:
+    """Null covariance and weights of the positive-weight pairs.
+
+    Raises ``ValueError`` when all of them have zero null variance, as
+    for sizes [1, 1]: the tail is then a step with no level-alpha root.
+    """
+    _check_k(w, ctx)
+    wvec = w.vector()
+    pos = wvec > 0
+    sigma_pos = build_sigma(ctx)[np.ix_(pos, pos)]
+    if (np.diag(sigma_pos) <= 0.0).all():
+        raise ValueError("null variance of every positive-weight pair is zero; test is degenerate")
+    return sigma_pos, wvec[pos]
 
 
 def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05) -> TestResult:
@@ -931,42 +941,31 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
     covariance of the positive-weight counts: the minimum exceeds x
     exactly when every weighted coordinate does, and dividing by the
     (positive) weights moves the comparison onto the raw-count scale.
-    Zero-weight pairs impose no constraint and are dropped.  Rejects
-    when the statistic is at or below the critical value, the level-
-    alpha root of the same tail function.  Raises ``ValueError`` when
-    every positive-weight pair has zero null variance, as for sizes
-    [1, 1], since the tail is then a step function with no level-alpha
-    root.  ``p_value_standard_error`` is the engine's: 0.0 on an exact
-    tail, of at most ``_EXACT_MAX`` positive-weight pairs.
+    Zero-weight pairs impose no constraint and are dropped.  It finds no
+    root, so ``critical_value`` is None.  Raises ``ValueError`` on a
+    degenerate null (``_positive_pairs``).  ``p_value_standard_error``
+    is the engine's: 0.0 on an exact tail, of at most ``_EXACT_MAX``
+    positive-weight pairs.
     """
     alpha = _check_alpha(alpha)
     _warn_singletons(ctx)
     stat = minimum_statistic(table, w, ctx)
-    wvec = w.vector()
-    pos = wvec > 0
-    sigma = build_sigma(ctx)
-    sigma_pos = sigma[np.ix_(pos, pos)]
-    if (np.diag(sigma_pos) <= 0.0).all():
-        raise ValueError("null variance of every positive-weight pair is zero; test is degenerate")
-    w_pos = wvec[pos]
+    sigma_pos, w_pos = _positive_pairs(w, ctx)
     tail, standard_error = mvn_upper_tail(sigma_pos, stat / w_pos, full_output=True)
-    p = min(max(1.0 - tail, 0.0), 1.0)
-    key = (
-        tuple(ctx.sizes.tolist()),
-        tuple(w_pos.tolist()),
-        tuple(np.flatnonzero(pos).tolist()),
-        alpha,
-    )
-    critical = _min_critical(sigma_pos, w_pos, alpha, key)
     return TestResult(
         statistic=stat,
-        p_value=p,
-        critical_value=critical,
-        reject=bool(stat <= critical),
+        p_value=min(max(1.0 - tail, 0.0), 1.0),
+        critical_value=None,
         method="minimum",
         alpha=alpha,
         p_value_standard_error=standard_error,
     )
+
+
+def minimum_critical_value(w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05) -> float:
+    """Where :func:`minimum_test`'s p-value is alpha (``_min_critical``), afresh on every call."""
+    alpha = _check_alpha(alpha)
+    return _min_critical(*_positive_pairs(w, ctx), alpha)
 
 
 # --------------------------------------------------------------------------
@@ -994,7 +993,7 @@ def permutation_pvalue(table, w: WeightMatrix, ctx: MomentContext, B: int, seed:
     _check_k(w, ctx)
     k, N = ctx.n_groups, ctx.total
     iu, ju = _pairs(k)
-    observed = _check_table(table, k)[iu, ju]
+    observed = check_table(table, k)[iu, ju]
     wvec = w.vector()
     mean = ctx.pair_mean
     statistics = {

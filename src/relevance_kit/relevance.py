@@ -17,17 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import GroupAssignment, count_edges, union_ids
+from .counts import GroupAssignment, check_table, count_edges, union_ids
 from .moments import MomentContext
 
 __all__ = ["RelevanceReport", "z_score", "combined_z_score", "relevance_report"]
-
-
-def _check_table(table, k: int) -> np.ndarray:
-    table = np.asarray(table)
-    if table.shape != (k, k):
-        raise ValueError(f"count table shape {table.shape} does not match k={k}")
-    return table
 
 
 def z_score(m: int, l: int, table, ctx: MomentContext) -> float:
@@ -35,7 +28,7 @@ def z_score(m: int, l: int, table, ctx: MomentContext) -> float:
     k = ctx.n_groups
     if not (1 <= m <= k and 1 <= l <= k) or m == l:
         raise ValueError(f"need two distinct group ids in 1..{k}, got ({m}, {l})")
-    table = _check_table(table, k)
+    table = check_table(table, k)
     var = ctx.var[m - 1, l - 1]
     if var <= 0.0:
         raise ValueError(f"null variance of pair ({m},{l}) is zero; z-score undefined")
@@ -67,7 +60,7 @@ def combined_z_score(A1, A2, table, ctx: MomentContext) -> tuple[float, float]:
     """
     k = ctx.n_groups
     a1, a2 = union_ids(A1, A2, k)
-    z = _union_z(_check_table(table, k), a1, a2, ctx)
+    z = _union_z(check_table(table, k), a1, a2, ctx)
     return z, abs(z)
 
 

@@ -21,6 +21,7 @@ seeded trials and reports the rejection fraction.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -219,15 +220,9 @@ def estimate_power(case: SimCase, cost, test: str, alpha: float = 0.05,
     w = WeightMatrix.default(ctx)
 
     workers = max(1, int(os.environ.get("RELEVANCE_THREADS", "1")))
-    # First trial runs inline: it also warms the minimum-test
-    # critical-value cache before any workers land on it.
-    rejects = int(_run_trial(case, cost_fn, test, alpha, ctx, w, (seed, 0)))
-    remaining = [(seed, t) for t in range(1, trials)]
+    run = functools.partial(_run_trial, case, cost_fn, test, alpha, ctx, w)
+    seeds = [(seed, t) for t in range(trials)]
     if workers == 1:
-        for s in remaining:
-            rejects += _run_trial(case, cost_fn, test, alpha, ctx, w, s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            run = lambda s: _run_trial(case, cost_fn, test, alpha, ctx, w, s)
-            rejects += sum(ex.map(run, remaining))
-    return rejects / trials
+        return sum(map(run, seeds)) / trials
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return sum(ex.map(run, seeds)) / trials

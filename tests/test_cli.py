@@ -30,6 +30,7 @@ from relevance_kit.cli import (
     main,
     relevance_tsv,
 )
+from relevance_kit.moments import MomentContext
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_PATH = SRC_DIR / "relevance_kit" / "schemas" / "report.schema.json"
@@ -462,6 +463,20 @@ class TestTestCommand:
         ws, mn = report["results"]["weighted_sum"], report["results"]["minimum"]
         assert mn["p_value_standard_error"] == 0.0  # K = 3 pairs: the exact tail
         assert "p_value_standard_error" not in ws
+
+    def test_blocks_decide_by_p_value_and_report_the_minimum_critical_value(self, three_group_csv,
+                                                                            tmp_path):
+        report = run_report(
+            ["test", "--input", str(three_group_csv), "--group-col", "g", "--alpha", "0.1"], tmp_path
+        )
+        validate_schema(report)
+        for res in report["results"].values():
+            assert res["alpha"] == 0.1
+            assert res["reject"] == (res["p_value"] <= 0.1)
+        w = inference.WeightMatrix(np.array(report["weights"]))
+        ctx = MomentContext(report["input"]["sizes"])
+        crit = inference.minimum_critical_value(w, ctx, alpha=0.1)
+        assert report["results"]["minimum"]["critical_value"] == crit
 
     def test_minimum_block_reports_the_engine_standard_error(self, tmp_path):
         rng = np.random.default_rng(316)

@@ -24,6 +24,7 @@ from relevance_kit.counts import GroupAssignment, count_edges
 from relevance_kit.inference import (
     WeightMatrix,
     build_sigma,
+    minimum_critical_value,
     minimum_statistic,
     minimum_test,
     mvn_upper_tail,
@@ -176,10 +177,18 @@ class TestResultValidation:
                 statistic=0.0,
                 p_value=1.5,
                 critical_value=0.0,
-                reject=False,
                 method="weighted_sum",
                 alpha=0.05,
             )
+
+    @pytest.mark.parametrize("p_value, reject", [(0.05, True), (np.nextafter(0.05, 1.0), False),
+                                                 (0.0, True), (1.0, False)])
+    def test_reject_is_p_value_at_most_alpha(self, p_value, reject):
+        res = Outcome(statistic=0.0, p_value=p_value, critical_value=None, method="minimum",
+                      alpha=0.05)
+        assert res.reject is reject
+        with pytest.raises(AttributeError):
+            res.reject = not reject
 
 
 class TestWeightedSumStatistic:
@@ -277,13 +286,13 @@ class TestWeightedSumTest:
         res = weighted_sum_test(table, WeightMatrix.default(ctx), ctx, alpha)
         assert res.critical_value == res.null_mean + norm.ppf(alpha) * res.null_sd
 
-    def test_reject_iff_p_below_alpha(self):
+    def test_reject_iff_p_at_most_alpha(self):
         ctx = MomentContext(np.array([10, 12]))
         w = WeightMatrix.unit(2)
         for s in (1, 4, 8, 11):
             for alpha in (0.01, 0.05, 0.2):
                 res = weighted_sum_test(pair_table(2, {(1, 2): s}), w, ctx, alpha=alpha)
-                assert res.reject == (res.p_value < alpha)
+                assert res.reject == (res.p_value <= alpha)
 
     def test_warns_on_singleton_groups(self):
         ctx = MomentContext(np.array([1, 5]))
@@ -364,33 +373,34 @@ class TestMinimumTest:
     def test_critical_value_is_level_alpha_root(self):
         ctx = MomentContext(np.array([4, 5, 6]))
         w = WeightMatrix.default(ctx)
-        res = minimum_test(pair_table(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3}), w, ctx, alpha=0.05)
+        crit = minimum_critical_value(w, ctx, alpha=0.05)
         sigma = build_sigma(ctx)
-        tail = mvn_upper_tail(sigma, res.critical_value / w.vector())
+        tail = mvn_upper_tail(sigma, crit / w.vector())
         assert_allclose(1.0 - tail, 0.05, atol=1e-3)
 
-    def test_reject_iff_statistic_at_or_below_critical(self):
+    def test_reject_iff_p_at_most_alpha(self):
         ctx = MomentContext(np.array([4, 5, 6]))
         w = WeightMatrix.default(ctx)
         for entries in [{(1, 2): 1, (1, 3): 2, (2, 3): 2}, {(1, 2): 4, (1, 3): 5, (2, 3): 5}]:
-            res = minimum_test(pair_table(3, entries), w, ctx)
-            assert res.reject == (res.statistic <= res.critical_value)
+            for alpha in (0.01, 0.05, 0.1):
+                res = minimum_test(pair_table(3, entries), w, ctx, alpha=alpha)
+                assert res.reject == (res.p_value <= alpha)
+                assert res.critical_value is None  # the test finds no root
 
     def test_p_value_agrees_with_decision_away_from_boundary(self):
         ctx = MomentContext(np.array([4, 5, 6]))
         w = WeightMatrix.default(ctx)
+        crit = minimum_critical_value(w, ctx)
         for entries in [{(1, 2): 1, (1, 3): 2, (2, 3): 2}, {(1, 2): 4, (1, 3): 5, (2, 3): 5}]:
             res = minimum_test(pair_table(3, entries), w, ctx)
-            if abs(res.statistic - res.critical_value) > 1e-3:
-                assert res.reject == (res.p_value < res.alpha)
+            assert abs(res.statistic - crit) > 1e-3
+            assert res.reject == (res.statistic <= crit)
 
     def test_critical_value_tightens_with_alpha(self):
         ctx = MomentContext(np.array([4, 5, 6]))
         w = WeightMatrix.default(ctx)
-        table = pair_table(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3})
-        crit_01 = minimum_test(table, w, ctx, alpha=0.01).critical_value
-        crit_10 = minimum_test(table, w, ctx, alpha=0.10).critical_value
-        assert crit_01 < crit_10
+        crits = [minimum_critical_value(w, ctx, alpha=alpha) for alpha in (0.01, 0.10)]
+        assert crits[0] < crits[1]
 
     def test_zeroed_pair_removes_its_constraint(self):
         ctx = MomentContext(np.array([4, 5, 6]))
@@ -416,6 +426,8 @@ class TestMinimumTest:
                 weighted_sum_test(table, WeightMatrix.unit(2), ctx)
             with pytest.raises(ValueError, match="test is degenerate"):
                 minimum_test(table, WeightMatrix.unit(2), ctx)
+            with pytest.raises(ValueError, match="test is degenerate"):
+                minimum_critical_value(WeightMatrix.unit(2), ctx)
 
     def test_deterministic(self):
         ctx = MomentContext(np.array([4, 5, 6]))
@@ -424,16 +436,22 @@ class TestMinimumTest:
         r1 = minimum_test(table, w, ctx)
         r2 = minimum_test(table, w, ctx)
         assert r1.p_value == r2.p_value
-        assert r1.critical_value == r2.critical_value
+        assert minimum_critical_value(w, ctx) == minimum_critical_value(w, ctx)
+
+    def test_critical_value_checks_its_arguments(self):
+        ctx = MomentContext(np.array([4, 5, 6]))
+        with pytest.raises(ValueError, match="alpha"):
+            minimum_critical_value(WeightMatrix.default(ctx), ctx, alpha=0.0)
+        with pytest.raises(ValueError, match="k=3"):
+            minimum_critical_value(WeightMatrix.unit(2), ctx)
 
 
 class TestMinimumCriticalRoot:
     """The level-alpha root: a closed-form B2 pre-root, then a full-precision Newton finish."""
 
     def test_cold_root_makes_few_mvn_calls(self, monkeypatch):
-        # One call for the p-value and one Newton step from B2's root, both at
-        # the default (full-precision) settings; the p-value's call asks for
-        # its standard error too.
+        # One Newton step from B2's root, at the default (full-precision)
+        # settings.
         ctx = MomentContext([50] * 10)
         w = WeightMatrix.default(ctx)
         settings_used = []
@@ -443,26 +461,23 @@ class TestMinimumCriticalRoot:
             settings_used.append(kwargs)
             return engine(*args, **kwargs)
 
-        inference._CRIT_CACHE.clear()
         monkeypatch.setattr(inference, "mvn_upper_tail", counting)
-        minimum_test(np.round(ctx.mean), w, ctx)
-        assert len(settings_used) <= 2
-        assert all(set(kwargs) <= {"full_output"} for kwargs in settings_used)
+        minimum_critical_value(w, ctx)
+        assert settings_used == [{}]
 
     @pytest.mark.parametrize("sizes, zeroed", [([8, 13], []), ([20, 30, 40], [(1, 2)]),
                                                ([20, 30, 40], []), ([2, 2, 60], [])])
     def test_cold_exact_root_makes_one_mvn_call(self, monkeypatch, sizes, zeroed):
         # Up to three pairs the pre-root is the root of the exact tail, so the
-        # finish's first step is accepted: the p-value and that step.
+        # finish's first step is accepted: that step is the one call.
         ctx = MomentContext(sizes)
         w = WeightMatrix.default(ctx).with_zeroed_pairs(zeroed)
         calls = []
         engine = inference.mvn_upper_tail
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "mvn_upper_tail",
                             lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
-        minimum_test(np.round(ctx.mean), w, ctx)
-        assert len(calls) == 2
+        minimum_critical_value(w, ctx)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sizes, alpha", [([2, 2, 60], 0.1), ([8, 13, 5], 0.05),
                                               ([20, 30, 40], 0.05)])
@@ -471,10 +486,9 @@ class TestMinimumCriticalRoot:
         # around the critical value, which is its level-alpha root.  (The
         # engine's tail jumped up there by 8.5e-6 ([2, 2, 60]) and 1.6e-6
         # ([8, 13, 5]) where its factor changed.)
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         ctx = MomentContext(sizes)
         w = WeightMatrix.default(ctx)
-        crit = minimum_test(np.round(ctx.mean), w, ctx, alpha=alpha).critical_value
+        crit = minimum_critical_value(w, ctx, alpha=alpha)
         sigma, wvec = build_sigma(ctx), w.vector()
         tails = [mvn_upper_tail(sigma, z / wvec) for z in crit + 1e-7 * np.arange(-100, 100)]
         assert np.diff(tails).max() <= 0.0
@@ -508,8 +522,7 @@ class TestMinimumCriticalRoot:
     def test_matches_bisection_root(self, sizes, bisected, alpha):
         ctx = MomentContext(sizes)
         w = WeightMatrix.default(ctx)
-        res = minimum_test(np.round(ctx.mean), w, ctx, alpha=alpha)
-        assert res.critical_value == pytest.approx(bisected, abs=1e-5)
+        assert minimum_critical_value(w, ctx, alpha=alpha) == pytest.approx(bisected, abs=1e-5)
 
     @staticmethod
     def full_precision_root(ctx, alpha, lo, hi, engine=mvn_upper_tail):
@@ -549,12 +562,10 @@ class TestMinimumCriticalRoot:
            pytest.param([50] * 10, 0.01, id="sizes7-0.01")],
     )
     def test_matches_full_precision_brent_root(self, monkeypatch, sizes, alpha):
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         ctx = MomentContext(sizes)
-        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx, alpha=alpha)
-        expected = self.full_precision_root(ctx, alpha, crit.critical_value - 0.05,
-                                            crit.critical_value + 0.05)
-        assert crit.critical_value == pytest.approx(expected, abs=1e-6)
+        crit = minimum_critical_value(WeightMatrix.default(ctx), ctx, alpha=alpha)
+        expected = self.full_precision_root(ctx, alpha, crit - 0.05, crit + 0.05)
+        assert crit == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("sizes", [[8, 13], [20, 30, 40]])
     def test_guard_when_the_secant_leaves_the_bracket(self, monkeypatch, sizes):
@@ -567,10 +578,9 @@ class TestMinimumCriticalRoot:
         def disagreeing(s, t, **kw):
             return engine(s, np.asarray(t) + 10.0, **kw)
 
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "mvn_upper_tail", disagreeing)
         brent_calls = self.count_brentq(monkeypatch)
-        crit = minimum_test(np.round(ctx.mean), w, ctx).critical_value
+        crit = minimum_critical_value(w, ctx)
         assert len(brent_calls) == 2  # B2's root, then the guard's full-precision root
         expected = self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05, disagreeing)
         assert crit == pytest.approx(expected, abs=1e-6)
@@ -581,10 +591,9 @@ class TestMinimumCriticalRoot:
         ctx = MomentContext([20, 30, 40, 50])
         w = WeightMatrix.default(ctx)
         steps = []
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "_same_factor", lambda *args: steps.append(1) or False)
         brent_calls = self.count_brentq(monkeypatch)
-        crit = minimum_test(np.round(ctx.mean), w, ctx).critical_value
+        crit = minimum_critical_value(w, ctx)
         assert len(steps) == inference._FINISH_STEPS
         assert len(brent_calls) == 2
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
@@ -601,10 +610,9 @@ class TestMinimumCriticalRoot:
         def rescaled(s, t, **kw):
             return engine(s, np.asarray(t) * scale, **kw)
 
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "mvn_upper_tail", rescaled)
         brent_calls = self.count_brentq(monkeypatch)
-        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx).critical_value
+        crit = minimum_critical_value(WeightMatrix.default(ctx), ctx)
         assert len(brent_calls) == 2
         expected = self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05, rescaled)
         assert crit == pytest.approx(expected, abs=1e-6)
@@ -614,12 +622,11 @@ class TestMinimumCriticalRoot:
         ctx = MomentContext([20, 30, 40])
         bound = inference._second_order_bound
         finish_calls = []
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "_second_order_bound",
                             lambda z, s, rho: (bound(z, s, rho)[0], slope))
         monkeypatch.setattr(inference, "_newton_finish", lambda *a: finish_calls.append(1))
         brent_calls = self.count_brentq(monkeypatch)
-        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx).critical_value
+        crit = minimum_critical_value(WeightMatrix.default(ctx), ctx)
         assert not finish_calls
         assert len(brent_calls) == 2
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
@@ -628,11 +635,10 @@ class TestMinimumCriticalRoot:
     def test_guard_when_b2_stays_below_alpha(self, monkeypatch):
         # K = 6: up to K = 3 the pre-root is the exact tail's, not B2's.
         ctx = MomentContext([5, 7, 100, 3])
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(inference, "_second_order_bound",
                             lambda z, s, rho: (np.zeros(np.shape(z)), np.ones(np.shape(z))))
         brent_calls = self.count_brentq(monkeypatch)
-        crit = minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx).critical_value
+        crit = minimum_critical_value(WeightMatrix.default(ctx), ctx)
         assert len(brent_calls) == 1  # no B2 root: only the full-precision one
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
                                      abs=1e-6)
@@ -670,8 +676,8 @@ class TestMinimumCriticalRoot:
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
     def test_single_pair_root_is_normal_quantile(self, alpha):
         ctx = MomentContext([8, 13])
-        res = minimum_test(pair_table(2, {(1, 2): 9}), WeightMatrix.default(ctx), ctx, alpha=alpha)
-        assert res.critical_value == pytest.approx(ndtri(alpha), abs=1e-6)
+        crit = minimum_critical_value(WeightMatrix.default(ctx), ctx, alpha=alpha)
+        assert crit == pytest.approx(ndtri(alpha), abs=1e-6)
 
     @pytest.mark.parametrize("shift", [-10.0, 10.0])
     def test_widens_a_bracket_that_misses_the_root(self, monkeypatch, shift):
@@ -681,22 +687,19 @@ class TestMinimumCriticalRoot:
         w = WeightMatrix.default(ctx)
         sd = ctx.pair_var("")[0] ** 0.5
         engine = inference.mvn_upper_tail
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
         monkeypatch.setattr(
             inference, "mvn_upper_tail", lambda s, t, **kw: engine(s, np.asarray(t) + shift, **kw)
         )
-        crit = minimum_test(pair_table(2, {(1, 2): 9}), w, ctx).critical_value
+        crit = minimum_critical_value(w, ctx)
         expected = ndtri(0.05) - shift / sd
         assert abs(expected - ndtri(0.05)) > 1.0
         assert crit == pytest.approx(expected, abs=1e-6)
 
     def test_raises_when_no_sign_change_is_found(self, monkeypatch):
         ctx = MomentContext([4, 5, 6])
-        monkeypatch.setattr(inference, "_CRIT_CACHE", {})
-        monkeypatch.setattr(inference, "mvn_upper_tail",
-                            lambda s, t, full_output=False, **kw: (1.0, 0.0) if full_output else 1.0)
+        monkeypatch.setattr(inference, "mvn_upper_tail", lambda s, t, **kw: 1.0)
         with pytest.raises(FloatingPointError, match="from above"):
-            minimum_test(np.round(ctx.mean), WeightMatrix.default(ctx), ctx)
+            minimum_critical_value(WeightMatrix.default(ctx), ctx)
 
 
 def _brent_problems(family, seed, count=40):
@@ -796,9 +799,7 @@ class TestBrentq:
             monkeypatch.setattr(inference, "brentq",
                                 lambda *a, root=root, **kw: calls.append(1) or root(*a, **kw))
             for alpha in (0.01, 0.05, 0.1):
-                monkeypatch.setattr(inference, "_CRIT_CACHE", {})
-                crits[root, alpha] = minimum_test(np.round(ctx.mean), w, ctx,
-                                                  alpha=alpha).critical_value
+                crits[root, alpha] = minimum_critical_value(w, ctx, alpha=alpha)
             assert len(calls) == 3 * (1 + fallback)
         for alpha in (0.01, 0.05, 0.1):
             assert crits[port, alpha] == crits[brentq, alpha]
@@ -846,27 +847,35 @@ def labelled_tables(draw, max_k=4, max_size=12):
 
 
 class TestDecisionMatchesPValue:
-    """``reject == (p_value <= alpha)`` for both tests."""
+    """``reject == (p_value <= alpha)`` for both tests, at a drawn alpha and on the boundary.
+
+    Each table is tested again at alpha equal to its own p-value and at a
+    relative 1e-7 on either side, where that lies in (0, 1).
+    """
+
+    @staticmethod
+    def results(test, table, ctx, alpha):
+        """(alpha, result) at the drawn alpha and at each boundary level."""
+        w = WeightMatrix.unit(ctx.n_groups)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # singleton groups
+            p = test(table, w, ctx, alpha=alpha).p_value
+            levels = [alpha] + [a for a in (p, p * (1 - 1e-7), p * (1 + 1e-7)) if 0.0 < a < 1.0]
+            return [(a, test(table, w, ctx, alpha=a)) for a in levels]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(drawn=labelled_tables(max_k=8, max_size=20), alpha=st.floats(0.001, 0.5))
     def test_weighted_sum(self, drawn, alpha):
         sizes, table = drawn
-        ctx = MomentContext(sizes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # singleton groups
-            res = weighted_sum_test(table, WeightMatrix.unit(ctx.n_groups), ctx, alpha=alpha)
-        assert res.reject == (res.p_value <= alpha)
+        for level, res in self.results(weighted_sum_test, table, MomentContext(sizes), alpha):
+            assert res.reject == (res.p_value <= level)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(drawn=labelled_tables(max_k=3), alpha=st.sampled_from([0.01, 0.05, 0.1]))
+    @given(drawn=labelled_tables(max_k=8), alpha=st.sampled_from([0.01, 0.05, 0.1]))
     def test_minimum(self, drawn, alpha):
         sizes, table = drawn
-        ctx = MomentContext(sizes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # singleton groups
-            res = minimum_test(table, WeightMatrix.unit(ctx.n_groups), ctx, alpha=alpha)
-        assert res.reject == (res.p_value <= alpha)
+        for level, res in self.results(minimum_test, table, MomentContext(sizes), alpha):
+            assert res.reject == (res.p_value <= level)
 
 
 def looped_permutation_pvalue(table, statistic, w, ctx, B, seed):

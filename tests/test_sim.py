@@ -236,17 +236,30 @@ class TestEstimatePower:
         assert estimate_power(case, "gamma:1.0", "min", trials=50, seed=2) == serial
 
     def test_minimum_power_independent_of_threads_with_shared_memo(self, monkeypatch):
-        # Each run starts from an empty MVN memo and critical-value cache.
-        # Case 5 has K = 3 pairs, so its tails are exact and the threaded
-        # run's workers share the critical-value cache alone.
-        case = preset_case(5, d=20)
+        # Each run starts from an empty MVN memo.  k = 4 gives K = 6 pairs,
+        # whose tails are integrated, so the threaded run's workers share the
+        # memo: its 50 p-values come from 4 distinct integrals.
+        case = SimCase(sizes=(8, 8, 8, 8), d=20, means=(0.0, 0.0, 0.0, 0.5), covs=(ar1(0.0),) * 4)
         powers = []
         for threads in ("1", "2"):
             inference._orthant.cache_clear()
-            monkeypatch.setattr(inference, "_CRIT_CACHE", {})
             monkeypatch.setenv("RELEVANCE_THREADS", threads)
             powers.append(estimate_power(case, "gamma:1.0", "min", trials=50, seed=3))
         assert powers[0] == powers[1]
+        assert 0.0 < powers[0] < 1.0
+
+    def test_minimum_power_roots_nothing(self, monkeypatch):
+        # The test decides by its p-value, so no trial finds a critical value.
+        case = preset_case(5, d=20)
+        expected = estimate_power(case, "gamma:1.0", "min", trials=50, seed=3)
+
+        def no_root(*args):
+            raise AssertionError("a power study must not root the minimum test's tail")
+
+        monkeypatch.setattr(inference, "_min_critical", no_root)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RELEVANCE_THREADS", threads)
+            assert estimate_power(case, "gamma:1.0", "min", trials=50, seed=3) == expected
 
     def test_rejects_too_few_trials(self, strong_shift):
         with pytest.raises(ValueError, match="at least 50"):
