@@ -514,6 +514,9 @@ def relevance_tsv(report: dict) -> str:
 def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
     with open(path) as fh:
         spec = json.load(fh)
+    for key in ("sizes", "means", "covs"):
+        if key not in spec:
+            raise ValueError(f"case file {path} has no {key!r} key")
     covs = tuple(
         CovSpec(rho=float(c.get("rho", 0.0)), sigma2=float(c.get("sigma2", 1.0)))
         for c in spec["covs"]

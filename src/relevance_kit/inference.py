@@ -23,19 +23,21 @@ thresholds and the integration settings, so the repeated thresholds of
 a power study integrate once.  Both tests decide by their p-value
 (``TestResult.reject`` is ``p_value <= alpha``).  The minimum test's
 critical value, only reported, is :func:`minimum_critical_value`: the
-level-alpha root of that tail on the probit scale, found in two
-stages.  Beyond three pairs the pre-root needs no integration: it is
-the root of the second-order inclusion-exclusion lower bound B2 = S1 -
-S2, built from K normal CDFs and K(K-1)/2 bivariate normal CDFs in
-closed form (Owen's T); up to three it is the root of the exact tail.
-Newton steps on the full-precision tail, with B2's slope, finish it; a
-step short enough, between two points the engine integrates with the
-same factor, ends it without a confirming integration, so a cold root
-takes one or two full-precision integrations (Brent's method on the
-full-precision tail, from a bracket the marginals give, should B2 not
-reach alpha, its slope be unusable or the finish fail or leave the
-bracket).  On an exact tail the finish's first step is accepted, and
-the critical value is its root to about 1e-12.
+level-alpha root of that tail on the probit scale.  It starts from the
+root of the second-order inclusion-exclusion lower bound B2 = S1 - S2,
+built from K normal CDFs and K(K-1)/2 bivariate normal CDFs in closed
+form (Owen's T), which needs no integration.  One routine,
+safeguarded Newton on an increasing function over a bracket whose ends
+are known (:func:`_newton_root`), finds B2's root with B2's own slope
+and then the tail's, with B2's slope at its root.  Each value narrows
+the bracket by its sign; an unusable slope gives way to the secant
+through the last two points, and a step that leaves the bracket, or
+has no usable slope, becomes a bisection.  Up to three pairs the tail
+is exact and the critical value is its root to about 1e-12, after one
+or two exact tails.  Beyond that a step short enough, between two
+points the engine integrates with the same factor, ends the root
+without a confirming integration, so a cold root takes one or two
+integrations.
 :func:`permutation_pvalue` offers an exact-in-the-limit Monte-Carlo
 fallback.  Under the permutation null the labels along any fixed path
 form a uniform arrangement, so its reference draws arrangements of the
@@ -64,7 +66,7 @@ from scipy.special import ndtr, ndtri, owens_t
 
 from .counts import check_table, tabulate
 from .counts import count_edges  # noqa: F401 -- perfbench/tracing.py wraps inference.count_edges
-from .moments import MomentContext, build_sigma
+from .moments import MomentContext, _pairs, build_sigma
 
 __all__ = [
     "WeightMatrix",
@@ -83,11 +85,8 @@ _MVN_SEED = 20210802  # fixed default so every report is reproducible
 _MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys at K=45
 _B2_GRID = 17  # points at which the pre-root scans the analytic bracket for B2's first crossing
 _ACCEPT_STEP = 1e-4  # Newton step small enough to stop at; see _min_critical
-_FINISH_STEPS = 10  # full-precision Newton steps before the root falls back to Brent's method
 _EXACT_MAX = 3  # components whose tail mvn_upper_tail computes exactly rather than integrating
-_EXACT_STEP = 1e-12  # root tolerance, and Newton step small enough to stop at, on exact tails
-_BRENT_RTOL = 4 * float(np.finfo(np.float64).eps)  # brentq's relative tolerance, scipy's default
-_BRENT_MAXITER = 100  # brentq's iterations before it gives up, scipy's default
+_EXACT_STEP = 1e-12  # root tolerance, and Newton step small enough to stop at, on B2 and exact tails
 # The positive nodes and their weights of the 10-point Gauss-Legendre rule on
 # [-1, 1], as scipy.special.roots_legendre(10) gives them; a table, because
 # computing the rule pages in about 1 MiB of eigensolver at import.
@@ -102,15 +101,6 @@ _GL_W = np.concatenate([_GL_W[::-1], _GL_W]) / 2.0
 _TVN_TOL = 1e-14  # error per unit length at which the trivariate integral stops halving
 _TVN_HALVINGS = 40  # rounds of halving before it keeps what it has
 _TVN_OPEN = 64  # intervals still open at which it keeps what it has
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(k, 1)``, built once per k and read-only."""
-    iu, ju = np.triu_indices(k, 1)
-    for index in (iu, ju):
-        index.setflags(write=False)
-    return iu, ju
 
 
 @dataclass(frozen=True)
@@ -675,100 +665,50 @@ def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray) -> float:
     return mvn_upper_tail(sigma_pos, x / w_pos)
 
 
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of ``f`` between a and b by Brent's method, as ``scipy.optimize.brentq``'s.
+def _newton_root(f, z: float, lo: float, hi: float, accept, xtol: float) -> float:
+    """Root of the increasing f in [lo, hi] by safeguarded Newton steps from z.
 
-    The loop transcribes scipy's ``Zeros/brentq.c`` line for line: the
-    same sign tests, the same interpolate, extrapolate and bisect
-    branches and the same order of floating-point operations, so it
-    evaluates ``f`` at the same points and returns a bit-identical
-    root.  The relative tolerance and the iteration limit are scipy's
-    defaults (``_BRENT_RTOL``, ``_BRENT_MAXITER``).  It keeps scipy's
-    checks too: ``xtol <= 0``, a NaN value of ``f`` and ends whose
-    values have the same sign raise ValueError, running out of
-    iterations raises RuntimeError, and an end where ``f`` is exactly 0
-    is the root.  Importing ``scipy.optimize`` for it would add about
-    11 MiB and 0.1 s (linprog, HiGHS, ``scipy.fft``) to every CLI
-    command.
+    ``f(z)`` returns ``(value, slope)``.  The ends' signs, f(lo) < 0 <
+    f(hi), are presumed and not evaluated; each value narrows [lo, hi]
+    by its sign.  A Newton step from z to z - value / slope ends the
+    root, without evaluating f there, when ``accept(z, z - value /
+    slope)`` holds.  Where ``slope`` is not finite and positive, the
+    secant slope through the last two points stands in for it.  A step
+    whose slope is still unusable, or which does not land strictly
+    inside [lo, hi], becomes a bisection, which ends the root once the
+    bracket is at most ``xtol`` wide or has no float strictly inside.
+    Every point evaluated after z lies strictly inside the bracket and
+    narrows it, so the loop ends.
+    A NaN value raises ``FloatingPointError``.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gets an inf or a nan here, which the test below rejects
-                stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+    last = None
+    while True:
+        value, slope = f(z)
+        if math.isnan(value):
+            raise FloatingPointError(f"the minimum-test root met a NaN at z={z}")
+        if value == 0.0:
+            return z
+        if value < 0.0:
+            lo = z
         else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+            hi = z
+        if not 0.0 < slope < math.inf and last is not None:
+            slope = (value - last[1]) / (z - last[0])
+        last = z, value
+        new = z - value / slope if 0.0 < slope < math.inf else math.nan
+        if lo < new < hi:  # false for a NaN
+            if accept(z, new):
+                return new
+            z = new
+        else:
+            z = 0.5 * (lo + hi)
+            if hi - lo <= xtol or not lo < z < hi:  # the latter: no float lies between them
+                return z
 
 
-def _bracketed_root(g, lo: float, hi: float, xtol: float) -> float:
-    """Root of the increasing ``g`` by Brent's method.
-
-    ``[lo, hi]`` is widened outward, in doubling steps, until ``g``
-    changes sign over it.
-    """
-    step = max(hi - lo, 1.0)
-    g_lo, g_hi = g(lo), g(hi)
-    for _ in range(60):
-        if g_lo < 0.0:
-            break
-        lo, step = lo - step, 2.0 * step
-        g_lo = g(lo)
-    else:
-        raise FloatingPointError("could not bracket the minimum-test critical value from below")
-    for _ in range(60):
-        if g_hi > 0.0:
-            break
-        hi, step = hi + step, 2.0 * step
-        g_hi = g(hi)
-    else:
-        raise FloatingPointError("could not bracket the minimum-test critical value from above")
-    return brentq(g, lo, hi, xtol=xtol)
+def _short(za: float, zb: float) -> bool:
+    """Whether a step from za to zb is at most ``_EXACT_STEP``: the end of a root of a closed form."""
+    return abs(zb - za) <= _EXACT_STEP
 
 
 def _second_order_bound(z, s: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -800,18 +740,23 @@ def _b2_pre_root(s: np.ndarray, rho: np.ndarray, alpha: float, lo: float, hi: fl
     """B2's first crossing of alpha in [lo, hi], and its probit gap's slope there.
 
     B2 is scanned at ``_B2_GRID`` points from ``lo``, where B2 <= S1 <
-    alpha, and Brent's method refines the first interval that ends above
-    alpha.  Returns None when B2 stays at or below alpha on the whole
-    scan.
+    alpha.  The first interval that ends above alpha is refined from its
+    upper end by Newton steps with B2's exact slope (``_newton_root``),
+    to ``_EXACT_STEP``.  Returns None when B2 stays at or below alpha on
+    the whole scan.
     """
     grid = np.linspace(lo, hi, _B2_GRID)
     above = _second_order_bound(grid, s, rho)[0] > alpha
     if not above.any():
         return None
     i = int(np.argmax(above))
-    z0 = brentq(lambda z: float(_second_order_bound(z, s, rho)[0]) - alpha,
-                grid[i - 1], grid[i], xtol=1e-10)
-    return z0, float(_second_order_bound(z0, s, rho)[1]) / float(_norm_pdf(ndtri(alpha)))
+
+    def gap(z: float) -> tuple[float, float]:
+        bound, slope = _second_order_bound(z, s, rho)
+        return float(bound) - alpha, float(slope)
+
+    z0 = _newton_root(gap, grid[i], grid[i - 1], grid[i], _short, _EXACT_STEP)
+    return z0, gap(z0)[1] / float(_norm_pdf(ndtri(alpha)))
 
 
 def _same_factor(sigma_pos: np.ndarray, w_pos: np.ndarray, za: float, zb: float) -> bool:
@@ -824,72 +769,48 @@ def _same_factor(sigma_pos: np.ndarray, w_pos: np.ndarray, za: float, zb: float)
     return np.array_equal(_factor(sigma_pos, za / w_pos)[0], _factor(sigma_pos, zb / w_pos)[0])
 
 
-def _newton_finish(g, z: float, slope: float, lo: float, hi: float, accept) -> Optional[float]:
-    """Newton's method on ``g`` from z with a fixed slope, or None if it fails.
-
-    A step from z to z - step ends it when ``accept(z, z - step)`` holds.
-    It fails when a step leaves [lo, hi] or ``_FINISH_STEPS`` steps do
-    not end it.
-    """
-    for _ in range(_FINISH_STEPS):
-        step = g(z) / slope
-        z, last = z - step, z
-        if not lo <= z <= hi:  # also a step of +-inf, from a tail of exactly 0 or 1
-            return None
-        if accept(last, z):
-            return z
-    return None
-
-
 def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float) -> float:
-    """Root z of 1 - P(min > z) = alpha: a pre-root and a Newton finish.
+    """Root z of 1 - P(min > z) = alpha, by Newton steps from B2's root.
 
     P(min <= z) is at least every marginal P(w_i Z_i <= z) and at most
     their sum, so with s_i = w_i sd(Z_i) the root lies in
     [max(s) ndtri(alpha/K), min(s) ndtri(alpha)].  The bracket is padded
     by a tenth of max(s), since its ends meet when K = 1.
 
-    The pre-root z0 is the root of the second-order inclusion-exclusion
+    The start z0 is the root of the second-order inclusion-exclusion
     bound B2(z) = S1 - S2 <= P(min <= z) (``_second_order_bound``), which
     takes K normal and K(K-1)/2 bivariate normal CDFs in closed form and
     no integration.  B2 sits below the tail, so z0 lies right of the
     root; it can also turn down again once S2 grows, so its first
     crossing of alpha from ``lo`` is taken (``_b2_pre_root``).
     Zero-variance pairs are left out of B2, which keeps it a lower bound.
-    Up to ``_EXACT_MAX`` pairs the tail itself is exact and increasing
-    (``_exact_tail``), so the pre-root is its root, by Brent's method on
-    the bracket to ``_EXACT_STEP``.
 
-    The finish is Newton's method from z0 on the full-precision probit
-    gap, ndtri(P(min <= z)) - ndtri(alpha), whose root is the same but
-    which is nearly linear in z (exactly so when K = 1).  Its fixed slope
-    is that of B2's probit gap at z0.  A step ends the finish, without a
-    confirming integration, when it is at most ``_ACCEPT_STEP`` and the
-    engine's factor is the same at both of its ends (``_same_factor``),
-    so that the tail is smooth between them.  Over 42 cold roots (k =
-    2..10, sizes down to 2, alpha 0.01, 0.05 and 0.1) the error left
-    after a first step within one factor was at most 3.4e-3 of the step,
-    so an accepted step lands within 3.4e-7 of the root.  A cold root at
-    [50] * 10 and alpha 0.05 is then one full-precision integration, and
-    two or three where B2's root is farther off.  On an exact tail a
-    step ends the finish when it is at most ``_EXACT_STEP``, so the root
-    is that of the tail the p-values come from; from the exact pre-root
-    the first step does, and a cold root is one call of the engine.
+    From z0, ``_newton_root`` finds the root of the probit gap
+    ndtri(P(min <= z)) - ndtri(alpha), which is nearly linear in z
+    (exactly so when K = 1), with the fixed slope of B2's probit gap at
+    z0.  Up to ``_EXACT_MAX`` pairs the tail is exact (``_exact_tail``)
+    and a step of at most ``_EXACT_STEP`` ends the root, so the root is
+    that of the tail the p-values come from, after one or two exact
+    tails.  Beyond that each value is an integration.  A Newton step
+    ends the root, without a confirming integration, when it is at most
+    ``_ACCEPT_STEP`` and the engine's factor is the same at both of its
+    ends (``_same_factor``), so that the tail is smooth between them.
+    Over 42 cold roots (k = 2..10, sizes down to 2, alpha 0.01, 0.05 and
+    0.1) the error left after a first step within one factor was at most
+    3.4e-3 of the step, so an accepted step lands within 3.4e-7 of the
+    root.  A cold root at [50] * 10 and alpha 0.05 is then one
+    integration, and two where B2's root is farther off.  A bisection,
+    which a step outside the bracket or an unusable slope forces, ends
+    the root only once the bracket is at most 1e-6 wide.  If B2 stays
+    below alpha on the bracket, no slope is given: the root starts with
+    a bisection of the bracket, and secant steps follow.
 
-    If B2 stays below alpha on the bracket, its slope is not finite and
-    positive, or the finish leaves the bracket or takes
-    ``_FINISH_STEPS`` steps without ending, Brent's method finds the root
-    of the full-precision gap instead, widening the bracket outward until
-    the gap changes sign.
+    A root that ends at an end of the bracket is not one: every value
+    had one sign.  The bracket is then widened outward from that end, in
+    doubling steps, until the gap changes sign, and the root is found
+    again between the last two points.
     """
     probit_alpha = float(ndtri(alpha))
-    values = {}
-
-    def g(z: float) -> float:  # remembers its values: brentq re-evaluates the bracket ends
-        if z not in values:
-            values[z] = float(ndtri(1.0 - _min_tail(z, sigma_pos, w_pos))) - probit_alpha
-        return values[z]
-
     sd = np.sqrt(np.diag(sigma_pos))
     s = w_pos * sd
     pad = 0.1 * float(s.max())
@@ -897,25 +818,31 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float) -> flo
     hi = float(s.min() * ndtri(alpha)) + pad
     spread = sd > 0
     s, rho = s[spread], sigma_pos[np.ix_(spread, spread)] / np.outer(sd[spread], sd[spread])
-    if sigma_pos.shape[0] <= _EXACT_MAX:
-        z0 = brentq(lambda z: 1.0 - _exact_tail(sigma_pos, z / w_pos) - alpha, lo, hi,
-                    xtol=_EXACT_STEP)
-        pre = z0, float(_second_order_bound(z0, s, rho)[1]) / float(_norm_pdf(probit_alpha))
-        xtol = _EXACT_STEP
+    z0, slope = _b2_pre_root(s, rho, alpha, lo, hi) or (0.5 * (lo + hi), math.nan)
 
-        def accept(za, zb):
-            return abs(zb - za) <= _EXACT_STEP
+    def gap(z: float) -> tuple[float, float]:
+        return float(ndtri(1.0 - _min_tail(z, sigma_pos, w_pos))) - probit_alpha, slope
+
+    if sigma_pos.shape[0] <= _EXACT_MAX:
+        accept, xtol = _short, _EXACT_STEP
     else:
-        pre = _b2_pre_root(s, rho, alpha, lo, hi)
         xtol = 1e-6
 
         def accept(za, zb):
             return abs(zb - za) <= _ACCEPT_STEP and _same_factor(sigma_pos, w_pos, za, zb)
-    crit = None
-    if pre is not None and 0.0 < pre[1] < np.inf:  # a nan, infinite or flat slope goes to Brent
-        crit = _newton_finish(g, *pre, lo, hi, accept)
-    if crit is None:
-        crit = _bracketed_root(g, lo, hi, xtol)
+    crit = _newton_root(gap, z0, lo, hi, accept, xtol)
+    if min(crit - lo, hi - crit) <= xtol:  # every value had one sign: widen from that end
+        step = max(hi - lo, 1.0) * (1.0 if hi - crit <= xtol else -1.0)
+        near = crit
+        for _ in range(60):
+            far = near + step
+            if gap(far)[0] * step > 0.0:  # the gap's sign is that of the step: it changed
+                break
+            near, step = far, 2.0 * step
+        else:
+            side = "above" if step > 0.0 else "below"
+            raise FloatingPointError(f"could not bracket the minimum-test critical value from {side}")
+        crit = _newton_root(gap, 0.5 * (near + far), min(near, far), max(near, far), accept, xtol)
     return float(crit)
 
 

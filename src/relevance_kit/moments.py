@@ -32,6 +32,15 @@ __all__ = [
 _ENUM_MAX = 8
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, the between-pair order, built once per k and read-only."""
+    iu, ju = np.triu_indices(k, 1)
+    for index in (iu, ju):
+        index.setflags(write=False)
+    return iu, ju
+
+
 @dataclass(frozen=True)
 class MomentContext:
     """Group sizes n_1..n_k, their total N, and every count's null moments.
@@ -102,7 +111,7 @@ class MomentContext:
         Raises naming the first pair whose variance is zero, for which
         ``what`` (e.g. "z-score undefined") holds.
         """
-        iu, ju = np.triu_indices(self.n_groups, 1)
+        iu, ju = _pairs(self.n_groups)
         var = self.var[iu, ju]
         zero = np.flatnonzero(var <= 0.0)
         if zero.size:
@@ -116,7 +125,7 @@ class MomentContext:
 
         Built on first use and returned read-only on every later one.
         """
-        iu, ju = np.triu_indices(self.n_groups, 1)
+        iu, ju = _pairs(self.n_groups)
         mean = self.mean[iu, ju]
         mean.setflags(write=False)
         return mean
@@ -126,7 +135,7 @@ class MomentContext:
         """Null covariance of the between counts, as documented at :func:`build_sigma`."""
         n = self.sizes.astype(np.float64)
         N = self.total
-        iu, ju = np.triu_indices(self.n_groups, 1)
+        iu, ju = _pairs(self.n_groups)
         K = iu.size
         incidence = np.zeros((K, self.n_groups))
         incidence[np.arange(K), iu] = incidence[np.arange(K), ju] = 1.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import GroupAssignment, check_table, count_edges, union_ids
-from .moments import MomentContext
+from .moments import MomentContext, _pairs
 
 __all__ = ["RelevanceReport", "z_score", "combined_z_score", "relevance_report"]
 
@@ -97,7 +97,7 @@ def relevance_report(path, groups: GroupAssignment, combined=None) -> RelevanceR
     if k < 2:
         raise ValueError("relevance analysis needs at least 2 groups")
     table = count_edges(path, groups)
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju = _pairs(k)
     z = np.full((k, k), np.nan)
     sd = np.sqrt(ctx.pair_var("z-score undefined"))
     z[iu, ju] = z[ju, iu] = (table[iu, ju] - ctx.mean[iu, ju]) / sd

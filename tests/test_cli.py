@@ -687,6 +687,14 @@ class TestSimulateCommand:
         assert rc == 2
         assert "expected 0..6" in capsys.readouterr().err
 
+    def test_case_file_missing_key_names_file_and_key(self, tmp_path, capsys):
+        spec = tmp_path / "design.json"
+        spec.write_text(json.dumps({"sizes": [6, 6], "covs": [{}, {}]}))
+        rc = main(["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(spec) in err and "'means'" in err
+
     def test_rejects_unknown_test_selector(self, capsys):
         rc = main(["simulate", "--case", "1", "--trials", "50", "--test", "perm:100"])
         assert rc == 2

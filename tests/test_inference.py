@@ -447,7 +447,7 @@ class TestMinimumTest:
 
 
 class TestMinimumCriticalRoot:
-    """The level-alpha root: a closed-form B2 pre-root, then a full-precision Newton finish."""
+    """The level-alpha root: safeguarded Newton steps to B2's root, then to the tail's."""
 
     def test_cold_root_makes_few_mvn_calls(self, monkeypatch):
         # One Newton step from B2's root, at the default (full-precision)
@@ -467,17 +467,42 @@ class TestMinimumCriticalRoot:
 
     @pytest.mark.parametrize("sizes, zeroed", [([8, 13], []), ([20, 30, 40], [(1, 2)]),
                                                ([20, 30, 40], []), ([2, 2, 60], [])])
-    def test_cold_exact_root_makes_one_mvn_call(self, monkeypatch, sizes, zeroed):
-        # Up to three pairs the pre-root is the root of the exact tail, so the
-        # finish's first step is accepted: that step is the one call.
+    def test_cold_exact_root_integrates_nothing(self, monkeypatch, sizes, zeroed):
+        # Up to three pairs the tail is exact: from B2's root, Newton steps
+        # with B2's slope end after one or two exact tails.
         ctx = MomentContext(sizes)
         w = WeightMatrix.default(ctx).with_zeroed_pairs(zeroed)
-        calls = []
-        engine = inference.mvn_upper_tail
+        calls, integrals = [], []
+        engine, orthant = inference.mvn_upper_tail, inference._orthant
         monkeypatch.setattr(inference, "mvn_upper_tail",
                             lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs))
+        monkeypatch.setattr(inference, "_orthant", lambda *args: integrals.append(1) or orthant(*args))
         minimum_critical_value(w, ctx)
-        assert len(calls) == 1
+        assert not integrals
+        assert 1 <= len(calls) <= 2
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(2, 60), min_size=2, max_size=3),
+        alpha=st.floats(0.001, 0.3),
+        zeroed=st.sets(st.sampled_from([(1, 2), (1, 3), (2, 3)]), max_size=2),
+    )
+    def test_exact_root_solves_the_tail(self, sizes, alpha, zeroed):
+        # Up to K = 3 pairs, with pairs zeroed down to K = 1: the root lies
+        # inside the Bonferroni bracket, strictly once K >= 2, where the
+        # bracket's ends meet only if the pairs' events nest or are disjoint.
+        ctx = MomentContext(sizes)
+        w = WeightMatrix.default(ctx).with_zeroed_pairs(zeroed if len(sizes) == 3 else ())
+        crit = minimum_critical_value(w, ctx, alpha=alpha)
+        pos = w.vector() > 0
+        sigma, wvec = build_sigma(ctx)[np.ix_(pos, pos)], w.vector()[pos]
+        s = wvec * np.sqrt(np.diag(sigma))
+        lo, hi = s.max() * ndtri(alpha / s.size), s.min() * ndtri(alpha)
+        if s.size > 1:
+            assert lo < crit < hi
+        else:
+            assert crit == pytest.approx(hi, abs=1e-12)
+        assert 1.0 - mvn_upper_tail(sigma, crit / wvec) == pytest.approx(alpha, abs=1e-12)
 
     @pytest.mark.parametrize("sizes, alpha", [([2, 2, 60], 0.1), ([8, 13, 5], 0.05),
                                               ([20, 30, 40], 0.05)])
@@ -536,14 +561,42 @@ class TestMinimumCriticalRoot:
         return brentq(g, lo, hi, xtol=1e-9)
 
     @staticmethod
-    def count_brentq(monkeypatch):
-        calls, port = [], inference.brentq
+    def trace_steps(monkeypatch):
+        """The kind of each step, "newton", "secant" or "bisect", per call of ``_newton_root``.
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return port(*args, **kwargs)
+        B2's root is the first call and the tail's the second; a third
+        finds the tail's root again in a widened bracket.  A step is
+        Newton's when the next point evaluated, or the root returned, is
+        z - value / slope from the point before, with the slope f gave;
+        a secant's when it is that with the slope through the two points
+        before; any other is a bisection.
+        """
+        calls, root = [], inference._newton_root
 
-        monkeypatch.setattr(inference, "brentq", counting)
+        def traced(f, z, lo, hi, accept, xtol):
+            points, kinds = [], []
+            calls.append(kinds)
+
+            def seen(x):
+                value, slope = f(x)
+                points.append((x, value, slope))
+                return value, slope
+
+            out = root(seen, z, lo, hi, accept, xtol)
+            after = [p[0] for p in points[1:]] + [out]
+            for i, (x, value, slope) in enumerate(points):
+                if value == 0.0:  # x is the root
+                    continue
+                secant = (value - points[i - 1][1]) / (x - points[i - 1][0]) if i else np.nan
+                if 0.0 < slope < np.inf and after[i] == x - value / slope:
+                    kinds.append("newton")
+                elif 0.0 < secant < np.inf and after[i] == x - value / secant:
+                    kinds.append("secant")
+                else:
+                    kinds.append("bisect")
+            return out
+
+        monkeypatch.setattr(inference, "_newton_root", traced)
         return calls
 
     @pytest.mark.parametrize(
@@ -579,23 +632,29 @@ class TestMinimumCriticalRoot:
             return engine(s, np.asarray(t) + 10.0, **kw)
 
         monkeypatch.setattr(inference, "mvn_upper_tail", disagreeing)
-        brent_calls = self.count_brentq(monkeypatch)
+        steps = self.trace_steps(monkeypatch)
         crit = minimum_critical_value(w, ctx)
-        assert len(brent_calls) == 2  # B2's root, then the guard's full-precision root
+        # B2's root, the tail's, which bisects to the bracket's end, and the
+        # tail's again in the widened bracket
+        assert len(steps) == 3
+        assert "bisect" in steps[1]
         expected = self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05, disagreeing)
         assert crit == pytest.approx(expected, abs=1e-6)
 
     def test_guard_when_the_secant_does_not_converge(self, monkeypatch):
-        # The factor seems to change at every step, so no step is accepted.
-        # K = 6: up to K = 3 the tail is exact and no factor is compared.
+        # The factor seems to change at every step, so no Newton step is
+        # accepted, and only a bisection in a bracket at most 1e-6 wide ends
+        # the root.  K = 6: up to K = 3 the tail is exact and no factor is
+        # compared.
         ctx = MomentContext([20, 30, 40, 50])
         w = WeightMatrix.default(ctx)
-        steps = []
-        monkeypatch.setattr(inference, "_same_factor", lambda *args: steps.append(1) or False)
-        brent_calls = self.count_brentq(monkeypatch)
+        compared = []
+        monkeypatch.setattr(inference, "_same_factor", lambda *args: compared.append(1) or False)
+        steps = self.trace_steps(monkeypatch)
         crit = minimum_critical_value(w, ctx)
-        assert len(steps) == inference._FINISH_STEPS
-        assert len(brent_calls) == 2
+        assert len(steps) == 2
+        assert len(compared) == steps[1].count("newton") > 0
+        assert steps[1][-1] == "bisect"
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
                                      abs=1e-6)
 
@@ -611,9 +670,9 @@ class TestMinimumCriticalRoot:
             return engine(s, np.asarray(t) * scale, **kw)
 
         monkeypatch.setattr(inference, "mvn_upper_tail", rescaled)
-        brent_calls = self.count_brentq(monkeypatch)
+        steps = self.trace_steps(monkeypatch)
         crit = minimum_critical_value(WeightMatrix.default(ctx), ctx)
-        assert len(brent_calls) == 2
+        assert "bisect" in steps[1]
         expected = self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05, rescaled)
         assert crit == pytest.approx(expected, abs=1e-6)
 
@@ -621,14 +680,14 @@ class TestMinimumCriticalRoot:
     def test_guard_when_the_coarse_slope_is_unusable(self, monkeypatch, slope):
         ctx = MomentContext([20, 30, 40])
         bound = inference._second_order_bound
-        finish_calls = []
         monkeypatch.setattr(inference, "_second_order_bound",
                             lambda z, s, rho: (bound(z, s, rho)[0], slope))
-        monkeypatch.setattr(inference, "_newton_finish", lambda *a: finish_calls.append(1))
-        brent_calls = self.count_brentq(monkeypatch)
+        steps = self.trace_steps(monkeypatch)
         crit = minimum_critical_value(WeightMatrix.default(ctx), ctx)
-        assert not finish_calls
-        assert len(brent_calls) == 2
+        # no step in B2's root or the tail's takes the slope given: each is a
+        # secant or a bisection
+        assert len(steps) == 2
+        assert "newton" not in steps[0] + steps[1]
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
                                      abs=1e-6)
 
@@ -637,9 +696,10 @@ class TestMinimumCriticalRoot:
         ctx = MomentContext([5, 7, 100, 3])
         monkeypatch.setattr(inference, "_second_order_bound",
                             lambda z, s, rho: (np.zeros(np.shape(z)), np.ones(np.shape(z))))
-        brent_calls = self.count_brentq(monkeypatch)
+        steps = self.trace_steps(monkeypatch)
         crit = minimum_critical_value(WeightMatrix.default(ctx), ctx)
-        assert len(brent_calls) == 1  # no B2 root: only the full-precision one
+        assert len(steps) == 1  # no B2 root: only the tail's, with no slope given
+        assert steps[0][0] == "bisect" and "newton" not in steps[0]
         assert crit == pytest.approx(self.full_precision_root(ctx, 0.05, crit - 0.05, crit + 0.05),
                                      abs=1e-6)
 
@@ -702,107 +762,23 @@ class TestMinimumCriticalRoot:
             minimum_critical_value(WeightMatrix.default(ctx), ctx)
 
 
-def _brent_problems(family, seed, count=40):
-    """Seeded root problems of one family: (f, a, b) with a sign change on [a, b]."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        c, s = rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0)
-        a, b = c - rng.uniform(0.01, 10.0), c + rng.uniform(0.01, 10.0)
-        f = {
-            "tanh": lambda x, c=c, s=s: np.tanh(s * (x - c)),
-            "cubic": lambda x, c=c, s=s: (x - c) ** 3 + s * (x - c),
-            "exp": lambda x, c=c, s=s: np.expm1(s * (x - c)),
-            "flat": lambda x, c=c, s=s: min(max(s * (x - c), -1.0), 1.0),
-            "kinked": lambda x, c=c, s=s: np.copysign(abs(x - c) ** (s / 5.0), x - c),
-            "step": lambda x, c=c, s=s: -1.0 if x < c else s,
-            "stairs": lambda x, c=c, s=s: np.floor(s * (x - c)) + 0.5,
-        }[family]
-        yield f, a, b
+class TestNewtonRoot:
+    """``_newton_root`` on functions with no usable slope."""
 
+    def test_ends_where_floats_are_coarser_than_xtol(self):
+        # Near 1e5 adjacent floats are 1.5e-11 apart, wider than xtol, so
+        # only the bracket running out of floats can end the bisections.
+        jump = 1e5 + 6e-12
 
-# k = 2 to 10, sizes down to 2, one dominant group
-BRENT_DESIGNS = [[8, 13], [2, 2, 60], [20, 30, 40], [5, 7, 100, 3], [5, 5, 5, 100],
-                 [16, 9, 45, 26], [3, 3, 3, 3, 200], [2] * 5, [2, 3, 4, 5, 6, 40], [3] * 10]
+        def step(z):
+            return (1.0 if z > jump else -1.0), np.nan
 
+        root = inference._newton_root(step, 9e4, 0.0, 2e5, inference._short, 1e-12)
+        assert root == pytest.approx(jump, abs=2e-11)
 
-class TestBrentq:
-    """``inference.brentq`` follows ``scipy.optimize.brentq`` step for step, to the last bit."""
-
-    @staticmethod
-    def traced(root, f, a, b, **kwargs):
-        """The root's hex digits and every point ``root`` evaluated ``f`` at."""
-        points = []
-        x = root(lambda t: points.append(t) or f(t), a, b, **kwargs)
-        return x.hex(), points
-
-    @pytest.mark.parametrize("family", ["tanh", "cubic", "exp", "flat", "kinked", "step", "stairs"])
-    def test_bit_identical_to_scipy(self, family):
-        for f, a, b in _brent_problems(family, seed=sum(map(ord, family))):
-            for xtol in (1e-12, 1e-10, 1e-6, 1e-3, 0.1):
-                for lo, hi in ((a, b), (b, a)):
-                    ours = self.traced(inference.brentq, f, lo, hi, xtol=xtol)
-                    assert ours == self.traced(brentq, f, lo, hi, xtol=xtol)
-
-    def test_good_step_bound_is_scipys(self):
-        # Here twice a trial step lies between 3 |sbis| - delta and
-        # 3 |sbis|, so the bound's "- delta" decides between it and a bisection.
-        f = lambda x: np.expm1(5.0 * (x + 0.19))  # noqa: E731
-        assert (self.traced(inference.brentq, f, -7.2, 0.4, xtol=0.1)
-                == self.traced(brentq, f, -7.2, 0.4, xtol=0.1))
-
-    @pytest.mark.parametrize("a, b, root", [(1.0, 3.0, 1.0), (-2.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
-    def test_an_end_at_zero_is_the_root(self, a, b, root):
-        f = lambda x: x - 1.0  # noqa: E731
-        assert inference.brentq(f, a, b, xtol=1e-12) == root == brentq(f, a, b, xtol=1e-12)
-
-    @pytest.mark.parametrize(
-        "f, a, b, xtol, match",
-        [
-            (lambda x: x + 1.0, 0.0, 1.0, 1e-12, "different signs"),
-            (lambda x: x - 0.3, 0.0, np.nan, 1e-12, "NaN"),
-            (lambda x: np.nan if 0.2 < x < 0.4 else x - 0.3, 0.0, 1.0, 1e-12, "NaN"),
-            (lambda x: x - 0.3, 0.0, 1.0, 0.0, "xtol too small"),
-            (lambda x: x - 0.3, 0.0, 1.0, -1e-3, "xtol too small"),
-        ],
-    )
-    def test_rejects_what_scipy_rejects(self, f, a, b, xtol, match):
-        with pytest.raises(ValueError, match=match):
-            inference.brentq(f, a, b, xtol=xtol)
-        with pytest.raises(ValueError):
-            brentq(f, a, b, xtol=xtol)
-
-    @pytest.mark.parametrize("maxiter", [0, 3])
-    def test_gives_up_where_scipy_does(self, monkeypatch, maxiter):
-        f = lambda x: x ** 3 - 2.0  # noqa: E731
-        monkeypatch.setattr(inference, "_BRENT_MAXITER", maxiter)
-        with pytest.raises(RuntimeError, match=f"{maxiter} iterations"):
-            inference.brentq(f, 0.0, 2.0, xtol=1e-12)
-        with pytest.raises(RuntimeError):
-            brentq(f, 0.0, 2.0, xtol=1e-12, maxiter=maxiter)
-
-    @pytest.mark.parametrize(
-        "sizes, fallback",
-        [(sizes, False) for sizes in BRENT_DESIGNS]
-        + [(sizes, True) for sizes in BRENT_DESIGNS if len(sizes) <= 5],
-    )
-    def test_critical_values_match_scipy_roots(self, monkeypatch, sizes, fallback):
-        # Up to K = 3 pairs Brent roots the exact tail, beyond that B2; with
-        # the Newton finish failing, _bracketed_root roots the engine's tail
-        # (not at K = 15 and 45, where each of its steps is an integration).
-        ctx = MomentContext(sizes)
-        w = WeightMatrix.default(ctx)
-        if fallback:
-            monkeypatch.setattr(inference, "_newton_finish", lambda *args: None)
-        crits, port = {}, inference.brentq
-        for root in (brentq, port):
-            calls = []
-            monkeypatch.setattr(inference, "brentq",
-                                lambda *a, root=root, **kw: calls.append(1) or root(*a, **kw))
-            for alpha in (0.01, 0.05, 0.1):
-                crits[root, alpha] = minimum_critical_value(w, ctx, alpha=alpha)
-            assert len(calls) == 3 * (1 + fallback)
-        for alpha in (0.01, 0.05, 0.1):
-            assert crits[port, alpha] == crits[brentq, alpha]
+    def test_a_nan_value_raises(self):
+        with pytest.raises(FloatingPointError, match="NaN"):
+            inference._newton_root(lambda z: (np.nan, 1.0), 0.5, 0.0, 1.0, inference._short, 1e-12)
 
 
 class TestSecondOrderBound:
