@@ -6,6 +6,11 @@ tests), ``relevance`` (pairwise and union z-scores), ``simulate``
 ``shp`` (path construction only).  Reports are JSON validating against
 the schema shipped in ``schemas/report.schema.json``; every command is
 deterministic given the input file, options and seed.
+
+Every command takes one options object, the ``argparse.Namespace`` of
+:func:`build_parser`, which holds every default.  The data commands
+(``test``, ``relevance``, ``shp``) check their options before the CSV is
+read and build their reports on one skeleton, ``_data_report``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from . import __version__
 from .cost import validate_assumptions
 from .counts import GroupAssignment, count_edges
 from .inference import (
+    MIN_REPLICATES,
     WeightMatrix,
     minimum_critical_value,
     minimum_test,
@@ -38,7 +44,6 @@ from .sim import SimCase, CovSpec, estimate_power, gen_gaussian, preset_case, re
 
 __all__ = [
     "InputDataset",
-    "RunConfig",
     "ingest_csv",
     "export_csv",
     "cmd_test",
@@ -268,38 +273,35 @@ def export_csv(data, labels, path: str, group_col: str = "group") -> None:
 
 
 # --------------------------------------------------------------------------
-# Configuration
+# Options
+
+# Defaults of the options that subcommands share or echo, written once:
+# every subparser reads this table.  relevance and shp take no --test,
+# --alpha or weight options, but their config blocks echo these values;
+# _check_options reads --combine on every data command.
+_DEFAULTS = {"cost": "gamma:1.0", "seed": 0, "test": "both", "alpha": 0.05,
+             "weights": None, "zero_pairs": None, "combine": []}
+_SIM_D = 100  # simulate's dimension when neither --d nor the case file gives one
+_SELECTORS = {"ws": ("weighted_sum",), "min": ("minimum",), "both": ("weighted_sum", "minimum")}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by the data-driven subcommands."""
+def _parse_test_selector(text: str, command: str = "test"):
+    """``--test`` as (test names, permutation replicates or None).
 
-    cost: str = "gamma:1.0"
-    test: str = "both"
-    alpha: float = 0.05
-    seed: int = 0
-    standardize: bool = False
-    weights_path: Optional[str] = None
-    zero_pairs: tuple = ()
-    combine: tuple = ()
-    check_assumptions: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.weights_path and self.zero_pairs:
-            raise ValueError("--weights and --zero-pairs are mutually exclusive")
-
-    @property
-    def weight_mode(self) -> str:
-        if self.weights_path == "unit":
-            return "unit"
-        if self.weights_path:
-            return "file"
-        if self.zero_pairs:
-            return "zero-pairs"
-        return "default"
+    ``perm:B`` runs both tests plus a permutation reference of B
+    replicates; only the ``test`` command takes it.
+    """
+    if text in _SELECTORS:
+        return _SELECTORS[text], None
+    if command == "simulate":
+        raise ValueError(f"unknown test selector {text!r}; simulate supports ws, min, both")
+    B = text.removeprefix("perm:")
+    if B == text or not B.isdecimal():
+        raise ValueError(f"unknown test selector {text!r}; expected ws, min, both or perm:B")
+    B = int(B)
+    if B < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got B={B}")
+    return _SELECTORS["both"], B
 
 
 def _parse_pairs(text: str) -> tuple:
@@ -332,27 +334,52 @@ def _parse_subsets(text: str) -> tuple:
     return tuple(out)
 
 
-def _build_weights(config: RunConfig, ctx: MomentContext) -> WeightMatrix:
-    if config.weights_path == "unit":
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject a data command's bad options before its CSV is read.
+
+    Parses ``--zero-pairs`` and ``--combine`` in place, into tuples of
+    group ids; ``--test`` is checked here and parsed where it is used.
+    """
+    args.zero_pairs = _parse_pairs(args.zero_pairs) if args.zero_pairs else ()
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {args.alpha}")
+    if args.weights and args.zero_pairs:
+        raise ValueError("--weights and --zero-pairs are mutually exclusive")
+    _parse_test_selector(args.test)
+    args.combine = [_parse_subsets(c) for c in args.combine]
+
+
+def _weight_mode(args: argparse.Namespace) -> str:
+    if args.weights == "unit":
+        return "unit"
+    if args.weights:
+        return "file"
+    if args.zero_pairs:
+        return "zero-pairs"
+    return "default"
+
+
+def _build_weights(args: argparse.Namespace, ctx: MomentContext) -> WeightMatrix:
+    mode = _weight_mode(args)
+    if mode == "unit":
         return WeightMatrix.unit(ctx.n_groups)
-    if config.weights_path:
-        grid = np.loadtxt(config.weights_path, delimiter=",", ndmin=2)
-        return WeightMatrix(grid)
-    w = WeightMatrix.default(ctx)
-    if config.zero_pairs:
-        w = w.with_zeroed_pairs(config.zero_pairs)
-    return w
+    if mode == "file":
+        return WeightMatrix(np.loadtxt(args.weights, delimiter=",", ndmin=2))
+    return WeightMatrix.default(ctx).with_zeroed_pairs(args.zero_pairs)
 
 
-def _standardize(data: np.ndarray) -> np.ndarray:
-    mu = data.mean(axis=0)
-    sd = data.std(axis=0)
-    sd[sd == 0.0] = 1.0  # constant features: center only
-    return (data - mu) / sd
+def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
+    """The report of a data command (``test``, ``relevance``, ``shp``).
 
-
-def _prepare(dataset: InputDataset, config: RunConfig, min_groups: int):
-    """Shared front half of the data commands: checks, cost, path."""
+    Checks the options, reads the CSV and checks its group count, then
+    computes the costs and the path.  The blocks every data report
+    shares (input, config, warnings, path) come first;
+    ``blocks(dataset, costs, path)`` returns the command's own, which
+    follow them, and one that shares a name with them replaces it in
+    its place.  ``cost_diagnostics``, when asked for, comes last.
+    """
+    _check_options(args)
+    dataset = ingest_csv(args.input, args.group_col)
     k = dataset.assignment.n_groups
     if k < min_groups:
         raise ValueError(f"this command needs at least {min_groups} groups, found {k}")
@@ -362,10 +389,14 @@ def _prepare(dataset: InputDataset, config: RunConfig, min_groups: int):
             f"N={dataset.n} exceeds sqrt(d)={math.sqrt(dataset.d):.1f}; path-based "
             "approximations assume N small relative to sqrt(d)"
         )
-    data = _standardize(dataset.matrix) if config.standardize else dataset.matrix
-    costs = resolve_cost(config.cost)(data)
+    data = dataset.matrix
+    if args.standardize:
+        sd = data.std(axis=0)
+        sd[sd == 0.0] = 1.0  # constant features: center only
+        data = (data - data.mean(axis=0)) / sd
+    costs = resolve_cost(args.cost)(data)
     diagnostics = None
-    if config.check_assumptions:
+    if args.check_assumptions:
         diag = validate_assumptions(costs)
         diagnostics = {
             "ok": diag.ok,
@@ -377,30 +408,33 @@ def _prepare(dataset: InputDataset, config: RunConfig, min_groups: int):
         if not diag.ok:
             warnings_out.append(f"cost assumption check: {diag.summary()}")
     path = approximate_shp(costs)
-    return costs, path, warnings_out, diagnostics
-
-
-def _input_block(dataset: InputDataset) -> dict:
-    return {
-        "source": dataset.source,
-        "group_col": dataset.group_col,
-        "n_rows": dataset.n,
-        "n_features": dataset.d,
-        "label_map": dataset.label_map,
-        "sizes": dataset.assignment.sizes.tolist(),
+    report = {
+        "command": args.command,
+        "version": __version__,
+        "input": {
+            "source": dataset.source,
+            "group_col": dataset.group_col,
+            "n_rows": dataset.n,
+            "n_features": dataset.d,
+            "label_map": dataset.label_map,
+            "sizes": dataset.assignment.sizes.tolist(),
+        },
+        "config": {
+            "cost": args.cost,
+            "test": args.test,
+            "alpha": args.alpha,
+            "seed": args.seed,
+            "standardize": args.standardize,
+            "weight_mode": _weight_mode(args),
+            "zero_pairs": [list(p) for p in args.zero_pairs],
+        },
+        "warnings": warnings_out,
+        "path": {"order": path.tolist(), "total_cost": path_cost(path, costs)},
+        **blocks(dataset, costs, path),
     }
-
-
-def _config_block(config: RunConfig) -> dict:
-    return {
-        "cost": config.cost,
-        "test": config.test,
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "standardize": config.standardize,
-        "weight_mode": config.weight_mode,
-        "zero_pairs": [list(p) for p in config.zero_pairs],
-    }
+    if diagnostics is not None:
+        report["cost_diagnostics"] = diagnostics
+    return report
 
 
 def _result_block(res) -> dict:
@@ -423,80 +457,61 @@ def _result_block(res) -> dict:
 # Subcommands
 
 
-def _parse_test_selector(text: str):
-    """Returns (run_ws, run_min, permutation_B)."""
-    if text == "ws":
-        return True, False, None
-    if text == "both":
-        return True, True, None
-    if text == "min":
-        return False, True, None
-    B = text.removeprefix("perm:")
-    if B != text and B.isdecimal():
-        return True, True, int(B)
-    raise ValueError(f"unknown test selector {text!r}; expected ws, min, both or perm:B")
-
-
-def cmd_test(dataset: InputDataset, config: RunConfig) -> dict:
+def cmd_test(args: argparse.Namespace) -> dict:
     """Full pipeline to one or both hypothesis tests."""
-    run_ws, run_min, perm_B = _parse_test_selector(config.test)
-    costs, path, warns, diagnostics = _prepare(dataset, config, min_groups=2)
-    ctx = MomentContext.from_assignment(dataset.assignment)
-    w = _build_weights(config, ctx)
-    table = count_edges(path, dataset.assignment)
-    results = {}
-    if run_ws:
-        results["weighted_sum"] = _result_block(weighted_sum_test(table, w, ctx, config.alpha))
-    if run_min:
-        res = minimum_test(table, w, ctx, config.alpha)
-        critical = minimum_critical_value(w, ctx, config.alpha)  # reported, not used to decide
-        results["minimum"] = _result_block(replace(res, critical_value=critical))
-    if perm_B is not None:
-        perm = permutation_pvalue(table, w, ctx, perm_B, config.seed)
-        results["permutation"] = {
-            "replicates": perm_B,
-            "weighted_sum_p_value": perm["weighted_sum"],
-            "minimum_p_value": perm["minimum"],
+
+    def blocks(dataset, costs, path):
+        tests, perm_B = _parse_test_selector(args.test)
+        ctx = MomentContext.from_assignment(dataset.assignment)
+        w = _build_weights(args, ctx)
+        table = count_edges(path, dataset.assignment)
+        results = {}
+        if "weighted_sum" in tests:
+            results["weighted_sum"] = _result_block(weighted_sum_test(table, w, ctx, args.alpha))
+        if "minimum" in tests:
+            res = minimum_test(table, w, ctx, args.alpha)
+            critical = minimum_critical_value(w, ctx, args.alpha)  # reported, not used to decide
+            results["minimum"] = _result_block(replace(res, critical_value=critical))
+        if perm_B is not None:
+            perm = permutation_pvalue(table, w, ctx, perm_B, args.seed)
+            results["permutation"] = {
+                "replicates": perm_B,
+                "weighted_sum_p_value": perm["weighted_sum"],
+                "minimum_p_value": perm["minimum"],
+            }
+        return {
+            "counts": table.tolist(),
+            "moments": {"mean": ctx.mean.tolist(), "sd": np.sqrt(ctx.var).tolist()},
+            "weights": w.grid.tolist(),
+            "results": results,
         }
-    report = {
-        "command": "test",
-        "version": __version__,
-        "input": _input_block(dataset),
-        "config": _config_block(config),
-        "warnings": warns,
-        "path": {"order": path.tolist(), "total_cost": path_cost(path, costs)},
-        "counts": table.tolist(),
-        "moments": {"mean": ctx.mean.tolist(), "sd": np.sqrt(ctx.var).tolist()},
-        "weights": w.grid.tolist(),
-        "results": results,
-    }
-    if diagnostics is not None:
-        report["cost_diagnostics"] = diagnostics
-    return report
+
+    return _data_report(args, blocks)
 
 
-def cmd_relevance(dataset: InputDataset, config: RunConfig) -> dict:
-    """Pairwise z grid plus requested combined-union entries."""
-    costs, path, warns, diagnostics = _prepare(dataset, config, min_groups=2)
-    combined = [_parse_subsets(c) if isinstance(c, str) else c for c in config.combine]
-    report_obj = relevance_report(path, dataset.assignment, combined=combined)
-    z = report_obj.z
-    combined_out = [
-        {"a1": list(a1), "a2": list(a2), "z": zval, "abs_z": abs(zval)}
-        for (a1, a2), zval in report_obj.combined.items()
-    ]
-    report = {
-        "command": "relevance",
-        "version": __version__,
-        "input": _input_block(dataset),
-        "config": _config_block(config),
-        "warnings": warns,
-        "path": {"order": path.tolist(), "total_cost": path_cost(path, costs)},
-        "z": [[None if math.isnan(v) else v for v in row] for row in z.tolist()],
-        "combined": combined_out,
-    }
-    if diagnostics is not None:
-        report["cost_diagnostics"] = diagnostics
+def cmd_relevance(args: argparse.Namespace) -> dict:
+    """Pairwise z grid plus requested combined-union entries.
+
+    ``--tsv-out`` also writes the grid as TSV; with ``--out`` and no
+    ``--tsv-out`` the TSV goes to stdout.
+    """
+
+    def blocks(dataset, costs, path):
+        rel = relevance_report(path, dataset.assignment, combined=args.combine)
+        return {
+            "z": [[None if math.isnan(v) else v for v in row] for row in rel.z.tolist()],
+            "combined": [
+                {"a1": list(a1), "a2": list(a2), "z": zval, "abs_z": abs(zval)}
+                for (a1, a2), zval in rel.combined.items()
+            ],
+        }
+
+    report = _data_report(args, blocks)
+    if args.tsv_out:
+        with open(args.tsv_out, "w") as fh:
+            fh.write(relevance_tsv(report))
+    elif args.out:
+        sys.stdout.write(relevance_tsv(report))
     return report
 
 
@@ -517,13 +532,17 @@ def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
     for key in ("sizes", "means", "covs"):
         if key not in spec:
             raise ValueError(f"case file {path} has no {key!r} key")
+    for i, c in enumerate(spec["covs"]):
+        if not isinstance(c, dict):
+            raise ValueError(f"case file {path}: covs entry {i} is {json.dumps(c)}; "
+                             "expected an object with optional rho and sigma2")
     covs = tuple(
         CovSpec(rho=float(c.get("rho", 0.0)), sigma2=float(c.get("sigma2", 1.0)))
         for c in spec["covs"]
     )
     return SimCase(
         sizes=tuple(spec["sizes"]),
-        d=int(d if d is not None else spec.get("d", 100)),
+        d=int(d if d is not None else spec.get("d", _SIM_D)),
         means=tuple(spec["means"]),
         covs=covs,
         seed=seed,
@@ -532,18 +551,15 @@ def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     """Power estimation over seeded trials for one design."""
+    tests, _ = _parse_test_selector(args.test, "simulate")
     if args.case_file:
         case = _case_from_file(args.case_file, args.d, args.seed)
     else:
-        case = preset_case(args.case, d=args.d if args.d is not None else 100, seed=args.seed)
-    selectors = {"ws": ["ws"], "min": ["min"], "both": ["ws", "min"]}.get(args.test)
-    if selectors is None:
-        raise ValueError(f"unknown test selector {args.test!r}; simulate supports ws, min, both")
+        case = preset_case(args.case, d=args.d if args.d is not None else _SIM_D, seed=args.seed)
     results = {}
-    for sel in selectors:
-        power = estimate_power(case, args.cost, sel, alpha=args.alpha,
+    for name in tests:
+        power = estimate_power(case, args.cost, name, alpha=args.alpha,
                                trials=args.trials, seed=args.seed)
-        name = "weighted_sum" if sel == "ws" else "minimum"
         results[name] = {
             "power": power,
             "mc_se": math.sqrt(power * (1.0 - power) / args.trials),
@@ -572,25 +588,17 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_shp(dataset: InputDataset, config: RunConfig) -> dict:
+def cmd_shp(args: argparse.Namespace) -> dict:
     """Path construction only: node order, per-edge costs, total."""
-    costs, path, warns, diagnostics = _prepare(dataset, config, min_groups=1)
-    edge_costs = costs[path[:-1], path[1:]]
-    report = {
-        "command": "shp",
-        "version": __version__,
-        "input": _input_block(dataset),
-        "config": _config_block(config),
-        "warnings": warns,
-        "path": {
+
+    def blocks(dataset, costs, path):
+        return {"path": {
             "order": path.tolist(),
-            "edge_costs": edge_costs.tolist(),
+            "edge_costs": costs[path[:-1], path[1:]].tolist(),
             "total_cost": path_cost(path, costs),
-        },
-    }
-    if diagnostics is not None:
-        report["cost_diagnostics"] = diagnostics
-    return report
+        }}
+
+    return _data_report(args, blocks, min_groups=1)
 
 
 # --------------------------------------------------------------------------
@@ -600,9 +608,10 @@ def cmd_shp(dataset: InputDataset, config: RunConfig) -> dict:
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="CSV file with a header row")
     p.add_argument("--group-col", required=True, help="name of the label column")
-    p.add_argument("--cost", default="gamma:1.0",
-                   help="cost family: gamma:G, average or diff (default gamma:1.0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cost", help="cost family: gamma:G, average or diff (default %(default)s)")
+    p.add_argument("--seed", type=int,
+                   help="seed of test's perm:B permutation reference; relevance and shp "
+                        "draw nothing (default %(default)s)")
     p.add_argument("--standardize", action="store_true",
                    help="z-scale each feature before cost computation")
     p.add_argument("--check-assumptions", action="store_true",
@@ -611,6 +620,11 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``relevance-kit`` parser; its namespace is every command's options.
+
+    Each subparser sets ``run`` to its command and takes its defaults
+    from ``_DEFAULTS``.
+    """
     parser = argparse.ArgumentParser(
         prog="relevance-kit",
         description="Graph-based k-sample comparison and relevance analysis",
@@ -619,35 +633,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", help="run the k-sample hypothesis tests")
+    p_test.set_defaults(run=cmd_test, **_DEFAULTS)
     _add_data_args(p_test)
-    p_test.add_argument("--test", default="both",
-                        help="ws, min, both, or perm:B for an added permutation p-value")
-    p_test.add_argument("--alpha", type=float, default=0.05)
+    p_test.add_argument("--test",
+                        help="ws, min, both, or perm:B for an added permutation p-value "
+                             "(default %(default)s)")
+    p_test.add_argument("--alpha", type=float, help="level of the tests (default %(default)s)")
     p_test.add_argument("--weights",
                         help="CSV file with a k x k weight grid, or 'unit'")
     p_test.add_argument("--zero-pairs",
                         help="pairs to exclude, e.g. '1,2;3,4' (keeps default weights elsewhere)")
 
     p_rel = sub.add_parser("relevance", help="pairwise and combined z-scores")
+    p_rel.set_defaults(run=cmd_relevance, **_DEFAULTS)
     _add_data_args(p_rel)
-    p_rel.add_argument("--combine", action="append", default=[],
+    p_rel.add_argument("--combine", action="append",
                        help="union comparison 'A1;A2', e.g. '1,2;3,4'; repeatable")
     p_rel.add_argument("--tsv-out", help="also write the z grid as TSV here")
 
     p_sim = sub.add_parser("simulate", help="estimate power on a Gaussian design")
+    p_sim.set_defaults(run=cmd_simulate, **_DEFAULTS)
     p_sim.add_argument("--case", type=int, default=1,
                        help="preset design id 0..6 (0 = null calibration)")
     p_sim.add_argument("--case-file", help="JSON design description (overrides --case)")
-    p_sim.add_argument("--d", type=int, default=None, help="dimension (default 100)")
+    p_sim.add_argument("--d", type=int,
+                       help=f"dimension (default: the case file's d, else {_SIM_D})")
     p_sim.add_argument("--trials", type=int, default=200)
-    p_sim.add_argument("--cost", default="gamma:1.0")
-    p_sim.add_argument("--test", default="both", help="ws, min or both")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--cost")
+    p_sim.add_argument("--test", help="ws, min or both (default %(default)s)")
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--seed", type=int,
+                       help="trial t draws its data from stream (seed, t) (default %(default)s)")
     p_sim.add_argument("--dump-data", help="write the first trial's dataset as CSV")
     p_sim.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p_shp = sub.add_parser("shp", help="construct the approximate shortest path only")
+    p_shp.set_defaults(run=cmd_shp, **_DEFAULTS)
     _add_data_args(p_shp)
 
     return parser
@@ -663,35 +684,9 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            report = cmd_simulate(args)
-        else:
-            config = RunConfig(
-                cost=args.cost,
-                test=getattr(args, "test", "both"),
-                alpha=getattr(args, "alpha", 0.05),
-                seed=args.seed,
-                standardize=args.standardize,
-                weights_path=getattr(args, "weights", None),
-                zero_pairs=_parse_pairs(args.zero_pairs) if getattr(args, "zero_pairs", None) else (),
-                combine=tuple(getattr(args, "combine", ()) or ()),
-                check_assumptions=args.check_assumptions,
-            )
-            dataset = ingest_csv(args.input, args.group_col)
-            if args.command == "test":
-                report = cmd_test(dataset, config)
-            elif args.command == "relevance":
-                report = cmd_relevance(dataset, config)
-                if args.tsv_out:
-                    with open(args.tsv_out, "w") as fh:
-                        fh.write(relevance_tsv(report))
-                elif args.out:
-                    sys.stdout.write(relevance_tsv(report))
-            else:
-                report = cmd_shp(dataset, config)
+        report = args.run(args)
         for line in report.get("warnings", []):
             print(f"warning: {line}", file=sys.stderr)
         _emit(report, args.out)

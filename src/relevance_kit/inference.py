@@ -79,6 +79,7 @@ __all__ = [
     "build_sigma",
     "mvn_upper_tail",
     "permutation_pvalue",
+    "MIN_REPLICATES",
 ]
 
 _MVN_SEED = 20210802  # fixed default so every report is reproducible
@@ -898,6 +899,7 @@ def minimum_critical_value(w: WeightMatrix, ctx: MomentContext, alpha: float = 0
 # --------------------------------------------------------------------------
 # Permutation fallback
 
+MIN_REPLICATES = 100  # fewest permutation replicates permutation_pvalue takes
 _PERM_CHUNK_CELLS = 2 ** 17  # labels (or count slots) per batch of replicates: 1 MB of int64
 
 
@@ -915,8 +917,8 @@ def permutation_pvalue(table, w: WeightMatrix, ctx: MomentContext, B: int, seed:
     rounding.  Add-one smoothing keeps each p-value strictly positive.
     """
     B = int(B)
-    if B < 100:
-        raise ValueError(f"need at least 100 replicates, got B={B}")
+    if B < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got B={B}")
     _check_k(w, ctx)
     k, N = ctx.n_groups, ctx.total
     iu, ju = _pairs(k)

@@ -212,15 +212,15 @@ def estimate_power(case: SimCase, cost, test: str, alpha: float = 0.05,
     trials = int(trials)
     if trials < 50:
         raise ValueError(f"need at least 50 trials for a stable estimate, got {trials}")
-    test = _TEST_ALIASES.get(test)
-    if test is None:
-        raise ValueError(f"unknown test selector; expected one of {sorted(_TEST_ALIASES)}")
+    name = _TEST_ALIASES.get(test)
+    if name is None:
+        raise ValueError(f"unknown test selector {test!r}; expected one of {sorted(_TEST_ALIASES)}")
     cost_fn = resolve_cost(cost)
     ctx = MomentContext(np.asarray(case.sizes))
     w = WeightMatrix.default(ctx)
 
     workers = max(1, int(os.environ.get("RELEVANCE_THREADS", "1")))
-    run = functools.partial(_run_trial, case, cost_fn, test, alpha, ctx, w)
+    run = functools.partial(_run_trial, case, cost_fn, name, alpha, ctx, w)
     seeds = [(seed, t) for t in range(trials)]
     if workers == 1:
         return sum(map(run, seeds)) / trials

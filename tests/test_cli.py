@@ -24,7 +24,6 @@ from hypothesis.extra.numpy import arrays
 
 from relevance_kit import cli, cost, inference
 from relevance_kit.cli import (
-    RunConfig,
     export_csv,
     ingest_csv,
     main,
@@ -427,20 +426,41 @@ class TestExportCsv:
         assert [first[g - 1] for g in ds.assignment.labels.tolist()] == labels
 
 
-class TestRunConfig:
-    def test_weight_mode_resolution(self):
-        assert RunConfig().weight_mode == "default"
-        assert RunConfig(weights_path="unit").weight_mode == "unit"
-        assert RunConfig(weights_path="w.csv").weight_mode == "file"
-        assert RunConfig(zero_pairs=((1, 2),)).weight_mode == "zero-pairs"
+class TestOptions:
+    """Each option's default lives in the parser; bad options fail before the CSV is read."""
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            RunConfig(alpha=0.0)
+    @pytest.mark.parametrize("command", ["test", "relevance", "simulate", "shp"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
 
-    def test_weights_and_zero_pairs_are_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            RunConfig(weights_path="w.csv", zero_pairs=((1, 2),))
+    @pytest.mark.parametrize("command", ["relevance", "shp"])
+    def test_reports_without_test_options_echo_their_defaults(self, two_group_csv, tmp_path,
+                                                              command):
+        report = run_report([command, "--input", str(two_group_csv), "--group-col", "g"], tmp_path)
+        validate_schema(report)
+        config = report["config"]
+        assert (config["test"], config["alpha"], config["seed"]) == ("both", 0.05, 0)
+        assert (config["weight_mode"], config["zero_pairs"]) == ("default", [])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["test", "--test", "perm:50"], "need at least 100 replicates, got B=50"),
+        (["test", "--alpha", "0"], "alpha must be in (0, 1)"),
+        (["test", "--zero-pairs", "1,2,3"], "malformed pair"),
+        (["test", "--weights", "unit", "--zero-pairs", "1,2"], "mutually exclusive"),
+        (["relevance", "--combine", "1,2"], "malformed --combine"),
+    ])
+    def test_option_errors_come_before_the_csv_is_read(self, two_group_csv, monkeypatch, capsys,
+                                                        argv, message):
+        def no_read(*args):
+            raise AssertionError("read the CSV before checking the options")
+
+        monkeypatch.setattr(cli, "ingest_csv", no_read)
+        rc = main(argv + ["--input", str(two_group_csv), "--group-col", "g"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTestCommand:
@@ -452,6 +472,7 @@ class TestTestCommand:
         assert report["command"] == "test"
         assert report["input"]["sizes"] == [10, 10]
         assert set(report["results"]) == {"weighted_sum", "minimum"}
+        assert report["config"]["weight_mode"] == "default"
         counts = np.array(report["counts"])
         assert counts[np.triu_indices(2)].sum() == 19
 
@@ -552,6 +573,7 @@ class TestTestCommand:
             tmp_path,
         )
         assert np.array(report["weights"])[0, 1] == 2.5
+        assert report["config"]["weight_mode"] == "file"
 
     def test_moment_block_matches_sizes(self, two_group_csv, tmp_path):
         report = run_report(
@@ -694,6 +716,16 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(spec) in err and "'means'" in err
+
+    @pytest.mark.parametrize("entry, shown", [(3, "3"), (None, "null")])
+    def test_case_file_covs_entry_that_is_not_an_object(self, tmp_path, capsys, entry, shown):
+        spec = tmp_path / "design.json"
+        spec.write_text(json.dumps({"sizes": [6, 6], "means": [0.0, 1.0], "covs": [{}, entry]}))
+        rc = main(["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(spec) in err
+        assert f"covs entry 1 is {shown}" in err
 
     def test_rejects_unknown_test_selector(self, capsys):
         rc = main(["simulate", "--case", "1", "--trials", "50", "--test", "perm:100"])

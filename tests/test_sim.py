@@ -266,5 +266,5 @@ class TestEstimatePower:
             estimate_power(strong_shift, "gamma:1.0", "ws", trials=10)
 
     def test_rejects_unknown_test(self, strong_shift):
-        with pytest.raises(ValueError, match="unknown test selector"):
+        with pytest.raises(ValueError, match="unknown test selector 'median'"):
             estimate_power(strong_shift, "gamma:1.0", "median", trials=50)
