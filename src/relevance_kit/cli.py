@@ -39,7 +39,7 @@ from .inference import (
 )
 from .moments import MomentContext
 from .relevance import relevance_report
-from .shp import approximate_shp, path_cost
+from .shp import approximate_shp
 from .sim import SimCase, CovSpec, estimate_power, gen_gaussian, preset_case, resolve_cost
 
 __all__ = [
@@ -338,22 +338,31 @@ def _check_options(args: argparse.Namespace) -> None:
     """Reject a data command's bad options before its CSV is read.
 
     Parses ``--zero-pairs`` and ``--combine`` in place, into tuples of
-    group ids; ``--test`` is checked here and parsed where it is used.
+    group ids, and a ``--weights`` file into its ``WeightMatrix``;
+    ``--test`` is checked here and parsed where it is used.  Whether the
+    weight grid is k x k is checked once k is known.
     """
     args.zero_pairs = _parse_pairs(args.zero_pairs) if args.zero_pairs else ()
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {args.alpha}")
     if args.weights and args.zero_pairs:
         raise ValueError("--weights and --zero-pairs are mutually exclusive")
+    if args.weights and args.weights != "unit":
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # an empty file warns "input contained no data"
+                args.weights = WeightMatrix(np.loadtxt(args.weights, delimiter=",", ndmin=2))
+        except (ValueError, UserWarning) as exc:
+            raise ValueError(f"weights file {args.weights}: {exc}") from None
     _parse_test_selector(args.test)
     args.combine = [_parse_subsets(c) for c in args.combine]
 
 
 def _weight_mode(args: argparse.Namespace) -> str:
+    if isinstance(args.weights, WeightMatrix):
+        return "file"
     if args.weights == "unit":
         return "unit"
-    if args.weights:
-        return "file"
     if args.zero_pairs:
         return "zero-pairs"
     return "default"
@@ -364,7 +373,7 @@ def _build_weights(args: argparse.Namespace, ctx: MomentContext) -> WeightMatrix
     if mode == "unit":
         return WeightMatrix.unit(ctx.n_groups)
     if mode == "file":
-        return WeightMatrix(np.loadtxt(args.weights, delimiter=",", ndmin=2))
+        return args.weights
     return WeightMatrix.default(ctx).with_zeroed_pairs(args.zero_pairs)
 
 
@@ -372,11 +381,13 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     """The report of a data command (``test``, ``relevance``, ``shp``).
 
     Checks the options, reads the CSV and checks its group count, then
-    computes the costs and the path.  The blocks every data report
-    shares (input, config, warnings, path) come first;
-    ``blocks(dataset, costs, path)`` returns the command's own, which
-    follow them, and one that shares a name with them replaces it in
-    its place.  ``cost_diagnostics``, when asked for, comes last.
+    computes the costs, the path and its edge costs.  The blocks every
+    data report shares (input, config, warnings, path) come first;
+    ``blocks(assignment, path, edge_costs)`` returns the command's own,
+    which follow them, and one that shares a name with them replaces it
+    in its place.  ``cost_diagnostics``, when asked for, comes last.
+    The data and cost matrices are let go before ``blocks`` runs, so
+    its working memory is not added to theirs.
     """
     _check_options(args)
     dataset = ingest_csv(args.input, args.group_col)
@@ -408,6 +419,8 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
         if not diag.ok:
             warnings_out.append(f"cost assumption check: {diag.summary()}")
     path = approximate_shp(costs)
+    edge_costs = costs[path[:-1], path[1:]]
+    assignment = dataset.assignment
     report = {
         "command": args.command,
         "version": __version__,
@@ -417,7 +430,7 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
             "n_rows": dataset.n,
             "n_features": dataset.d,
             "label_map": dataset.label_map,
-            "sizes": dataset.assignment.sizes.tolist(),
+            "sizes": assignment.sizes.tolist(),
         },
         "config": {
             "cost": args.cost,
@@ -429,9 +442,10 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
             "zero_pairs": [list(p) for p in args.zero_pairs],
         },
         "warnings": warnings_out,
-        "path": {"order": path.tolist(), "total_cost": path_cost(path, costs)},
-        **blocks(dataset, costs, path),
+        "path": {"order": path.tolist(), "total_cost": float(edge_costs.sum())},
     }
+    del dataset, data, costs
+    report.update(blocks(assignment, path, edge_costs))
     if diagnostics is not None:
         report["cost_diagnostics"] = diagnostics
     return report
@@ -460,11 +474,11 @@ def _result_block(res) -> dict:
 def cmd_test(args: argparse.Namespace) -> dict:
     """Full pipeline to one or both hypothesis tests."""
 
-    def blocks(dataset, costs, path):
+    def blocks(assignment, path, edge_costs):
         tests, perm_B = _parse_test_selector(args.test)
-        ctx = MomentContext.from_assignment(dataset.assignment)
+        ctx = MomentContext.from_assignment(assignment)
         w = _build_weights(args, ctx)
-        table = count_edges(path, dataset.assignment)
+        table = count_edges(path, assignment)
         results = {}
         if "weighted_sum" in tests:
             results["weighted_sum"] = _result_block(weighted_sum_test(table, w, ctx, args.alpha))
@@ -496,8 +510,8 @@ def cmd_relevance(args: argparse.Namespace) -> dict:
     ``--tsv-out`` the TSV goes to stdout.
     """
 
-    def blocks(dataset, costs, path):
-        rel = relevance_report(path, dataset.assignment, combined=args.combine)
+    def blocks(assignment, path, edge_costs):
+        rel = relevance_report(path, assignment, combined=args.combine)
         return {
             "z": [[None if math.isnan(v) else v for v in row] for row in rel.z.tolist()],
             "combined": [
@@ -529,9 +543,13 @@ def relevance_tsv(report: dict) -> str:
 def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"case file {path} is {json.dumps(spec)}; expected an object")
     for key in ("sizes", "means", "covs"):
         if key not in spec:
             raise ValueError(f"case file {path} has no {key!r} key")
+        if not isinstance(spec[key], list):
+            raise ValueError(f"case file {path}: {key} is {json.dumps(spec[key])}; expected a list")
     for i, c in enumerate(spec["covs"]):
         if not isinstance(c, dict):
             raise ValueError(f"case file {path}: covs entry {i} is {json.dumps(c)}; "
@@ -591,11 +609,11 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 def cmd_shp(args: argparse.Namespace) -> dict:
     """Path construction only: node order, per-edge costs, total."""
 
-    def blocks(dataset, costs, path):
+    def blocks(assignment, path, edge_costs):
         return {"path": {
             "order": path.tolist(),
-            "edge_costs": costs[path[:-1], path[1:]].tolist(),
-            "total_cost": path_cost(path, costs),
+            "edge_costs": edge_costs.tolist(),
+            "total_cost": float(edge_costs.sum()),
         }}
 
     return _data_report(args, blocks, min_groups=1)

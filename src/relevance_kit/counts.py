@@ -79,8 +79,11 @@ def tabulate(on_path: np.ndarray, k: int) -> np.ndarray:
     that :func:`count_edges` defines, as one (n, k, k) int64 array.
     """
     n = on_path.shape[0]
-    # Edge a -> b of row r lands in bin r k^2 + (a - 1) k + (b - 1).
-    bins = on_path[:, :-1] * k + on_path[:, 1:] + (k * k * np.arange(n)[:, None] - k - 1)
+    # Edge a -> b of row r lands in bin r k^2 + (a - 1) k + (b - 1); built in
+    # one (n, N - 1) array, the batch's only temporary as large as it.
+    bins = on_path[:, :-1] * k
+    bins += on_path[:, 1:]
+    bins += k * k * np.arange(n)[:, None] - k - 1
     directed = np.bincount(bins.ravel(), minlength=n * k * k).reshape(n, k, k)
     tables = directed + directed.transpose(0, 2, 1)
     tables[:, range(k), range(k)] //= 2  # a within-group edge was added both ways

@@ -16,8 +16,12 @@ adaptive Gauss-Legendre rules.  Beyond that it is a quasi-Monte-Carlo
 integrator using the separation-of-variables transform of Genz
 (reordered Cholesky plus a randomized Richtmyer lattice) that builds
 each lattice row as it integrates over it.  The reordering conditions
-all remaining variables at once at each step, and the lattice rows
-reuse a few preallocated buffers.  Its results are memoized in a
+all remaining variables at once at each step.  The lattice is
+integrated ``_MVN_BLOCK`` points at a time, every variable of one block
+before the next, in a few buffers of that width that every block
+reuses, so its working memory is that of one block (704 KiB at K = 45)
+plus one float per point, whatever the point count; the block does not
+reach the result.  Its results are memoized in a
 bounded LRU cache keyed by the bytes of the marginalized Sigma, the
 thresholds and the integration settings, so the repeated thresholds of
 a power study integrate once.  Both tests decide by their p-value
@@ -43,7 +47,10 @@ fallback.  Under the permutation null the labels along any fixed path
 form a uniform arrangement, so its reference draws arrangements of the
 design's labels, from one ``np.random.default_rng(seed)`` stream per
 call, and reads no path or data; a replicate whose statistic ties the
-observed one counts as at or below it.  One call,
+observed one counts as at or below it.  Replicates are shuffled,
+tabulated and scored in batches of about ``_PERM_CHUNK_CELLS`` labels,
+in one buffer that every batch reuses, so the working memory does not
+grow with B.  One call,
 ``permutation_pvalue(table, w, ctx, B, seed)``, scores the observed
 table and returns both p-values, ``{"weighted_sum": p, "minimum": p}``;
 edges are counted by :mod:`~relevance_kit.counts`, never here.
@@ -86,6 +93,13 @@ _MVN_SEED = 20210802  # fixed default so every report is reproducible
 _MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys at K=45
 _B2_GRID = 17  # points at which the pre-root scans the analytic bracket for B2's first crossing
 _ACCEPT_STEP = 1e-4  # Newton step small enough to stop at; see _min_critical
+# Lattice points the engine integrates at a time: 704 KiB of buffers at
+# K=45.  It must be a multiple of 4, here of 16 to spare: OpenBLAS's gemv
+# computes a call's rows in groups of four and its last m mod 4 in a tail
+# that rounds differently, so only whole groups per block put in that tail
+# the points one whole-row call would, and keep the result independent of
+# the block.
+_MVN_BLOCK = 2048
 _EXACT_MAX = 3  # components whose tail mvn_upper_tail computes exactly rather than integrating
 _EXACT_STEP = 1e-12  # root tolerance, and Newton step small enough to stop at, on B2 and exact tails
 # The positive nodes and their weights of the 10-point Gauss-Legendre rule on
@@ -374,8 +388,11 @@ def mvn_upper_tail(
     separation-of-variables transform over a randomized Richtmyer
     lattice; the point count doubles until the shift-to-shift standard
     error meets ``error_target`` (at most three doublings).  Each shift
-    works on an (n - 1, points) array, one contiguous row per variable,
-    and builds lattice row i only when variable i is reached.
+    works through the points ``_MVN_BLOCK`` at a time, on one reused
+    (n - 1, block) array with a contiguous row per variable, and builds
+    lattice row i of a block only when variable i is reached; only the
+    integrand values, one per point, are kept whole, so each shift's
+    estimate is their mean as before.
 
     The integral is a pure function of the marginalized Sigma, the
     thresholds, ``n_points``, ``n_shifts``, ``error_target`` and
@@ -473,34 +490,39 @@ def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int, n_shift
 
     tiny = 1e-300
     pts = int(n_points)
+    block = min(_MVN_BLOCK, pts)
+    Y_all = np.empty((n - 1, block))
+    e_all, x_all, whole_all = (np.empty(block) for _ in range(3))
     for _ in range(4):
         estimates = np.empty(n_shifts)
-        j = np.arange(1, pts + 1, dtype=np.float64)
-        Y = np.empty((n - 1, pts))
-        f, e, x, whole = (np.empty(pts) for _ in range(4))
+        f = np.empty(pts)
         for s, shift in enumerate(rng.random((n_shifts, n - 1))):
-            f.fill(e0)
-            e.fill(e0)
-            for i in range(n):
-                if i > 0:
-                    np.matmul(C[i, :i], Y[:i], out=x)
-                    np.subtract(u[i], x, out=x)  # the conditional limit's numerator
-                    if C[i, i] > 0:
-                        ndtr(np.divide(x, C[i, i], out=x), out=e)
-                    else:
-                        np.greater_equal(x, 0.0, out=e)
-                    f *= e
-                if i < n - 1:
-                    # lattice row |2 frac(j sqrt(p_i) + shift_i) - 1|; x - floor(x) is
-                    # modf's fractional part exactly, since x >= 0
-                    np.multiply(j, sqrt_primes[i], out=x)
-                    x += shift[i]
-                    x -= np.floor(x, out=whole)
-                    x *= 2.0
-                    x -= 1.0
-                    np.abs(x, out=x)
-                    x *= e
-                    ndtri(np.clip(x, tiny, 1.0 - 1e-16, out=x), out=Y[i])
+            for start in range(0, pts, block):
+                m = min(block, pts - start)
+                j = np.arange(start + 1, start + m + 1, dtype=np.float64)  # the block's lattice indices
+                fb, Y, e, x, whole = f[start:start + m], Y_all[:, :m], e_all[:m], x_all[:m], whole_all[:m]
+                fb.fill(e0)
+                e.fill(e0)
+                for i in range(n):
+                    if i > 0:
+                        np.matmul(C[i, :i], Y[:i], out=x)
+                        np.subtract(u[i], x, out=x)  # the conditional limit's numerator
+                        if C[i, i] > 0:
+                            ndtr(np.divide(x, C[i, i], out=x), out=e)
+                        else:
+                            np.greater_equal(x, 0.0, out=e)
+                        fb *= e
+                    if i < n - 1:
+                        # lattice row |2 frac(j sqrt(p_i) + shift_i) - 1|; x - floor(x) is
+                        # modf's fractional part exactly, since x >= 0
+                        np.multiply(j, sqrt_primes[i], out=x)
+                        x += shift[i]
+                        x -= np.floor(x, out=whole)
+                        x *= 2.0
+                        x -= 1.0
+                        np.abs(x, out=x)
+                        x *= e
+                        ndtri(np.clip(x, tiny, 1.0 - 1e-16, out=x), out=Y[i])
             estimates[s] = f.mean()
         prob = float(estimates.mean())
         err = float(estimates.std(ddof=1) / np.sqrt(n_shifts))
@@ -900,7 +922,10 @@ def minimum_critical_value(w: WeightMatrix, ctx: MomentContext, alpha: float = 0
 # Permutation fallback
 
 MIN_REPLICATES = 100  # fewest permutation replicates permutation_pvalue takes
-_PERM_CHUNK_CELLS = 2 ** 17  # labels (or count slots) per batch of replicates: 1 MB of int64
+# Labels (or count slots) per batch of replicates.  A batch's shuffled
+# labels, reused from batch to batch, and its edge bins take 256 KiB of
+# int64 each, so the reference's working memory does not grow with B.
+_PERM_CHUNK_CELLS = 2 ** 15
 
 
 def permutation_pvalue(table, w: WeightMatrix, ctx: MomentContext, B: int, seed: int = 0) -> dict[str, float]:
@@ -936,11 +961,14 @@ def permutation_pvalue(table, w: WeightMatrix, ctx: MomentContext, B: int, seed:
 
     labels = np.repeat(np.arange(1, k + 1), ctx.sizes)
     rng = np.random.default_rng(seed)
-    rows = max(1, _PERM_CHUNK_CELLS // max(N, k * k))
+    rows = min(B, max(1, _PERM_CHUNK_CELLS // max(N, k * k)))
+    shuffled = np.empty((rows, N), dtype=labels.dtype)
     at_or_below = dict.fromkeys(statistics, 0)
     for start in range(0, B, rows):
-        n = min(rows, B - start)
-        counts = tabulate(rng.permuted(np.broadcast_to(labels, (n, N)), axis=1), k)[:, iu, ju]
+        batch = shuffled[:min(rows, B - start)]
+        batch[...] = labels
+        rng.permuted(batch, axis=1, out=batch)  # each row shuffled in place
+        counts = tabulate(batch, k)[:, iu, ju]
         for name, stat in statistics.items():
             at_or_below[name] += int(np.count_nonzero(stat(counts) <= threshold[name]))
     return {name: (1 + hits) / (B + 1) for name, hits in at_or_below.items()}

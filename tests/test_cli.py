@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -450,6 +451,7 @@ class TestOptions:
         (["test", "--alpha", "0"], "alpha must be in (0, 1)"),
         (["test", "--zero-pairs", "1,2,3"], "malformed pair"),
         (["test", "--weights", "unit", "--zero-pairs", "1,2"], "mutually exclusive"),
+        (["test", "--weights", "/nonexistent/weights.csv"], "/nonexistent/weights.csv not found"),
         (["relevance", "--combine", "1,2"], "malformed --combine"),
     ])
     def test_option_errors_come_before_the_csv_is_read(self, two_group_csv, monkeypatch, capsys,
@@ -574,6 +576,62 @@ class TestTestCommand:
         )
         assert np.array(report["weights"])[0, 1] == 2.5
         assert report["config"]["weight_mode"] == "file"
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,1\n2,0\n", "weight grid must be symmetric"),
+        ("a,b\n0,1\n1,0\n", "could not convert string 'a'"),
+        ("0,1\n1\n", "number of columns changed"),
+        ("", "input contained no data"),
+    ])
+    def test_weights_file_that_is_not_a_weight_grid_fails_before_the_csv_is_read(
+            self, two_group_csv, tmp_path, monkeypatch, capsys, text, message):
+        wfile = tmp_path / "w.csv"
+        wfile.write_text(text)
+        monkeypatch.setattr(cli, "ingest_csv", mock.Mock(side_effect=AssertionError("read the CSV")))
+        rc = main(["test", "--input", str(two_group_csv), "--group-col", "g", "--weights", str(wfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: weights file {wfile}: ") and message in err
+
+    def test_weights_file_of_another_k_fails_once_k_is_known(self, two_group_csv, tmp_path, capsys):
+        wfile = tmp_path / "w.csv"
+        wfile.write_text("0,1,1\n1,0,1\n1,1,0\n")
+        rc = main(["test", "--input", str(two_group_csv), "--group-col", "g", "--weights", str(wfile)])
+        assert rc == 2
+        assert "weight grid is 3 x 3 but context has k=2" in capsys.readouterr().err
+
+    def test_data_and_cost_matrices_are_let_go_before_the_tests_run(self, two_group_csv, tmp_path,
+                                                                   monkeypatch):
+        """Inference's working memory is not added to the N x N costs, which nothing after the path reads."""
+        matrices = []
+        ingest, resolve, count = cli.ingest_csv, cli.resolve_cost, cli.count_edges
+
+        def ingesting(*args):
+            dataset = ingest(*args)
+            matrices.append(weakref.ref(dataset.matrix))
+            return dataset
+
+        def resolving(selector):
+            build = resolve(selector)
+
+            def building(data):
+                costs = build(data)
+                matrices.append(weakref.ref(costs))
+                return costs
+            return building
+
+        alive = []
+
+        def counting(*args):  # the first thing cmd_test's blocks compute from the path
+            alive.extend(ref() is not None for ref in matrices)
+            return count(*args)
+
+        monkeypatch.setattr(cli, "ingest_csv", ingesting)
+        monkeypatch.setattr(cli, "resolve_cost", resolving)
+        monkeypatch.setattr(cli, "count_edges", counting)
+        report = run_report(["test", "--input", str(two_group_csv), "--group-col", "g"], tmp_path)
+        assert alive == [False, False]
+        assert report["results"]["minimum"]["p_value"] > 0.0
 
     def test_moment_block_matches_sizes(self, two_group_csv, tmp_path):
         report = run_report(
@@ -716,6 +774,25 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(spec) in err and "'means'" in err
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("sizes", 3, "3"), ("means", {"a": 1}, '{"a": 1}'), ("covs", 5, "5"), ("covs", None, "null"),
+    ])
+    def test_case_file_key_that_is_not_a_list(self, tmp_path, capsys, key, value, shown):
+        spec = tmp_path / "design.json"
+        spec.write_text(json.dumps({"sizes": [6, 6], "means": [0.0, 1.0], "covs": [{}, {}],
+                                    key: value}))
+        rc = main(["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: case file {spec}: {key} is {shown}; expected a list\n"
+
+    def test_case_file_that_is_not_an_object(self, tmp_path, capsys):
+        spec = tmp_path / "design.json"
+        spec.write_text("[6, 6]")
+        rc = main(["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: case file {spec} is [6, 6]; expected an object\n"
 
     @pytest.mark.parametrize("entry, shown", [(3, "3"), (None, "null")])
     def test_case_file_covs_entry_that_is_not_an_object(self, tmp_path, capsys, entry, shown):

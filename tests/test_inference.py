@@ -7,6 +7,7 @@ resulting exact moments are compared with what the tests assume.
 """
 
 import itertools
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -989,6 +990,22 @@ class TestPermutationPvalue:
             for statistic in ("weighted_sum", "minimum")
         }
         assert permutation_pvalue(table, w, ctx, B, seed) == expected
-        for cells in (1, 7 * N):  # one replicate per batch, then several
+        # one replicate per batch, several, about 2^10 / N, and all of them in one
+        for cells in (1, 7 * N, 2**10, 2**20):
             with mock.patch.object(inference, "_PERM_CHUNK_CELLS", cells):
                 assert permutation_pvalue(table, w, ctx, B, seed) == expected
+
+    def test_working_memory_is_one_batch(self):
+        """B = 10 000 at [50] * 10 holds one batch of labels, bins and tables, not all of them."""
+        ctx = MomentContext([50] * 10)
+        labels = np.repeat(np.arange(1, 11), 50)
+        groups = GroupAssignment(labels[np.random.default_rng(1).permutation(500)])
+        table = count_edges(np.arange(500), groups)
+        w = WeightMatrix.default(ctx)
+        tracemalloc.start()
+        try:
+            permutation_pvalue(table, w, ctx, B=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20  # batches of 2^17 labels took 3.3 MiB

@@ -15,6 +15,7 @@ engine is called as ``inference._orthant`` where it is the subject.
 """
 
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -484,6 +485,50 @@ class TestAgainstReferenceLoop:
         t = -3.05 * np.sqrt(np.diag(sigma))  # near the level-0.05 root
         got = mvn_upper_tail(sigma, t, full_output=True)
         assert_allclose(got, reference_upper_tail(sigma, t), rtol=0.0, atol=1e-14)
+
+
+class TestLatticeBlocks:
+    """The engine integrates ``_MVN_BLOCK`` lattice points at a time; the block never reaches the result.
+
+    Every step is elementwise in the points except the conditional limits'
+    matmul, and BLAS's gemv (OpenBLAS here) computes its rows in groups of
+    four and the last m mod 4 of a call in a tail that rounds differently.
+    A block that is a multiple of 16 leaves in that tail the points one
+    whole-row call leaves there, so the blocks below, none of which
+    divides the point counts, give the whole-row result bit for bit.
+    """
+
+    @staticmethod
+    def problems():
+        A = np.random.default_rng(3).standard_normal((4, 5))
+        yield A @ A.T, np.array([0.3, -0.5, 1.0, -1.2])
+        for sizes in ([5, 7, 100, 3], [20, 30, 40, 50, 60], [50] * 10):  # K = 6, 10, 45
+            S = build_sigma(MomentContext(sizes))
+            yield S, -1.5 * np.sqrt(np.diag(S))
+
+    @pytest.mark.parametrize("n_points", [1000, 1237])
+    def test_block_does_not_reach_the_result(self, monkeypatch, n_points):
+        for S, t in self.problems():
+            results = []
+            for block in (16, 48, 2032, n_points):
+                monkeypatch.setattr(inference, "_MVN_BLOCK", block)
+                inference._orthant.cache_clear()
+                results.append(mvn_upper_tail(S, t, n_points=n_points, full_output=True))
+            assert results[:-1] == results[-1:] * 3, (S.shape, results)
+
+    def test_working_memory_does_not_grow_with_the_points(self):
+        """At K = 45 and 40 000 points the engine holds one block, not a 45 x 40 000 array."""
+        S = build_sigma(MomentContext([50] * 10))
+        inference._orthant.cache_clear()
+        tracemalloc.start()
+        try:
+            p, se = mvn_upper_tail(S, -1.5 * np.sqrt(np.diag(S)), n_points=40_000, n_shifts=2,
+                                   full_output=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < p < 1.0 and se > 0.0
+        assert peak < 3 * 2**20  # the whole (44, 40 000) lattice took 15 MiB
 
 
 class TestMemo:
