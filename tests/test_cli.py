@@ -451,8 +451,8 @@ class TestOptions:
         (["test", "--alpha", "0"], "alpha must be in (0, 1)"),
         (["test", "--zero-pairs", "1,2,3"], "malformed pair"),
         (["test", "--weights", "unit", "--zero-pairs", "1,2"], "mutually exclusive"),
-        (["test", "--weights", "/nonexistent/weights.csv"], "/nonexistent/weights.csv not found"),
         (["relevance", "--combine", "1,2"], "malformed --combine"),
+        (["test", "--weights", "/nonexistent/weights.csv"], "/nonexistent/weights.csv not found"),
     ])
     def test_option_errors_come_before_the_csv_is_read(self, two_group_csv, monkeypatch, capsys,
                                                         argv, message):
