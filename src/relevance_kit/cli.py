@@ -22,7 +22,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -305,16 +305,18 @@ def _parse_test_selector(text: str, command: str = "test"):
 
 
 def _parse_pairs(text: str) -> tuple:
-    """'1,2;3,4' -> ((1, 2), (3, 4))."""
+    """--zero-pairs '1,2;3,4' -> ((1, 2), (3, 4))."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"malformed pair {chunk!r}; expected m,l")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = (int(part) for part in chunk.split(","))
+        except ValueError:
+            raise ValueError(f"malformed pair {chunk!r} in --zero-pairs; "
+                             "expected m,l with integer group ids") from None
+        pairs.append((a, b))
     if not pairs:
         raise ValueError(f"no pairs found in {text!r}")
     return tuple(pairs)
@@ -327,21 +329,32 @@ def _parse_subsets(text: str) -> tuple:
         raise ValueError(f"malformed --combine {text!r}; expected 'A1;A2' e.g. '1,2;3,4'")
     out = []
     for side in sides:
-        ids = [int(t) for t in side.split(",") if t.strip()]
+        try:
+            ids = [int(t) for t in side.split(",") if t.strip()]
+        except ValueError:
+            raise ValueError(f"malformed --combine {text!r}: {side!r} is not a list of "
+                             "integer group ids") from None
         if not ids:
             raise ValueError(f"empty subset in --combine {text!r}")
         out.append(tuple(ids))
     return tuple(out)
 
 
-def _check_options(args: argparse.Namespace) -> None:
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
+def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
     """Reject a data command's bad options before its CSV is read.
 
     Parses ``--zero-pairs`` and ``--combine`` in place, into tuples of
     group ids, and a ``--weights`` file into its ``WeightMatrix``;
     ``--test`` is checked here and parsed where it is used.  Whether the
-    weight grid is k x k is checked once k is known.
+    weight grid is k x k is checked once k is known.  Returns the cost
+    family ``--cost`` selects, which ``args.cost`` keeps as its text.
     """
+    _check_seed(args.seed)
     args.zero_pairs = _parse_pairs(args.zero_pairs) if args.zero_pairs else ()
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {args.alpha}")
@@ -356,6 +369,7 @@ def _check_options(args: argparse.Namespace) -> None:
             raise ValueError(f"weights file {args.weights}: {exc}") from None
     _parse_test_selector(args.test)
     args.combine = [_parse_subsets(c) for c in args.combine]
+    return resolve_cost(args.cost)
 
 
 def _weight_mode(args: argparse.Namespace) -> str:
@@ -389,7 +403,7 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     The data and cost matrices are let go before ``blocks`` runs, so
     its working memory is not added to theirs.
     """
-    _check_options(args)
+    cost_family = _check_options(args)
     dataset = ingest_csv(args.input, args.group_col)
     k = dataset.assignment.n_groups
     if k < min_groups:
@@ -405,7 +419,7 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
         sd = data.std(axis=0)
         sd[sd == 0.0] = 1.0  # constant features: center only
         data = (data - data.mean(axis=0)) / sd
-    costs = resolve_cost(args.cost)(data)
+    costs = cost_family(data)
     diagnostics = None
     if args.check_assumptions:
         diag = validate_assumptions(costs)
@@ -569,6 +583,7 @@ def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     """Power estimation over seeded trials for one design."""
+    _check_seed(args.seed)
     tests, _ = _parse_test_selector(args.test, "simulate")
     if args.case_file:
         case = _case_from_file(args.case_file, args.d, args.seed)
@@ -633,7 +648,8 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--standardize", action="store_true",
                    help="z-scale each feature before cost computation")
     p.add_argument("--check-assumptions", action="store_true",
-                   help="run the cost-matrix assumption diagnostics (O(N^3))")
+                   help="count the cost matrix's positivity, symmetry and triangle "
+                        "breaches (O(N^3) time; memory of a few row strips)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 

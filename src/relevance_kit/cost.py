@@ -11,9 +11,9 @@ matrix of nonnegative edge costs:
   of each observation's successive-difference vector; sensitive to both
   mean and covariance changes.
 
-:func:`validate_assumptions` checks the regularity conditions the
-downstream tests rely on (positivity, symmetry, triangle inequality)
-and reports violations without raising.
+:func:`validate_assumptions` counts, without raising, the breaches of
+the regularity conditions the downstream tests rely on (positivity,
+symmetry, triangle inequality), reading the matrix in row strips.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "CostDiagnostics",
     "check_data_matrix",
     "check_cost_matrix",
+    "check_gamma",
 ]
 
 _STRIP_CELLS = 2 ** 18  # costs per row strip of the cost build, its checks and the path: 2 MiB
@@ -136,28 +137,23 @@ def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
     return C
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject a norm order outside (0, 2], the orders :func:`gamma_cost` takes."""
+    if not 0.0 < gamma <= 2.0:
+        raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
+
+
 def gamma_cost(data, gamma: float) -> np.ndarray:
-    """Dimension-scaled gamma-norm cost matrix.
+    """Dimension-scaled gamma-norm cost matrix, symmetric with zero diagonal.
 
     cost(t1, t2) = d**(-1/gamma) * (sum_q |X[t1,q] - X[t2,q]|**gamma)**(1/gamma)
 
-    Parameters
-    ----------
-    data : array_like, shape (N, d)
-        Observations as rows.
-    gamma : float
-        Norm order, must lie in (0, 2].  gamma = 2 gives the scaled
-        Euclidean distance; values below 1 are accepted but the result
-        may violate the triangle inequality (see
-        :func:`validate_assumptions`).
-
-    Returns
-    -------
-    ndarray, shape (N, N)
-        Symmetric cost matrix with zero diagonal.
+    ``data`` holds the observations as rows, and gamma must lie in (0, 2].
+    gamma = 2 gives the scaled Euclidean distance.  Below 1 the cost is no
+    norm and can break the triangle inequality, which
+    :func:`validate_assumptions` counts.
     """
-    if not (0.0 < gamma <= 2.0):
-        raise ValueError(f"gamma must lie in (0, 2], got {gamma}")
+    check_gamma(gamma)
     X = check_data_matrix(data)
     scale = X.shape[1] ** (-1.0 / gamma)
 
@@ -213,12 +209,9 @@ def diff_augmented_cost(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostDiagnostics:
-    """Advisory report on cost-matrix regularity.
-
-    Attributes list offending index pairs/triples (capped at
-    ``max_listed`` each); the ``*_count`` fields always hold the full
-    violation counts.
-    """
+    """Advisory report on cost-matrix regularity: the ``*_violations``
+    lists hold the first 100 offending index pairs or triples of each
+    check, and the ``*_count`` fields the full violation counts."""
 
     n: int
     positivity_violations: list = field(default_factory=list)
@@ -243,57 +236,56 @@ class CostDiagnostics:
         )
 
 
-def validate_assumptions(
-    costs,
-    *,
-    symmetry_tol: float = 1e-12,
-    triangle_tol: float = 1e-9,
-    max_listed: int = 100,
-) -> CostDiagnostics:
+_LISTED = 100  # violations listed per check
+_SYMMETRY_TOL, _TRIANGLE_TOL = 1e-12, 1e-9  # times max(1, largest |cost|)
+
+
+def validate_assumptions(costs) -> CostDiagnostics:
     """Check positivity, symmetry, and the triangle inequality.
 
     The checks are diagnostic only: duplicate observations (zero cost)
     or a sub-1 gamma norm can legitimately trip them, and the path
-    construction tolerates both.  Nothing is raised.
-
-    Returns
-    -------
-    CostDiagnostics
-        Violation lists (index pairs for positivity/symmetry, index
-        triples ``(a, b, c)`` with cost(a,b) > cost(a,c) + cost(b,c)
-        for the triangle check) plus total counts.
+    construction tolerates both.  Nothing is raised.  Pairs are (a, b)
+    with a < b; triangle violations are triples (a, b, c) with
+    cost(a, b) > cost(a, c) + cost(c, b), listed c-major.  Asymmetries
+    and triangle excesses count above 1e-12 and 1e-9 times max(1,
+    largest |cost|).  Each check reads row strips of ``_strip_rows(n)``
+    rows, the triangle check once per intermediate node c: O(N^3) time
+    and under three strips of memory beyond the matrix.
     """
     C = check_cost_matrix(costs)
     n = C.shape[0]
+    rows = min(_strip_rows(n), n)
+    scale = max(1.0, *(np.abs(C[a : a + rows]).max() for a in range(0, n, rows)))
+    upper = np.triu(np.ones((rows, rows), dtype=bool))
 
-    iu, ju = np.triu_indices(n, 1)
-    off = C[iu, ju]
-    pos_mask = off <= 0.0
-    pos_pairs = [(int(i), int(j)) for i, j in zip(iu[pos_mask], ju[pos_mask])]
+    def tally(listed: list, mask: np.ndarray, a: int, *extra) -> int:
+        """Hits of ``mask``, on C[a:e, a + 1:], at pairs a' < b'; while ``listed``
+        has room, appends them in row-major order as ``(a', b', *extra)``."""
+        mask[:, : len(mask)] &= upper[: len(mask), : n - a - 1]
+        hits, room = int(np.count_nonzero(mask)), _LISTED - len(listed)
+        if hits and room > 0:  # argwhere reads only the rows that fill the list
+            end = np.searchsorted(np.cumsum(np.count_nonzero(mask, axis=1)), room) + 1
+            hit = np.argwhere(mask[:end])[:room]
+            listed.extend((a + int(i), a + 1 + int(j), *extra) for i, j in hit)
+        return hits
 
-    asym = np.abs(C - C.T)
-    asym_mask = asym[iu, ju] > symmetry_tol
-    asym_pairs = [(int(i), int(j)) for i, j in zip(iu[asym_mask], ju[asym_mask])]
-
-    tri: list[tuple[int, int, int]] = []
-    tri_count = 0
-    # One intermediate node at a time keeps memory at O(N^2).
+    strips = [(a, min(a + rows, n)) for a in range(0, n - 1, rows)]
+    pos, asym, tri, counts = [], [], [], [0, 0, 0]
+    for a, e in strips:
+        block = C[a:e, a + 1 :]
+        counts[0] += tally(pos, block <= 0.0, a)
+        counts[1] += tally(asym, np.abs(block - C[a + 1 :, a:e].T) > _SYMMETRY_TOL * scale, a)
+    excess = np.empty((rows, n - 1))
     for c in range(n):
-        excess = C - (C[:, c][:, None] + C[c, :][None, :])
-        bad = np.argwhere(excess > triangle_tol)
-        for a, b in bad:
-            if a == c or b == c or a >= b:
-                continue
-            tri_count += 1
-            if len(tri) < max_listed:
-                tri.append((int(a), int(b), int(c)))
-
-    return CostDiagnostics(
-        n=n,
-        positivity_violations=pos_pairs[:max_listed],
-        symmetry_violations=asym_pairs[:max_listed],
-        triangle_violations=tri,
-        positivity_count=len(pos_pairs),
-        symmetry_count=len(asym_pairs),
-        triangle_count=tri_count,
-    )
+        for a, e in strips:
+            out = excess[: e - a, : n - a - 1]
+            np.add(C[a:e, c, None], C[c, a + 1 :], out=out)
+            np.subtract(C[a:e, a + 1 :], out, out=out)
+            mask = out > _TRIANGLE_TOL * scale
+            if a <= c < e:
+                mask[c - a] = False
+            if c > a:
+                mask[:, c - a - 1] = False
+            counts[2] += tally(tri, mask, a, c)
+    return CostDiagnostics(n, pos, asym, tri, *counts)

@@ -29,7 +29,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cost import average_cost, diff_augmented_cost, gamma_cost
+from .cost import average_cost, check_gamma, diff_augmented_cost, gamma_cost
 from .counts import GroupAssignment, count_edges
 from .inference import WeightMatrix, minimum_test, weighted_sum_test
 from .moments import MomentContext
@@ -163,7 +163,7 @@ def resolve_cost(cost) -> Callable[[np.ndarray], np.ndarray]:
     """Map a cost selector to a data -> cost-matrix callable.
 
     Accepts a callable unchanged, or one of the strings ``gamma:G``
-    (G a positive real, e.g. ``gamma:0.5``), ``average``, ``diff``.
+    (G in (0, 2], e.g. ``gamma:0.5``), ``average``, ``diff``.
     """
     if callable(cost):
         return cost
@@ -178,6 +178,7 @@ def resolve_cost(cost) -> Callable[[np.ndarray], np.ndarray]:
             gamma = float(cost.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed gamma selector {cost!r}; expected gamma:G") from None
+        check_gamma(gamma)
         return lambda data: gamma_cost(data, gamma)
     raise ValueError(f"unknown cost selector {cost!r}; expected gamma:G, average or diff")
 

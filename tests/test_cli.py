@@ -453,6 +453,12 @@ class TestOptions:
         (["test", "--weights", "unit", "--zero-pairs", "1,2"], "mutually exclusive"),
         (["relevance", "--combine", "1,2"], "malformed --combine"),
         (["test", "--weights", "/nonexistent/weights.csv"], "/nonexistent/weights.csv not found"),
+        (["test", "--cost", "gamma:3"], "gamma must lie in (0, 2], got 3.0"),
+        (["test", "--cost", "gamma:abc"], "malformed gamma selector 'gamma:abc'"),
+        (["test", "--cost", "bogus"], "unknown cost selector 'bogus'"),
+        (["test", "--test", "perm:200", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["test", "--zero-pairs", "1,x"], "malformed pair '1,x' in --zero-pairs"),
+        (["relevance", "--combine", "1,a;2"], "malformed --combine '1,a;2': '1,a' is not a list"),
     ])
     def test_option_errors_come_before_the_csv_is_read(self, two_group_csv, monkeypatch, capsys,
                                                         argv, message):
@@ -654,9 +660,14 @@ class TestTestCommand:
              "--test", "ws", "--cost", "gamma:2", "--check-assumptions"],
             tmp_path,
         )
+        validate_schema(report)
         diag = report["cost_diagnostics"]
         assert diag["ok"] is True
         assert diag["triangle_violations"] == 0
+        jsonschema = pytest.importorskip("jsonschema")
+        report["cost_diagnostics"]["triangle_violations"] = -1
+        with pytest.raises(jsonschema.ValidationError):
+            validate_schema(report)
 
     def test_rejects_single_group(self, tmp_path, capsys):
         p = write_csv(tmp_path / "one.csv", ["a"] * 5, np.eye(5))
@@ -726,6 +737,14 @@ class TestSimulateCommand:
         assert res["mc_se"] == pytest.approx(expected_se)
         assert report["case"]["id"] == 0
         assert report["case"]["sizes"] == [20, 40]
+
+    def test_negative_seed_fails_before_any_trial(self, monkeypatch, capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran trials before checking --seed")
+
+        monkeypatch.setattr(cli, "estimate_power", no_trials)
+        assert main(["simulate", "--case", "1", "--seed", "-1"]) == 2
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path):
         args = ["simulate", "--case", "1", "--d", "25", "--trials", "50", "--test", "ws"]

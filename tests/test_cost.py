@@ -1,9 +1,12 @@
 """Tests for the three edge-cost families and the assumption diagnostics."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist, squareform
 
@@ -250,7 +253,90 @@ class TestMemoryGuard:
         assert have is None or have > 0
 
 
+def loop_diagnostics(C, symmetry_tol, triangle_tol, max_listed=100):
+    """The diagnostics by a Python loop over every violating triple, with the tolerances given."""
+    n = C.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    off = C[iu, ju]
+    pos_mask = off <= 0.0
+    pos_pairs = [(int(i), int(j)) for i, j in zip(iu[pos_mask], ju[pos_mask])]
+    asym_mask = np.abs(C - C.T)[iu, ju] > symmetry_tol
+    asym_pairs = [(int(i), int(j)) for i, j in zip(iu[asym_mask], ju[asym_mask])]
+    tri, tri_count = [], 0
+    for c in range(n):
+        excess = C - (C[:, c][:, None] + C[c, :][None, :])
+        for a, b in np.argwhere(excess > triangle_tol):
+            if a == c or b == c or a >= b:
+                continue
+            tri_count += 1
+            if len(tri) < max_listed:
+                tri.append((int(a), int(b), int(c)))
+    return cost.CostDiagnostics(
+        n, pos_pairs[:max_listed], asym_pairs[:max_listed], tri,
+        len(pos_pairs), len(asym_pairs), tri_count,
+    )
+
+
+def derived_tolerances(C):
+    scale = max(1.0, float(np.abs(C).max()))
+    return 1e-12 * scale, 1e-9 * scale
+
+
+@st.composite
+def cost_matrices(draw):
+    """Small matrices of each kind the check must judge, with a strip size that splits them."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["asymmetric", "zeros", "negative", "gamma0.5", "ties"]))
+    if kind == "asymmetric":  # a nonzero diagonal too
+        C = rng.uniform(0.0, 1.0, (n, n))
+    elif kind == "zeros":
+        C = gamma_cost(rng.integers(0, 2, (n, 2)).astype(float), 2.0) * (rng.random((n, n)) < 0.7)
+    elif kind == "negative":
+        C = rng.uniform(-1.0, 1.0, (n, n))
+        C = (C + C.T) / 2
+    elif kind == "gamma0.5":
+        C = gamma_cost(rng.standard_normal((n, 2)), 0.5)
+    else:
+        C = gamma_cost(rng.integers(0, 3, (n, 3)).astype(float), 0.5)
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e8]))
+    return C * scale, draw(st.integers(1, n))
+
+
 class TestValidateAssumptions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn=cost_matrices())
+    def test_equals_the_loop_at_the_derived_tolerances(self, drawn):
+        C, rows = drawn
+        with mock.patch.object(cost, "_STRIP_CELLS", C.shape[0] * rows):
+            diag = validate_assumptions(C)
+        assert diag == loop_diagnostics(C, *derived_tolerances(C))
+
+    def test_equals_the_loop_over_several_default_strips(self):
+        n = 600
+        C = gamma_cost(np.random.default_rng(5).standard_normal((n, 2)), 1.0)
+        C = C / C.max()
+        C[3, 590] = C[590, 3] = 1.5  # a long edge, listed from the first strip
+        C[500, 599] = C[599, 500] = 0.0  # a zero and an asymmetry in the second
+        C[450, 520] += 1e-6
+        assert cost._strip_rows(n) < 450
+        diag = validate_assumptions(C)
+        assert diag == loop_diagnostics(C, *derived_tolerances(C))
+        assert (diag.positivity_count, diag.symmetry_count) == (1, 1)
+        assert diag.triangle_count > 100
+
+    def test_peak_is_under_three_strips(self):
+        n = 1000
+        C = gamma_cost(np.random.default_rng(2).standard_normal((n, 2)), 0.5)
+        tracemalloc.start()
+        try:
+            diag = validate_assumptions(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.triangle_count > 0
+        assert peak < 3 * 8 * cost._STRIP_CELLS  # 6 MiB; N x N temporaries held 42.9 MiB
+
     def test_clean_matrix_passes(self, rng):
         C = gamma_cost(rng.standard_normal((12, 6)), 2.0)
         diag = validate_assumptions(C)
@@ -279,6 +365,13 @@ class TestValidateAssumptions:
         diag = validate_assumptions(C)
         assert diag.triangle_count > 0
         assert (0, 2, 1) in diag.triangle_violations
+        assert (0, 2, 1) in validate_assumptions(gamma_cost(X * 1e8, 0.5)).triangle_violations
+
+    def test_large_units_report_no_false_violations(self):
+        # average costs are |s_a - s_b|, a metric: only rounding, which
+        # grows with the unit, can make a triangle excess
+        X = np.random.default_rng(7).standard_normal((120, 20))
+        assert validate_assumptions(average_cost(X * 1e8)).triangle_count == 0
 
     def test_triangle_holds_for_euclidean(self, rng):
         C = gamma_cost(rng.standard_normal((15, 3)), 2.0)
@@ -287,6 +380,7 @@ class TestValidateAssumptions:
     def test_listing_cap(self):
         # all-duplicate data: every off-diagonal pair violates positivity
         X = np.zeros((30, 2))
-        diag = validate_assumptions(gamma_cost(X, 2.0), max_listed=10)
+        diag = validate_assumptions(gamma_cost(X, 2.0))
         assert diag.positivity_count == 30 * 29 // 2
-        assert len(diag.positivity_violations) == 10
+        pairs = [(a, b) for a in range(30) for b in range(a + 1, 30)]
+        assert diag.positivity_violations == pairs[:100]

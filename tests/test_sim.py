@@ -193,6 +193,11 @@ class TestResolveCost:
         with pytest.raises(ValueError, match="malformed gamma selector"):
             resolve_cost("gamma:abc")
 
+    @pytest.mark.parametrize("selector", ["gamma:0", "gamma:2.5", "gamma:nan", "gamma:-1"])
+    def test_rejects_gamma_out_of_range_when_resolved(self, selector):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 2\]"):
+            resolve_cost(selector)
+
     def test_rejects_unknown_selector(self):
         with pytest.raises(ValueError, match="unknown cost selector"):
             resolve_cost("euclid")
