@@ -32,6 +32,7 @@ from .counts import GroupAssignment, count_edges
 from .inference import (
     MIN_REPLICATES,
     WeightMatrix,
+    _check_alpha,
     minimum_critical_value,
     minimum_test,
     permutation_pvalue,
@@ -356,8 +357,7 @@ def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarra
     """
     _check_seed(args.seed)
     args.zero_pairs = _parse_pairs(args.zero_pairs) if args.zero_pairs else ()
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {args.alpha}")
+    _check_alpha(args.alpha)
     if args.weights and args.zero_pairs:
         raise ValueError("--weights and --zero-pairs are mutually exclusive")
     if args.weights and args.weights != "unit":
@@ -400,12 +400,15 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     ``blocks(assignment, path, edge_costs)`` returns the command's own,
     which follow them, and one that shares a name with them replaces it
     in its place.  ``cost_diagnostics``, when asked for, comes last.
-    The data and cost matrices are let go before ``blocks`` runs, so
-    its working memory is not added to theirs.
+    The data matrix is let go once the costs are built, so the
+    diagnostics and the path run beside the cost matrix alone, and the
+    cost matrix before ``blocks`` runs, so its working memory is not
+    added to theirs.
     """
     cost_family = _check_options(args)
     dataset = ingest_csv(args.input, args.group_col)
-    k = dataset.assignment.n_groups
+    assignment = dataset.assignment
+    k = assignment.n_groups
     if k < min_groups:
         raise ValueError(f"this command needs at least {min_groups} groups, found {k}")
     warnings_out = []
@@ -414,12 +417,22 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
             f"N={dataset.n} exceeds sqrt(d)={math.sqrt(dataset.d):.1f}; path-based "
             "approximations assume N small relative to sqrt(d)"
         )
+    input_block = {
+        "source": dataset.source,
+        "group_col": dataset.group_col,
+        "n_rows": dataset.n,
+        "n_features": dataset.d,
+        "label_map": dataset.label_map,
+        "sizes": assignment.sizes.tolist(),
+    }
     data = dataset.matrix
+    del dataset
     if args.standardize:
         sd = data.std(axis=0)
         sd[sd == 0.0] = 1.0  # constant features: center only
         data = (data - data.mean(axis=0)) / sd
     costs = cost_family(data)
+    del data
     diagnostics = None
     if args.check_assumptions:
         diag = validate_assumptions(costs)
@@ -434,18 +447,11 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
             warnings_out.append(f"cost assumption check: {diag.summary()}")
     path = approximate_shp(costs)
     edge_costs = costs[path[:-1], path[1:]]
-    assignment = dataset.assignment
+    del costs
     report = {
         "command": args.command,
         "version": __version__,
-        "input": {
-            "source": dataset.source,
-            "group_col": dataset.group_col,
-            "n_rows": dataset.n,
-            "n_features": dataset.d,
-            "label_map": dataset.label_map,
-            "sizes": assignment.sizes.tolist(),
-        },
+        "input": input_block,
         "config": {
             "cost": args.cost,
             "test": args.test,
@@ -458,7 +464,6 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
         "warnings": warnings_out,
         "path": {"order": path.tolist(), "total_cost": float(edge_costs.sum())},
     }
-    del dataset, data, costs
     report.update(blocks(assignment, path, edge_costs))
     if diagnostics is not None:
         report["cost_diagnostics"] = diagnostics
@@ -568,22 +573,26 @@ def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
         if not isinstance(c, dict):
             raise ValueError(f"case file {path}: covs entry {i} is {json.dumps(c)}; "
                              "expected an object with optional rho and sigma2")
-    covs = tuple(
-        CovSpec(rho=float(c.get("rho", 0.0)), sigma2=float(c.get("sigma2", 1.0)))
-        for c in spec["covs"]
-    )
-    return SimCase(
-        sizes=tuple(spec["sizes"]),
-        d=int(d if d is not None else spec.get("d", _SIM_D)),
-        means=tuple(spec["means"]),
-        covs=covs,
-        seed=seed,
-    )
+    try:
+        covs = tuple(
+            CovSpec(rho=float(c.get("rho", 0.0)), sigma2=float(c.get("sigma2", 1.0)))
+            for c in spec["covs"]
+        )
+        return SimCase(
+            sizes=tuple(spec["sizes"]),
+            d=d if d is not None else spec.get("d", _SIM_D),
+            means=tuple(spec["means"]),
+            covs=covs,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise ValueError(f"case file {path}: {exc}") from None
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     """Power estimation over seeded trials for one design."""
     _check_seed(args.seed)
+    _check_alpha(args.alpha)
     tests, _ = _parse_test_selector(args.test, "simulate")
     if args.case_file:
         case = _case_from_file(args.case_file, args.d, args.seed)

@@ -58,7 +58,8 @@ def check_data_matrix(data) -> np.ndarray:
     cost family builds its N x N float64 matrix (8 N^2 bytes) in row
     strips, and :func:`~relevance_kit.shp.approximate_shp` reads it in
     strips too; measured at N = 600 to 4000, their working memory beyond
-    the matrix stays under three strips of ``_STRIP_CELLS`` costs.  An N
+    the matrix stays under three strips of ``_STRIP_CELLS`` costs, and
+    the build's under a quarter of a strip from N = 2000 up.  An N
     for which 8 N^2 bytes plus four strips (8 MiB) exceed the machine's
     physical memory raises ``ValueError`` here, before any of it is
     allocated.
@@ -99,13 +100,17 @@ def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
 
     ``finish(D, pairs)`` turns raw metric values ``D`` into costs in place;
     ``pairs()`` returns the row and column indices (i < j) of ``D``'s
-    entries, broadcastable against it.  Pairs within a strip come from
-    ``pdist`` and pairs from a strip to every later row from ``cdist``,
-    whose rows equal ``pdist``'s bit for bit.  Each pair is computed once
-    and mirrored, so symmetry is bit-exact and the diagonal is exactly
-    zero.  Beyond the matrix, the working memory is under two strips of
-    ``_STRIP_CELLS`` costs; an N that fits in one strip takes a single
-    ``pdist`` and ``squareform``, as a plain condensed build would.
+    entries, broadcastable against it.  A strip of ``_strip_rows(n)`` rows
+    takes the pairs within it from ``pdist`` and the pairs to every later
+    row from square tiles of ``cdist``, whose rows equal ``pdist``'s bit
+    for bit; each tile is computed into one buffer reused for the whole
+    build.  Each pair is computed once and mirrored, so symmetry is
+    bit-exact and the diagonal is exactly zero.  Beyond the matrix, the
+    working memory is the tile buffer and one diagonal block's ``pdist``
+    and ``squareform``, about 2.5 ``rows x rows`` blocks (0.4 MiB at
+    N = 2000, where a strip is 2 MiB); an N that fits in one strip takes
+    a single ``pdist`` and ``squareform``, as a plain condensed build
+    would.
     """
     n = X.shape[0]
     rows = _strip_rows(n)
@@ -125,14 +130,19 @@ def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
         C = within(0, n)
     else:
         C = np.empty((n, n))
+        tile = None
         for a in range(0, n, rows):
             e = min(a + rows, n)
             C[a:e, a:e] = within(a, e)
-            if e < n:
-                D = cdist(X[a:e], X[e:], metric, **kwargs)
-                finish(D, lambda: (np.arange(a, e)[:, None], np.arange(e, n)))
-                C[a:e, e:] = D
-                C[e:, a:e] = D.T
+            if tile is None:  # the largest tile, allocated after the first diagonal block is freed
+                tile = np.empty(rows * min(rows, n - e))
+            for f in range(e, n, rows):
+                g = min(f + rows, n)
+                D = tile[: (e - a) * (g - f)].reshape(e - a, g - f)
+                cdist(X[a:e], X[f:g], metric, out=D, **kwargs)
+                finish(D, lambda: (np.arange(a, e)[:, None], np.arange(f, g)))
+                C[a:e, f:g] = D
+                C[f:g, a:e] = D.T
     C.setflags(write=False)
     return C
 

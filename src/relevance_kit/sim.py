@@ -70,12 +70,19 @@ def scaled_identity(c: float) -> CovSpec:
     return CovSpec(rho=0.0, sigma2=c)
 
 
+def _is_whole(value) -> bool:
+    """True for an integer or an integral float such as 20.0; False for a boolean."""
+    return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and float(value).is_integer())
+
+
 @dataclass(frozen=True)
 class SimCase:
     """One Gaussian k-sample design.
 
     ``means[l]`` is a scalar offset applied to every coordinate of
-    group l + 1; ``covs[l]`` its covariance spec.
+    group l + 1; ``covs[l]`` its covariance spec.  ``sizes`` and ``d``
+    must be whole numbers (20 or 20.0, not 20.7 or True).
     """
 
     sizes: tuple
@@ -85,13 +92,14 @@ class SimCase:
     seed: Union[int, tuple] = 0
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
-        if not sizes or any(n < 1 for n in sizes):
+        sizes = tuple(self.sizes)
+        if not sizes or not all(_is_whole(n) and n >= 1 for n in sizes):
             raise ValueError(f"sizes must be positive integers, got {self.sizes}")
+        sizes = tuple(int(n) for n in sizes)
         if len(self.means) != len(sizes) or len(self.covs) != len(sizes):
             raise ValueError("sizes, means and covs must have one entry per group")
-        if int(self.d) < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        if not (_is_whole(self.d) and self.d >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {self.d}")
         for c in self.covs:
             if not isinstance(c, CovSpec):
                 raise TypeError(f"covs entries must be CovSpec, got {type(c).__name__}")

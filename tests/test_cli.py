@@ -746,6 +746,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--case", "1", "--seed", "-1"]) == 2
         assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    def test_bad_alpha_fails_before_any_trial(self, monkeypatch, capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran trials before checking --alpha")
+
+        monkeypatch.setattr(cli, "estimate_power", no_trials)
+        assert main(["simulate", "--case", "1", "--d", "20", "--trials", "50", "--alpha", "1.5"]) == 2
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
+
     def test_deterministic(self, tmp_path):
         args = ["simulate", "--case", "1", "--d", "25", "--trials", "50", "--test", "ws"]
         r1 = run_report(args, tmp_path, "a.json")
@@ -823,6 +831,33 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and str(spec) in err
         assert f"covs entry 1 is {shown}" in err
 
+    @pytest.mark.parametrize("design, shown", [
+        ({"sizes": [20.7, 30], "d": 10}, "sizes must be positive integers, got (20.7, 30)"),
+        ({"sizes": [True, 30], "d": 10}, "sizes must be positive integers, got (True, 30)"),
+        ({"sizes": [20, 30], "d": 10.9}, "dimension must be a positive integer, got 10.9"),
+        ({"sizes": [20, 30], "d": False}, "dimension must be a positive integer, got False"),
+    ])
+    def test_case_file_sizes_and_d_that_are_not_whole(self, tmp_path, monkeypatch, capsys,
+                                                      design, shown):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran trials on a truncated design")
+
+        monkeypatch.setattr(cli, "estimate_power", no_trials)
+        spec = tmp_path / "design.json"
+        spec.write_text(json.dumps({"means": [0.0, 1.0], "covs": [{}, {}], **design}))
+        rc = main(["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: case file {spec}: {shown}\n"
+
+    def test_case_file_integral_floats_are_whole(self, tmp_path):
+        spec = tmp_path / "design.json"
+        spec.write_text(json.dumps({"sizes": [6.0, 6], "d": 8.0, "means": [0.0, 5.0],
+                                    "covs": [{}, {}]}))
+        report = run_report(
+            ["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"], tmp_path)
+        validate_schema(report)
+        assert report["case"]["sizes"] == [6, 6] and report["case"]["d"] == 8
+
     def test_rejects_unknown_test_selector(self, capsys):
         rc = main(["simulate", "--case", "1", "--trials", "50", "--test", "perm:100"])
         assert rc == 2
@@ -843,6 +878,36 @@ class TestShpCommand:
     def test_deterministic(self, two_group_csv, tmp_path):
         args = ["shp", "--input", str(two_group_csv), "--group-col", "g"]
         assert run_report(args, tmp_path, "a.json") == run_report(args, tmp_path, "b.json")
+
+
+class TestDataReportMemory:
+    @pytest.mark.parametrize("extra", [[], ["--standardize"], ["--check-assumptions"],
+                                       ["--standardize", "--check-assumptions"]],
+                             ids=["plain", "standardize", "check", "standardize-check"])
+    @pytest.mark.parametrize("command", ["test", "relevance", "shp"])
+    def test_data_matrix_is_let_go_before_the_path(self, three_group_csv, tmp_path, monkeypatch,
+                                                   command, extra):
+        """The path runs beside the N x N costs alone; the diagnostics read only the costs."""
+        matrices, paths = [], []
+        ingest, shp = cli.ingest_csv, cli.approximate_shp
+
+        def ingesting(*args):
+            dataset = ingest(*args)
+            matrices.append(weakref.ref(dataset.matrix))
+            return dataset
+
+        def pathing(costs):
+            assert len(matrices) == 1 and matrices[0]() is None, "the data matrix outlived the costs"
+            paths.append(shp(costs))
+            return paths[-1]
+
+        monkeypatch.setattr(cli, "ingest_csv", ingesting)
+        monkeypatch.setattr(cli, "approximate_shp", pathing)
+        report = run_report([command, "--input", str(three_group_csv), "--group-col", "g", *extra],
+                            tmp_path)
+        assert len(paths) == 1
+        assert report["path"]["order"] == paths[0].tolist()
+        assert report["input"]["n_rows"] == 13 and report["input"]["n_features"] == 5
 
 
 class TestMainExitCodes:

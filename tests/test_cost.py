@@ -228,6 +228,21 @@ class TestStripMemory:
         # a condensed build holds 1.5x to 3x the matrix
         assert peak <= 1.25 * 8 * n * n + 8 * cost._STRIP_CELLS
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_off_diagonal_tiles_share_one_buffer(self, family):
+        n = 2000  # 131-row strips: 16 of them, tiled into up to 15 tiles each
+        X = np.random.default_rng(1).standard_normal((n, 3))
+        assert cost._strip_rows(n) < n
+        tracemalloc.start()
+        try:
+            C = FAMILIES[family](X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C.shape == (n, n)
+        # a whole strip of cdist costs per strip would be 2 MiB
+        assert peak - 8 * n * n <= 8 * cost._STRIP_CELLS / 4
+
 
 class TestMemoryGuard:
     """N whose cost matrix and strips exceed physical memory is refused up front."""

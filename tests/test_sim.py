@@ -57,6 +57,23 @@ class TestSimCase:
         with pytest.raises(ValueError, match="dimension"):
             SimCase(sizes=(3, 4), d=0, means=(0.0, 0.0), covs=(ar1(0.1), ar1(0.1)))
 
+    @pytest.mark.parametrize("sizes", [(20.7, 30), (True, 30), (20, np.bool_(True)), (20, float("nan")),
+                                       (20, float("inf")), ("20", 30)])
+    def test_rejects_sizes_that_are_not_whole(self, sizes):
+        with pytest.raises(ValueError, match="sizes must be positive integers"):
+            SimCase(sizes=sizes, d=10, means=(0.0, 0.0), covs=(ar1(0.1), ar1(0.1)))
+
+    @pytest.mark.parametrize("d", [10.9, True, float("nan"), "10", None])
+    def test_rejects_dimension_that_is_not_whole(self, d):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            SimCase(sizes=(3, 4), d=d, means=(0.0, 0.0), covs=(ar1(0.1), ar1(0.1)))
+
+    def test_integral_floats_and_numpy_integers_are_whole(self):
+        case = SimCase(sizes=(20.0, np.int64(30)), d=np.float64(10.0), means=(0.0, 0.0),
+                       covs=(ar1(0.1), ar1(0.1)))
+        assert case.sizes == (20, 30) and case.d == 10
+        assert all(type(n) is int for n in case.sizes) and type(case.d) is int
+
     def test_rejects_raw_cov_parameters(self):
         with pytest.raises(TypeError, match="CovSpec"):
             SimCase(sizes=(3, 4), d=10, means=(0.0, 0.0), covs=(0.2, 0.4))
