@@ -593,6 +593,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     """Power estimation over seeded trials for one design."""
     _check_seed(args.seed)
     _check_alpha(args.alpha)
+    if args.d is not None and args.d < 1:  # before a case file, which the error would blame
+        raise ValueError(f"--d must be a positive integer, got {args.d}")
     tests, _ = _parse_test_selector(args.test, "simulate")
     if args.case_file:
         case = _case_from_file(args.case_file, args.d, args.seed)

@@ -59,10 +59,10 @@ def check_data_matrix(data) -> np.ndarray:
     strips, and :func:`~relevance_kit.shp.approximate_shp` reads it in
     strips too; measured at N = 600 to 4000, their working memory beyond
     the matrix stays under three strips of ``_STRIP_CELLS`` costs, and
-    the build's under a quarter of a strip from N = 2000 up.  An N
-    for which 8 N^2 bytes plus four strips (8 MiB) exceed the machine's
-    physical memory raises ``ValueError`` here, before any of it is
-    allocated.
+    the build's, measured at N = 2000 to 8000, under a quarter of a
+    strip.  An N for which 8 N^2 bytes plus four strips (8 MiB) exceed
+    the machine's physical memory raises ``ValueError`` here, before any
+    of it is allocated.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -102,15 +102,17 @@ def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
     ``pairs()`` returns the row and column indices (i < j) of ``D``'s
     entries, broadcastable against it.  A strip of ``_strip_rows(n)`` rows
     takes the pairs within it from ``pdist`` and the pairs to every later
-    row from square tiles of ``cdist``, whose rows equal ``pdist``'s bit
-    for bit; each tile is computed into one buffer reused for the whole
-    build.  Each pair is computed once and mirrored, so symmetry is
-    bit-exact and the diagonal is exactly zero.  Beyond the matrix, the
-    working memory is the tile buffer and one diagonal block's ``pdist``
-    and ``squareform``, about 2.5 ``rows x rows`` blocks (0.4 MiB at
-    N = 2000, where a strip is 2 MiB); an N that fits in one strip takes
-    a single ``pdist`` and ``squareform``, as a plain condensed build
-    would.
+    row from tiles of ``cdist``, whose rows equal ``pdist``'s bit for bit;
+    each tile is computed into one buffer reused for the whole build.  A
+    tile is ``rows`` wide, or wider where that keeps it at a sixteenth of
+    a strip (128 KiB, from N = 2049 up), so a strip takes at most 17
+    ``cdist`` calls and the build about 8 N^2 / 2^18 of them.  Each pair
+    is computed once and mirrored, so symmetry is bit-exact and the
+    diagonal is exactly zero.  Beyond the matrix, the working memory is
+    the tile buffer and one diagonal block's ``pdist`` and
+    ``squareform``: 0.4 MiB at N = 2000, where a strip is 2 MiB, and
+    less above.  An N that fits in one strip takes a single ``pdist`` and
+    ``squareform``, as a plain condensed build would.
     """
     n = X.shape[0]
     rows = _strip_rows(n)
@@ -130,14 +132,15 @@ def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
         C = within(0, n)
     else:
         C = np.empty((n, n))
+        width = max(rows, _STRIP_CELLS // 16 // rows)
         tile = None
         for a in range(0, n, rows):
             e = min(a + rows, n)
             C[a:e, a:e] = within(a, e)
             if tile is None:  # the largest tile, allocated after the first diagonal block is freed
-                tile = np.empty(rows * min(rows, n - e))
-            for f in range(e, n, rows):
-                g = min(f + rows, n)
+                tile = np.empty(rows * min(width, n - e))
+            for f in range(e, n, width):
+                g = min(f + width, n)
                 D = tile[: (e - a) * (g - f)].reshape(e - a, g - f)
                 cdist(X[a:e], X[f:g], metric, out=D, **kwargs)
                 finish(D, lambda: (np.arange(a, e)[:, None], np.arange(f, g)))

@@ -754,6 +754,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--case", "1", "--d", "20", "--trials", "50", "--alpha", "1.5"]) == 2
         assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
 
+    @pytest.mark.parametrize("design", [["--case", "1"], ["--case-file", "design.json"]],
+                             ids=["preset", "case-file"])
+    def test_bad_d_option_is_not_blamed_on_the_case_file(self, tmp_path, monkeypatch, capsys,
+                                                         design):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran trials before checking --d")
+
+        monkeypatch.setattr(cli, "estimate_power", no_trials)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "design.json").write_text(json.dumps({"sizes": [6, 6], "d": 8,
+                                                          "means": [0.0, 1.0], "covs": [{}, {}]}))
+        assert main(["simulate", *design, "--d", "0", "--trials", "50", "--test", "ws"]) == 2
+        assert capsys.readouterr().err == "error: --d must be a positive integer, got 0\n"
+
     def test_deterministic(self, tmp_path):
         args = ["simulate", "--case", "1", "--d", "25", "--trials", "50", "--test", "ws"]
         r1 = run_report(args, tmp_path, "a.json")

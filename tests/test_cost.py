@@ -205,6 +205,13 @@ class TestStripBuilder:
         assert not C.flags.writeable
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_tiles_wider_than_a_strip_is_tall(self, monkeypatch, rng, family):
+        n = 100  # 3-row strips, tiled 6 columns at a time with ragged ends
+        X = strip_data("continuous", n, 6, rng)
+        monkeypatch.setattr(cost, "_STRIP_CELLS", 3 * n)
+        assert np.array_equal(FAMILIES[family](X), condensed_oracle(X, family))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_multi_strip_at_default_strip_size(self, rng, family):
         X = rng.standard_normal((700, 4))  # 374-row strips: two of them
         assert cost._strip_rows(700) < 700
