@@ -341,21 +341,19 @@ def _parse_subsets(text: str) -> tuple:
     return tuple(out)
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-
-
 def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
-    """Reject a data command's bad options before its CSV is read.
+    """Reject a command's bad options before its CSV or case file is read.
 
-    Parses ``--zero-pairs`` and ``--combine`` in place, into tuples of
-    group ids, and a ``--weights`` file into its ``WeightMatrix``;
-    ``--test`` is checked here and parsed where it is used.  Whether the
-    weight grid is k x k is checked once k is known.  Returns the cost
-    family ``--cost`` selects, which ``args.cost`` keeps as its text.
+    Checks ``--seed`` and ``--alpha``.  Parses ``--zero-pairs`` and
+    ``--combine`` in place, into tuples of group ids, and a ``--weights``
+    file into its ``WeightMatrix``; ``--test`` is checked against the
+    selectors ``args.command`` takes and parsed where it is used.
+    Whether the weight grid is k x k is checked once k is known.
+    Returns the cost family ``--cost`` selects, which ``args.cost``
+    keeps as its text.
     """
-    _check_seed(args.seed)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     args.zero_pairs = _parse_pairs(args.zero_pairs) if args.zero_pairs else ()
     _check_alpha(args.alpha)
     if args.weights and args.zero_pairs:
@@ -367,7 +365,7 @@ def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarra
                 args.weights = WeightMatrix(np.loadtxt(args.weights, delimiter=",", ndmin=2))
         except (ValueError, UserWarning) as exc:
             raise ValueError(f"weights file {args.weights}: {exc}") from None
-    _parse_test_selector(args.test)
+    _parse_test_selector(args.test, args.command)
     args.combine = [_parse_subsets(c) for c in args.combine]
     return resolve_cost(args.cost)
 
@@ -411,12 +409,6 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     k = assignment.n_groups
     if k < min_groups:
         raise ValueError(f"this command needs at least {min_groups} groups, found {k}")
-    warnings_out = []
-    if dataset.n > math.sqrt(dataset.d):
-        warnings_out.append(
-            f"N={dataset.n} exceeds sqrt(d)={math.sqrt(dataset.d):.1f}; path-based "
-            "approximations assume N small relative to sqrt(d)"
-        )
     input_block = {
         "source": dataset.source,
         "group_col": dataset.group_col,
@@ -433,7 +425,7 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
         data = (data - data.mean(axis=0)) / sd
     costs = cost_family(data)
     del data
-    diagnostics = None
+    diagnostics, warnings_out = None, []
     if args.check_assumptions:
         diag = validate_assumptions(costs)
         diagnostics = {
@@ -574,10 +566,8 @@ def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
             raise ValueError(f"case file {path}: covs entry {i} is {json.dumps(c)}; "
                              "expected an object with optional rho and sigma2")
     try:
-        covs = tuple(
-            CovSpec(rho=float(c.get("rho", 0.0)), sigma2=float(c.get("sigma2", 1.0)))
-            for c in spec["covs"]
-        )
+        covs = tuple(CovSpec(rho=c.get("rho", 0.0), sigma2=c.get("sigma2", 1.0))
+                     for c in spec["covs"])
         return SimCase(
             sizes=tuple(spec["sizes"]),
             d=d if d is not None else spec.get("d", _SIM_D),
@@ -591,8 +581,7 @@ def _case_from_file(path: str, d: Optional[int], seed) -> SimCase:
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     """Power estimation over seeded trials for one design."""
-    _check_seed(args.seed)
-    _check_alpha(args.alpha)
+    cost_family = _check_options(args)
     if args.d is not None and args.d < 1:  # before a case file, which the error would blame
         raise ValueError(f"--d must be a positive integer, got {args.d}")
     tests, _ = _parse_test_selector(args.test, "simulate")
@@ -602,7 +591,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         case = preset_case(args.case, d=args.d if args.d is not None else _SIM_D, seed=args.seed)
     results = {}
     for name in tests:
-        power = estimate_power(case, args.cost, name, alpha=args.alpha,
+        power = estimate_power(case, cost_family, name, alpha=args.alpha,
                                trials=args.trials, seed=args.seed)
         results[name] = {
             "power": power,

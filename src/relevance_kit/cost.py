@@ -19,7 +19,7 @@ symmetry, triangle inequality), reading the matrix in row strips.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -222,14 +222,11 @@ def diff_augmented_cost(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostDiagnostics:
-    """Advisory report on cost-matrix regularity: the ``*_violations``
-    lists hold the first 100 offending index pairs or triples of each
-    check, and the ``*_count`` fields the full violation counts."""
+    """Advisory report on cost-matrix regularity over ``n`` nodes: the
+    numbers of nonpositive off-diagonal costs, asymmetric pairs and
+    triangle-inequality breaches."""
 
     n: int
-    positivity_violations: list = field(default_factory=list)
-    symmetry_violations: list = field(default_factory=list)
-    triangle_violations: list = field(default_factory=list)
     positivity_count: int = 0
     symmetry_count: int = 0
     triangle_count: int = 0
@@ -249,22 +246,22 @@ class CostDiagnostics:
         )
 
 
-_LISTED = 100  # violations listed per check
 _SYMMETRY_TOL, _TRIANGLE_TOL = 1e-12, 1e-9  # times max(1, largest |cost|)
 
 
 def validate_assumptions(costs) -> CostDiagnostics:
-    """Check positivity, symmetry, and the triangle inequality.
+    """Count breaches of positivity, symmetry and the triangle inequality.
 
     The checks are diagnostic only: duplicate observations (zero cost)
     or a sub-1 gamma norm can legitimately trip them, and the path
     construction tolerates both.  Nothing is raised.  Pairs are (a, b)
-    with a < b; triangle violations are triples (a, b, c) with
-    cost(a, b) > cost(a, c) + cost(c, b), listed c-major.  Asymmetries
-    and triangle excesses count above 1e-12 and 1e-9 times max(1,
-    largest |cost|).  Each check reads row strips of ``_strip_rows(n)``
-    rows, the triangle check once per intermediate node c: O(N^3) time
-    and under three strips of memory beyond the matrix.
+    with a < b, counted once; a triangle breach is a triple (a, b, c),
+    c other than a and b, with cost(a, b) > cost(a, c) + cost(c, b).
+    Asymmetries and triangle excesses count above 1e-12 and 1e-9 times
+    max(1, largest |cost|).  One pass over row strips of
+    ``_strip_rows(n)`` rows counts all three, the triangle breaches once
+    per intermediate node c within each strip: O(N^3) time and under
+    three strips of memory beyond the matrix.
     """
     C = check_cost_matrix(costs)
     n = C.shape[0]
@@ -272,33 +269,26 @@ def validate_assumptions(costs) -> CostDiagnostics:
     scale = max(1.0, *(np.abs(C[a : a + rows]).max() for a in range(0, n, rows)))
     upper = np.triu(np.ones((rows, rows), dtype=bool))
 
-    def tally(listed: list, mask: np.ndarray, a: int, *extra) -> int:
-        """Hits of ``mask``, on C[a:e, a + 1:], at pairs a' < b'; while ``listed``
-        has room, appends them in row-major order as ``(a', b', *extra)``."""
-        mask[:, : len(mask)] &= upper[: len(mask), : n - a - 1]
-        hits, room = int(np.count_nonzero(mask)), _LISTED - len(listed)
-        if hits and room > 0:  # argwhere reads only the rows that fill the list
-            end = np.searchsorted(np.cumsum(np.count_nonzero(mask, axis=1)), room) + 1
-            hit = np.argwhere(mask[:end])[:room]
-            listed.extend((a + int(i), a + 1 + int(j), *extra) for i, j in hit)
-        return hits
+    def hits(mask: np.ndarray) -> int:
+        """Hits of ``mask``, on C[a:e, a + 1:], at pairs a' < b'."""
+        mask[:, : len(mask)] &= upper[: len(mask), : mask.shape[1]]
+        return int(np.count_nonzero(mask))
 
-    strips = [(a, min(a + rows, n)) for a in range(0, n - 1, rows)]
-    pos, asym, tri, counts = [], [], [], [0, 0, 0]
-    for a, e in strips:
-        block = C[a:e, a + 1 :]
-        counts[0] += tally(pos, block <= 0.0, a)
-        counts[1] += tally(asym, np.abs(block - C[a + 1 :, a:e].T) > _SYMMETRY_TOL * scale, a)
+    pos = asym = tri = 0
     excess = np.empty((rows, n - 1))
-    for c in range(n):
-        for a, e in strips:
-            out = excess[: e - a, : n - a - 1]
+    for a in range(0, n - 1, rows):
+        e = min(a + rows, n)
+        block, out = C[a:e, a + 1 :], excess[: e - a, : n - a - 1]
+        pos += hits(block <= 0.0)
+        np.subtract(block, C[a + 1 :, a:e].T, out=out)
+        asym += hits(np.abs(out, out=out) > _SYMMETRY_TOL * scale)
+        for c in range(n):
             np.add(C[a:e, c, None], C[c, a + 1 :], out=out)
-            np.subtract(C[a:e, a + 1 :], out, out=out)
+            np.subtract(block, out, out=out)
             mask = out > _TRIANGLE_TOL * scale
             if a <= c < e:
                 mask[c - a] = False
             if c > a:
                 mask[:, c - a - 1] = False
-            counts[2] += tally(tri, mask, a, c)
-    return CostDiagnostics(n, pos, asym, tri, *counts)
+            tri += hits(mask)
+    return CostDiagnostics(n, pos, asym, tri)

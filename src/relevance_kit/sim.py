@@ -47,18 +47,29 @@ __all__ = [
 ]
 
 
+def _is_real(value) -> bool:
+    """True for a Python or numpy integer or float; False for a boolean or a string."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CovSpec:
-    """AR(1) covariance parameters: Sigma[i, j] = sigma2 * rho**|i-j|."""
+    """AR(1) covariance parameters: Sigma[i, j] = sigma2 * rho**|i-j|.
+
+    ``rho`` in (-1, 1) and a positive, finite ``sigma2`` must be real
+    numbers (not True or "0.2"); both are stored as floats.
+    """
 
     rho: float
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not (-1.0 < self.rho < 1.0):
-            raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not (_is_real(self.rho) and -1.0 < self.rho < 1.0):
+            raise ValueError(f"rho must be in (-1, 1), got {self.rho!r}")
+        if not (_is_real(self.sigma2) and 0.0 < self.sigma2 < np.inf):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
+        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
 def ar1(rho: float, sigma2: float = 1.0) -> CovSpec:
@@ -72,8 +83,7 @@ def scaled_identity(c: float) -> CovSpec:
 
 def _is_whole(value) -> bool:
     """True for an integer or an integral float such as 20.0; False for a boolean."""
-    return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and float(value).is_integer())
+    return _is_real(value) and float(value).is_integer()
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,9 @@ class SimCase:
 
     ``means[l]`` is a scalar offset applied to every coordinate of
     group l + 1; ``covs[l]`` its covariance spec.  ``sizes`` and ``d``
-    must be whole numbers (20 or 20.0, not 20.7 or True).
+    must be whole numbers (20 or 20.0, not 20.7 or True), and ``means``
+    finite real numbers (not True or "1"); they are stored as ints and
+    floats.
     """
 
     sizes: tuple
@@ -100,6 +112,8 @@ class SimCase:
             raise ValueError("sizes, means and covs must have one entry per group")
         if not (_is_whole(self.d) and self.d >= 1):
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
+        if not all(_is_real(m) and np.isfinite(m) for m in self.means):
+            raise ValueError(f"means must be finite real numbers, got {tuple(self.means)}")
         for c in self.covs:
             if not isinstance(c, CovSpec):
                 raise TypeError(f"covs entries must be CovSpec, got {type(c).__name__}")

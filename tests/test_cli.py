@@ -648,11 +648,19 @@ class TestTestCommand:
         assert mean[0, 1] == pytest.approx(2 * 10 * 10 / 20)
         assert mean[0, 0] == pytest.approx(10 * 9 / 20)
 
-    def test_small_dimension_warning_on_stderr(self, two_group_csv, tmp_path, capsys):
-        run_report(["test", "--input", str(two_group_csv), "--group-col", "g",
-                    "--test", "ws"], tmp_path)
-        err = capsys.readouterr().err
-        assert "warning: N=20 exceeds sqrt(d)=2.0" in err
+    def test_stderr_warns_of_assumption_breaches_only(self, two_group_csv, tmp_path, capsys):
+        report = run_report(["test", "--input", str(two_group_csv), "--group-col", "g",
+                             "--test", "ws"], tmp_path)
+        assert report["warnings"] == []
+        assert capsys.readouterr().err == ""
+        data = np.random.default_rng(3).standard_normal((8, 3))
+        data[5] = data[1]  # two identical rows: one zero cost
+        dup = write_csv(tmp_path / "dup.csv", ["a"] * 4 + ["b"] * 4, data)
+        report = run_report(["test", "--input", str(dup), "--group-col", "g", "--test", "ws",
+                             "--check-assumptions"], tmp_path)
+        diag = report["cost_diagnostics"]
+        assert diag["positivity_violations"] == 1 and not diag["ok"]
+        assert capsys.readouterr().err == f"warning: cost assumption check: {diag['summary']}\n"
 
     def test_check_assumptions_block(self, two_group_csv, tmp_path):
         report = run_report(
@@ -753,6 +761,18 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "estimate_power", no_trials)
         assert main(["simulate", "--case", "1", "--d", "20", "--trials", "50", "--alpha", "1.5"]) == 2
         assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
+
+    def test_bad_cost_is_reported_before_the_case_file(self, tmp_path, monkeypatch, capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran trials before checking --cost")
+
+        monkeypatch.setattr(cli, "estimate_power", no_trials)
+        spec = tmp_path / "design.json"
+        spec.write_text(json.dumps({"sizes": [6, 6], "means": [0.0], "covs": [{}, {}]}))
+        rc = main(["simulate", "--case-file", str(spec), "--cost", "bogus", "--trials", "50"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: unknown cost selector 'bogus'; "
+                                           "expected gamma:G, average or diff\n")
 
     @pytest.mark.parametrize("design", [["--case", "1"], ["--case-file", "design.json"]],
                              ids=["preset", "case-file"])
@@ -859,6 +879,27 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "estimate_power", no_trials)
         spec = tmp_path / "design.json"
         spec.write_text(json.dumps({"means": [0.0, 1.0], "covs": [{}, {}], **design}))
+        rc = main(["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: case file {spec}: {shown}\n"
+
+    @pytest.mark.parametrize("design, shown", [
+        ({"means": [True, False]}, "means must be finite real numbers, got (True, False)"),
+        ({"means": [0, "1"]}, "means must be finite real numbers, got (0, '1')"),
+        ({"means": [0, float("inf")]}, "means must be finite real numbers, got (0, inf)"),
+        ({"covs": [{"sigma2": True}, {}]}, "sigma2 must be positive and finite, got True"),
+        ({"covs": [{}, {"rho": False}]}, "rho must be in (-1, 1), got False"),
+        ({"covs": [{"rho": "0.2"}, {}]}, "rho must be in (-1, 1), got '0.2'"),
+    ], ids=["bool-means", "string-mean", "infinite-mean", "bool-sigma2", "bool-rho", "string-rho"])
+    def test_case_file_numbers_that_are_not_real(self, tmp_path, monkeypatch, capsys,
+                                                 design, shown):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran trials on a design read as numbers")
+
+        monkeypatch.setattr(cli, "estimate_power", no_trials)
+        spec = tmp_path / "design.json"
+        spec.write_text(json.dumps({"sizes": [6, 6], "d": 8, "means": [0.0, 1.0], "covs": [{}, {}],
+                                    **design}))
         rc = main(["simulate", "--case-file", str(spec), "--trials", "50", "--test", "ws"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: case file {spec}: {shown}\n"

@@ -275,28 +275,20 @@ class TestMemoryGuard:
         assert have is None or have > 0
 
 
-def loop_diagnostics(C, symmetry_tol, triangle_tol, max_listed=100):
+def loop_diagnostics(C, symmetry_tol, triangle_tol):
     """The diagnostics by a Python loop over every violating triple, with the tolerances given."""
     n = C.shape[0]
     iu, ju = np.triu_indices(n, 1)
-    off = C[iu, ju]
-    pos_mask = off <= 0.0
-    pos_pairs = [(int(i), int(j)) for i, j in zip(iu[pos_mask], ju[pos_mask])]
-    asym_mask = np.abs(C - C.T)[iu, ju] > symmetry_tol
-    asym_pairs = [(int(i), int(j)) for i, j in zip(iu[asym_mask], ju[asym_mask])]
-    tri, tri_count = [], 0
+    pos = int(np.count_nonzero(C[iu, ju] <= 0.0))
+    asym = int(np.count_nonzero(np.abs(C - C.T)[iu, ju] > symmetry_tol))
+    tri = 0
     for c in range(n):
         excess = C - (C[:, c][:, None] + C[c, :][None, :])
         for a, b in np.argwhere(excess > triangle_tol):
             if a == c or b == c or a >= b:
                 continue
-            tri_count += 1
-            if len(tri) < max_listed:
-                tri.append((int(a), int(b), int(c)))
-    return cost.CostDiagnostics(
-        n, pos_pairs[:max_listed], asym_pairs[:max_listed], tri,
-        len(pos_pairs), len(asym_pairs), tri_count,
-    )
+            tri += 1
+    return cost.CostDiagnostics(n, pos, asym, tri)
 
 
 def derived_tolerances(C):
@@ -338,7 +330,7 @@ class TestValidateAssumptions:
         n = 600
         C = gamma_cost(np.random.default_rng(5).standard_normal((n, 2)), 1.0)
         C = C / C.max()
-        C[3, 590] = C[590, 3] = 1.5  # a long edge, listed from the first strip
+        C[3, 590] = C[590, 3] = 1.5  # a long edge, from the first strip
         C[500, 599] = C[599, 500] = 0.0  # a zero and an asymmetry in the second
         C[450, 520] += 1e-6
         assert cost._strip_rows(n) < 450
@@ -369,14 +361,12 @@ class TestValidateAssumptions:
         X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0]])
         diag = validate_assumptions(gamma_cost(X, 2.0))
         assert diag.positivity_count == 1
-        assert diag.positivity_violations == [(0, 1)]
         assert not diag.ok
 
     def test_asymmetry_flagged(self):
         C = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0 + 1e-6, 1.0, 0.0]])
         diag = validate_assumptions(C)
         assert diag.symmetry_count == 1
-        assert diag.symmetry_violations == [(0, 2)]
 
     def test_sub_one_gamma_can_break_triangle(self):
         # right-angle configuration: the long leg exceeds the two short
@@ -386,8 +376,7 @@ class TestValidateAssumptions:
         assert C[0, 2] > C[0, 1] + C[1, 2]
         diag = validate_assumptions(C)
         assert diag.triangle_count > 0
-        assert (0, 2, 1) in diag.triangle_violations
-        assert (0, 2, 1) in validate_assumptions(gamma_cost(X * 1e8, 0.5)).triangle_violations
+        assert validate_assumptions(gamma_cost(X * 1e8, 0.5)).triangle_count > 0
 
     def test_large_units_report_no_false_violations(self):
         # average costs are |s_a - s_b|, a metric: only rounding, which
@@ -399,10 +388,8 @@ class TestValidateAssumptions:
         C = gamma_cost(rng.standard_normal((15, 3)), 2.0)
         assert validate_assumptions(C).triangle_count == 0
 
-    def test_listing_cap(self):
-        # all-duplicate data: every off-diagonal pair violates positivity
+    def test_all_duplicate_rows(self):
+        # every off-diagonal pair violates positivity, and no triangle is broken
         X = np.zeros((30, 2))
         diag = validate_assumptions(gamma_cost(X, 2.0))
-        assert diag.positivity_count == 30 * 29 // 2
-        pairs = [(a, b) for a in range(30) for b in range(a + 1, 30)]
-        assert diag.positivity_violations == pairs[:100]
+        assert diag == cost.CostDiagnostics(30, 30 * 29 // 2, 0, 0)

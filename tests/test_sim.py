@@ -38,6 +38,12 @@ class TestCovSpec:
         with pytest.raises(ValueError, match="sigma2"):
             CovSpec(rho=0.1, sigma2=sigma2)
 
+    @pytest.mark.parametrize("rho, sigma2", [(False, 1.0), ("0.2", 1.0), (np.bool_(False), 1.0),
+                                             (0.2, True), (0.2, "1"), (0.2, float("inf"))])
+    def test_rejects_parameters_that_are_not_real_numbers(self, rho, sigma2):
+        with pytest.raises(ValueError, match="rho must be in|sigma2 must be positive"):
+            CovSpec(rho=rho, sigma2=sigma2)
+
 
 class TestSimCase:
     def test_properties(self):
@@ -73,6 +79,19 @@ class TestSimCase:
                        covs=(ar1(0.1), ar1(0.1)))
         assert case.sizes == (20, 30) and case.d == 10
         assert all(type(n) is int for n in case.sizes) and type(case.d) is int
+
+    @pytest.mark.parametrize("means", [(True, False), (0.0, np.bool_(True)), (0, "1"),
+                                       (0.0, float("inf")), (float("nan"), 0.0), (0.0, None)])
+    def test_rejects_means_that_are_not_finite_real_numbers(self, means):
+        with pytest.raises(ValueError, match="means must be finite real numbers"):
+            SimCase(sizes=(3, 4), d=10, means=means, covs=(ar1(0.1), ar1(0.1)))
+
+    def test_numpy_and_integer_parameters_are_stored_as_floats(self):
+        case = SimCase(sizes=(3, 4), d=10, means=(0, np.float32(0.5)),
+                       covs=(CovSpec(rho=np.float64(0.1), sigma2=np.int64(2)), CovSpec(rho=0)))
+        assert case.means == (0.0, 0.5) and case.covs == (ar1(0.1, 2.0), ar1(0.0))
+        assert all(type(v) is float for c in case.covs for v in (c.rho, c.sigma2))
+        assert all(type(m) is float for m in case.means)
 
     def test_rejects_raw_cov_parameters(self):
         with pytest.raises(TypeError, match="CovSpec"):
