@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -344,7 +345,9 @@ def _parse_subsets(text: str) -> tuple:
 def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
     """Reject a command's bad options before its CSV or case file is read.
 
-    Checks ``--seed`` and ``--alpha``.  Parses ``--zero-pairs`` and
+    Checks ``--seed``, ``--alpha`` and that the directory of each output
+    path given (``--out``, ``--tsv-out``, ``--dump-data``) exists,
+    creating no file.  Parses ``--zero-pairs`` and
     ``--combine`` in place, into tuples of group ids, and a ``--weights``
     file into its ``WeightMatrix``; ``--test`` is checked against the
     selectors ``args.command`` takes and parsed where it is used.
@@ -356,6 +359,11 @@ def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarra
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     args.zero_pairs = _parse_pairs(args.zero_pairs) if args.zero_pairs else ()
     _check_alpha(args.alpha)
+    for option in ("out", "tsv_out", "dump_data"):
+        path = getattr(args, option, None)  # only simulate dumps data, only relevance writes TSV
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"--{option.replace('_', '-')} {path}: "
+                             f"no directory {os.path.dirname(path)}")
     if args.weights and args.zero_pairs:
         raise ValueError("--weights and --zero-pairs are mutually exclusive")
     if args.weights and args.weights != "unit":

@@ -51,6 +51,21 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+def _cost_matrix_bytes(n: int) -> int:
+    """Bytes of an N x N float64 cost matrix plus four strips beside it."""
+    return 8 * (n * n + 4 * _STRIP_CELLS)
+
+
+def _check_memory(need: int, subject: str, use: str) -> None:
+    """Raise ``ValueError`` when ``need`` bytes exceed the physical memory."""
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{subject} need about {need / 2**30:.1f} GiB for {use}, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def check_data_matrix(data) -> np.ndarray:
     """Validate and return an N x d data matrix as float64.
 
@@ -70,12 +85,7 @@ def check_data_matrix(data) -> np.ndarray:
     n, d = X.shape
     if n < 2 or d < 1:
         raise ValueError(f"data must have at least 2 rows and 1 column, got shape {X.shape}")
-    need, have = 8 * (n * n + 4 * _STRIP_CELLS), _physical_memory_bytes()
-    if have is not None and need > have:
-        raise ValueError(
-            f"N={n} observations need about {need / 2**30:.1f} GiB for the cost matrix, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    _check_memory(_cost_matrix_bytes(n), f"N={n} observations", "the cost matrix")
     if not np.isfinite(X).all():
         bad = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"data contains a non-finite entry at row {bad[0]}, column {bad[1]}")

@@ -4,7 +4,10 @@ Finding the exact minimum-cost Hamiltonian path is NP-hard, so the main
 entry point :func:`approximate_shp` uses a greedy sorted-edge heuristic:
 edges are scanned in nondecreasing cost order and admitted whenever they
 neither close a cycle nor push a vertex degree above 2, stopping once
-N - 1 edges are in place.  :func:`brute_force_shp` solves small
+N - 1 edges are in place.  Every fragment built so far is itself a
+path, so a node of degree < 2 need only know the other end of its
+fragment: an edge between two such nodes closes a cycle exactly when
+each is the other's end.  :func:`brute_force_shp` solves small
 instances exactly and serves as a quality oracle in the tests.
 
 The full edge list is never sorted.  Following the candidate-list
@@ -53,8 +56,12 @@ def approximate_shp(costs) -> np.ndarray:
     Edge (i, j), i < j, costs ``costs[i, j]``; only the upper triangle
     is read.  Edges are admitted in (cost, i, j) order, so equal-cost
     edges are broken lexicographically and the result is deterministic.
-    Cycle detection uses a union-find structure; degrees are tracked
-    per vertex.
+    Degrees are tracked per vertex.  Each fragment is a path, so
+    ``end[x]`` holds, for a node x of degree < 2, the other end of
+    x's fragment (x itself for a lone node): edge (u, v) closes a
+    cycle exactly when ``end[u] == v``, admitting it makes the two
+    outer ends each other's ``end``, and the smaller end names the
+    fragment in a round.
 
     The edges are scanned in rounds rather than sorted all at once.
     Each round takes the live nodes (degree < 2) in ascending order,
@@ -78,30 +85,21 @@ def approximate_shp(costs) -> np.ndarray:
     C = check_cost_matrix(costs)
     n = C.shape[0]
 
-    # Python lists and ints: the scan below touches them once per candidate edge
-    parent = list(range(n))
+    # Python lists and ints: the scan below touches them once per candidate edge.
+    # For a node x of degree < 2, end[x] is the other end of its fragment.
+    end = list(range(n))
     degree = [0] * n
     adjacency: list[list[int]] = [[] for _ in range(n)]
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
 
     selected = 0
     while selected < n - 1:
         live = np.flatnonzero(np.array(degree) < 2)
-        us, vs = _candidate_block(C, live, np.array([find(x) for x in live.tolist()]))
+        us, vs = _candidate_block(C, live, np.minimum(live, np.array(end)[live]))
         for u, v in zip(us.tolist(), vs.tolist()):
-            if degree[u] >= 2 or degree[v] >= 2:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue  # would close a cycle
-            parent[ru] = rv
+            if degree[u] >= 2 or degree[v] >= 2 or end[u] == v:
+                continue  # a full vertex, or the edge would close a cycle
+            a, b = end[u], end[v]
+            end[a], end[b] = b, a
             degree[u] += 1
             degree[v] += 1
             adjacency[u].append(v)

@@ -22,6 +22,7 @@ seeded trials and reports the rejection fraction.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +30,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cost import average_cost, check_gamma, diff_augmented_cost, gamma_cost
+from .cost import (_check_memory, _cost_matrix_bytes, average_cost, check_gamma,
+                   diff_augmented_cost, gamma_cost)
 from .counts import GroupAssignment, count_edges
 from .inference import WeightMatrix, minimum_test, weighted_sum_test
 from .moments import MomentContext
@@ -48,8 +50,14 @@ __all__ = [
 
 
 def _is_real(value) -> bool:
-    """True for a Python or numpy integer or float; False for a boolean or a string."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """True for a Python or numpy integer or float in float range; False for a boolean or a string."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,9 @@ class SimCase:
     group l + 1; ``covs[l]`` its covariance spec.  ``sizes`` and ``d``
     must be whole numbers (20 or 20.0, not 20.7 or True), and ``means``
     finite real numbers (not True or "1"); they are stored as ints and
-    floats.
+    floats.  A design whose data draw (8 N d bytes) and cost matrix
+    would exceed the physical memory raises ``ValueError`` here, before
+    any trial allocates them.
     """
 
     sizes: tuple
@@ -112,7 +122,7 @@ class SimCase:
             raise ValueError("sizes, means and covs must have one entry per group")
         if not (_is_whole(self.d) and self.d >= 1):
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        if not all(_is_real(m) and np.isfinite(m) for m in self.means):
+        if not all(_is_real(m) and math.isfinite(m) for m in self.means):
             raise ValueError(f"means must be finite real numbers, got {tuple(self.means)}")
         for c in self.covs:
             if not isinstance(c, CovSpec):
@@ -121,6 +131,10 @@ class SimCase:
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         object.__setattr__(self, "covs", tuple(self.covs))
         object.__setattr__(self, "d", int(self.d))
+        n = self.n_total
+        _check_memory(8 * n * self.d + _cost_matrix_bytes(n),
+                      f"N={n} observations in d={self.d} dimensions",
+                      "the data and the cost matrix")
 
     @property
     def k(self) -> int:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from relevance_kit import cli, cost, inference
+from relevance_kit import cli, cost, inference, sim
 from relevance_kit.cli import (
     export_csv,
     ingest_csv,
@@ -459,6 +459,12 @@ class TestOptions:
         (["test", "--test", "perm:200", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         (["test", "--zero-pairs", "1,x"], "malformed pair '1,x' in --zero-pairs"),
         (["relevance", "--combine", "1,a;2"], "malformed --combine '1,a;2': '1,a' is not a list"),
+        (["test", "--out", "/nonexistent/dir/r.json"],
+         "--out /nonexistent/dir/r.json: no directory /nonexistent/dir"),
+        (["relevance", "--tsv-out", "/nonexistent/dir/z.tsv"],
+         "--tsv-out /nonexistent/dir/z.tsv: no directory /nonexistent/dir"),
+        (["shp", "--out", "/nonexistent/dir/r.json"],
+         "--out /nonexistent/dir/r.json: no directory /nonexistent/dir"),
     ])
     def test_option_errors_come_before_the_csv_is_read(self, two_group_csv, monkeypatch, capsys,
                                                         argv, message):
@@ -788,6 +794,44 @@ class TestSimulateCommand:
         assert main(["simulate", *design, "--d", "0", "--trials", "50", "--test", "ws"]) == 2
         assert capsys.readouterr().err == "error: --d must be a positive integer, got 0\n"
 
+    @pytest.mark.parametrize("option", ["--out", "--dump-data"])
+    def test_output_path_in_a_missing_directory_fails_before_any_trial(self, tmp_path,
+                                                                       monkeypatch, capsys, option):
+        calls, draw = [], sim.gen_gaussian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "gen_gaussian", counted)
+        monkeypatch.setattr(cli, "gen_gaussian", counted)
+        target = tmp_path / "missing" / "r.json"
+        rc = main(["simulate", "--case", "5", "--d", "50", "--trials", "50", option, str(target)])
+        assert rc == 2 and calls == []
+        assert capsys.readouterr().err == f"error: {option} {target}: no directory {target.parent}\n"
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("design", [["--case", "5", "--d", "1000000000"],
+                                        ["--case-file", "design.json"]],
+                             ids=["preset", "case-file"])
+    def test_design_too_large_for_memory_fails_before_any_trial(self, tmp_path, monkeypatch,
+                                                                 capsys, design):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew data for a design too large for memory")
+
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: 2 ** 30)
+        monkeypatch.setattr(sim, "gen_gaussian", no_draw)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "design.json").write_text(json.dumps({"sizes": [6, 1000000000],
+                                                          "means": [0.0, 1.0], "covs": [{}, {}]}))
+        assert main(["simulate", *design, "--trials", "50"]) == 2
+        err = capsys.readouterr().err
+        shown = "N=90 observations in d=1000000000" if design[0] == "--case" else (
+            "case file design.json: N=1000000006 observations in d=100")
+        assert err.startswith(f"error: {shown} dimensions need about ")
+        assert err.endswith("GiB for the data and the cost matrix, "
+                            "more than the 1.0 GiB of physical memory\n")
+
     def test_deterministic(self, tmp_path):
         args = ["simulate", "--case", "1", "--d", "25", "--trials", "50", "--test", "ws"]
         r1 = run_report(args, tmp_path, "a.json")
@@ -870,6 +914,8 @@ class TestSimulateCommand:
         ({"sizes": [True, 30], "d": 10}, "sizes must be positive integers, got (True, 30)"),
         ({"sizes": [20, 30], "d": 10.9}, "dimension must be a positive integer, got 10.9"),
         ({"sizes": [20, 30], "d": False}, "dimension must be a positive integer, got False"),
+        pytest.param({"sizes": [6, 10 ** 400], "d": 10},
+                     f"sizes must be positive integers, got (6, {10 ** 400})", id="beyond-float-size"),
     ])
     def test_case_file_sizes_and_d_that_are_not_whole(self, tmp_path, monkeypatch, capsys,
                                                       design, shown):
@@ -890,7 +936,10 @@ class TestSimulateCommand:
         ({"covs": [{"sigma2": True}, {}]}, "sigma2 must be positive and finite, got True"),
         ({"covs": [{}, {"rho": False}]}, "rho must be in (-1, 1), got False"),
         ({"covs": [{"rho": "0.2"}, {}]}, "rho must be in (-1, 1), got '0.2'"),
-    ], ids=["bool-means", "string-mean", "infinite-mean", "bool-sigma2", "bool-rho", "string-rho"])
+        ({"means": [0, 10 ** 400]}, f"means must be finite real numbers, got (0, {10 ** 400})"),
+        ({"covs": [{}, {"sigma2": 10 ** 400}]}, f"sigma2 must be positive and finite, got {10 ** 400}"),
+    ], ids=["bool-means", "string-mean", "infinite-mean", "bool-sigma2", "bool-rho", "string-rho",
+            "beyond-float-mean", "beyond-float-sigma2"])
     def test_case_file_numbers_that_are_not_real(self, tmp_path, monkeypatch, capsys,
                                                  design, shown):
         def no_trials(*args, **kwargs):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
-from relevance_kit import inference
+from relevance_kit import cost, inference
 from relevance_kit.cost import average_cost, diff_augmented_cost, gamma_cost
 from relevance_kit.sim import (
     CovSpec,
@@ -92,6 +92,25 @@ class TestSimCase:
         assert case.means == (0.0, 0.5) and case.covs == (ar1(0.1, 2.0), ar1(0.0))
         assert all(type(v) is float for c in case.covs for v in (c.rho, c.sigma2))
         assert all(type(m) is float for m in case.means)
+
+    def test_integers_beyond_float_range_are_out_of_range(self):
+        big = 10 ** 400
+        with pytest.raises(ValueError, match="sizes must be positive integers"):
+            SimCase(sizes=(3, big), d=10, means=(0.0, 0.0), covs=(ar1(0.1), ar1(0.1)))
+        with pytest.raises(ValueError, match="means must be finite real numbers"):
+            SimCase(sizes=(3, 4), d=10, means=(0.0, big), covs=(ar1(0.1), ar1(0.1)))
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            ar1(0.1, big)
+        case = SimCase(sizes=(3, 4), d=10, means=(0, 2 ** 70), covs=(ar1(0.1), ar1(0.1, 2 ** 70)))
+        assert case.means == (0.0, 2.0 ** 70) and case.covs[1].sigma2 == 2.0 ** 70
+
+    def test_rejects_a_design_whose_data_and_cost_matrix_exceed_memory(self, monkeypatch):
+        need = 8 * 7 * 10 + 8 * (7 * 7 + 4 * cost._STRIP_CELLS)  # data, matrix and four strips
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=r"N=7 observations in d=10 dimensions need about"):
+            SimCase(sizes=(3, 4), d=10, means=(0.0, 0.0), covs=(ar1(0.1), ar1(0.1)))
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: need)
+        assert SimCase(sizes=(3, 4), d=10, means=(0.0, 0.0), covs=(ar1(0.1), ar1(0.1))).d == 10
 
     def test_rejects_raw_cov_parameters(self):
         with pytest.raises(TypeError, match="CovSpec"):
