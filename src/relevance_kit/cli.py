@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .cost import validate_assumptions
+from .cost import _all_finite, _strip_rows, validate_assumptions
 from .counts import GroupAssignment, count_edges
 from .inference import (
     MIN_REPLICATES,
@@ -141,6 +141,10 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
     offending line and column of any error, including non-finite cells
     such as ``nan`` or ``inf``; on a file both readers take, the two give
     the same dataset bit for bit.
+
+    Ingest holds the data once: finiteness is tested by two reductions,
+    not a mask, and the matrix is the table itself, compacted in place
+    once the labels are read (``_drop_column``).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header, gidx, feature_names = _read_header(_csv_rows(csv.reader(fh), path), path, group_col)
@@ -168,17 +172,42 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
         table is None
         or table.shape[1] != len(header)  # loadtxt accepts rows all wider than the header
         or table.shape[0] < 2
-        or not np.isfinite(table).all()
+        or not _all_finite(table)
     ):
         return _ingest_csv_per_line(path, group_col)
+    # the labels are read before _drop_column overwrites the table
+    assignment = GroupAssignment(table[:, gidx].astype(np.int64))
     return InputDataset(
-        matrix=np.delete(table, gidx, axis=1),
-        assignment=GroupAssignment(table[:, gidx].astype(np.int64)),
+        matrix=_drop_column(table, gidx),
+        assignment=assignment,
         label_map=label_map,
         source=path,
         group_col=group_col,
         feature_names=feature_names,
     )
+
+
+def _drop_column(table: np.ndarray, gidx: int) -> np.ndarray:
+    """``table`` without column ``gidx``, as a C-contiguous view of its own buffer.
+
+    Row r of the result takes the cells from r d to (r + 1) d of the
+    buffer, where row r of the table starts at r (d + 1), so no row is
+    written before it is read.  Row blocks in ascending order each pass
+    through one temporary.  The table is overwritten.
+
+    A block holds at most a sixteenth of ``_STRIP_CELLS`` cells (128
+    KiB), the size of a cost tile.  With whole-strip blocks (2 MiB), the
+    peak RSS of a ``relevance`` run on 2000 x 500 data read 1.6 MiB
+    higher under glibc: once a temporary that large is freed, the
+    allocator serves the cost build from a heap it keeps resident.
+    """
+    n, d = table.shape[0], table.shape[1] - 1
+    flat = table.reshape(-1)
+    rows = _strip_rows(16 * (d + 1))
+    for a in range(0, n, rows):
+        e = min(a + rows, n)
+        flat[a * d : e * d] = np.delete(table[a:e], gidx, axis=1).reshape(-1)
+    return flat[: n * d].reshape(n, d)
 
 
 def _ingest_csv_per_line(path: str, group_col: str) -> InputDataset:
@@ -221,9 +250,8 @@ def _ingest_csv_per_line(path: str, group_col: str) -> InputDataset:
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, found {len(rows)}")
     matrix = np.array(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        r, c = bad[0]
+    if not _all_finite(matrix):
+        r, c = np.argwhere(~np.isfinite(matrix))[0]
         raise ValueError(
             f"{path}: line {linenos[r]}, column {feature_names[c]!r}: "
             f"value {matrix[r, c]} is not a finite number"
@@ -253,7 +281,7 @@ def export_csv(data, labels, path: str, group_col: str = "group") -> None:
     labels = list(labels)
     if data.ndim != 2 or len(labels) != data.shape[0]:
         raise ValueError("data must be 2-D with one label per row")
-    if not np.isfinite(data).all():
+    if data.size and not _all_finite(data):
         raise ValueError("data must be finite")
     by_text, by_label = {}, {}
     for lab in labels:
@@ -345,9 +373,10 @@ def _parse_subsets(text: str) -> tuple:
 def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
     """Reject a command's bad options before its CSV or case file is read.
 
-    Checks ``--seed``, ``--alpha`` and that the directory of each output
-    path given (``--out``, ``--tsv-out``, ``--dump-data``) exists,
-    creating no file.  Parses ``--zero-pairs`` and
+    Checks ``--seed``, ``--alpha`` and each output path given (``--out``,
+    ``--tsv-out``, ``--dump-data``): its directory exists, it is not
+    itself a directory, and no two of them name the same file.  It
+    creates no file.  Parses ``--zero-pairs`` and
     ``--combine`` in place, into tuples of group ids, and a ``--weights``
     file into its ``WeightMatrix``; ``--test`` is checked against the
     selectors ``args.command`` takes and parsed where it is used.
@@ -359,11 +388,19 @@ def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarra
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     args.zero_pairs = _parse_pairs(args.zero_pairs) if args.zero_pairs else ()
     _check_alpha(args.alpha)
+    outputs = {}  # real path -> the first option that writes it, with its path
     for option in ("out", "tsv_out", "dump_data"):
         path = getattr(args, option, None)  # only simulate dumps data, only relevance writes TSV
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"--{option.replace('_', '-')} {path}: "
-                             f"no directory {os.path.dirname(path)}")
+        if not path:
+            continue
+        named = f"--{option.replace('_', '-')} {path}"
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{named}: no directory {os.path.dirname(path)}")
+        if os.path.isdir(path):
+            raise ValueError(f"{named}: is a directory")
+        first = outputs.setdefault(os.path.realpath(path), named)
+        if first != named:
+            raise ValueError(f"{first} and {named} name the same file")
     if args.weights and args.zero_pairs:
         raise ValueError("--weights and --zero-pairs are mutually exclusive")
     if args.weights and args.weights != "unit":
@@ -430,7 +467,8 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     if args.standardize:
         sd = data.std(axis=0)
         sd[sd == 0.0] = 1.0  # constant features: center only
-        data = (data - data.mean(axis=0)) / sd
+        data = data - data.mean(axis=0)  # one new array beside the data, scaled in place
+        data /= sd
     costs = cost_family(data)
     del data
     diagnostics, warnings_out = None, []

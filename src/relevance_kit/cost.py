@@ -66,10 +66,22 @@ def _check_memory(need: int, subject: str, use: str) -> None:
         )
 
 
+def _all_finite(X: np.ndarray) -> bool:
+    """True when the non-empty array ``X`` holds no nan or infinity.
+
+    Two reductions, ``min`` and ``max``, read the array in place: nan
+    propagates through both, and an infinity is one or the other.  No
+    mask of X's size is built.
+    """
+    return bool(np.isfinite(X.min()) and np.isfinite(X.max()))
+
+
 def check_data_matrix(data) -> np.ndarray:
     """Validate and return an N x d data matrix as float64.
 
-    Requires N >= 2 rows, d >= 1 columns, and finite entries.  Every
+    Requires N >= 2 rows, d >= 1 columns, and finite entries, tested by
+    :func:`_all_finite`; only a matrix that fails builds a mask, to name
+    the first bad entry.  Every
     cost family builds its N x N float64 matrix (8 N^2 bytes) in row
     strips, and :func:`~relevance_kit.shp.approximate_shp` reads it in
     strips too; measured at N = 600 to 4000, their working memory beyond
@@ -86,21 +98,24 @@ def check_data_matrix(data) -> np.ndarray:
     if n < 2 or d < 1:
         raise ValueError(f"data must have at least 2 rows and 1 column, got shape {X.shape}")
     _check_memory(_cost_matrix_bytes(n), f"N={n} observations", "the cost matrix")
-    if not np.isfinite(X).all():
+    if not _all_finite(X):
         bad = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"data contains a non-finite entry at row {bad[0]}, column {bad[1]}")
     return X
 
 
 def check_cost_matrix(costs) -> np.ndarray:
-    """Validate basic shape requirements of a square cost matrix."""
+    """Validate and return a square cost matrix of at least 2 nodes as float64.
+
+    Its entries must be finite, tested by :func:`_all_finite` with no
+    N x N mask.
+    """
     C = np.asarray(costs, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {C.shape}")
     if C.shape[0] < 2:
         raise ValueError("cost matrix needs at least 2 nodes")
-    rows = _strip_rows(C.shape[0])  # a strip's mask at a time, not an N x N one
-    if not all(np.isfinite(C[a : a + rows]).all() for a in range(0, C.shape[0], rows)):
+    if not _all_finite(C):
         raise ValueError("cost matrix contains non-finite entries")
     return C
 
@@ -276,7 +291,7 @@ def validate_assumptions(costs) -> CostDiagnostics:
     C = check_cost_matrix(costs)
     n = C.shape[0]
     rows = min(_strip_rows(n), n)
-    scale = max(1.0, *(np.abs(C[a : a + rows]).max() for a in range(0, n, rows)))
+    scale = max(1.0, -C.min(), C.max())  # max(1, largest |cost|) by two reductions
     upper = np.triu(np.ones((rows, rows), dtype=bool))
 
     def hits(mask: np.ndarray) -> int:

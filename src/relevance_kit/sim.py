@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -227,6 +228,9 @@ _TEST_ALIASES = {
 }
 
 
+_WINDOW = 4  # trials submitted per worker ahead of the oldest unfinished one
+
+
 def _run_trial(case: SimCase, cost_fn, test: str, alpha: float,
                ctx: MomentContext, w: WeightMatrix, seed) -> bool:
     data, groups = gen_gaussian(case, seed=seed)
@@ -244,7 +248,10 @@ def estimate_power(case: SimCase, cost, test: str, alpha: float = 0.05,
     Each trial draws a fresh dataset with stream (seed, trial) and runs
     the full pipeline, so results are reproducible and independent of
     how trials are scheduled.  Worker count is capped by the
-    RELEVANCE_THREADS environment variable (default 1).
+    RELEVANCE_THREADS environment variable (default 1).  Trials are
+    streamed: the seeds are made as they are run, and a pool is fed at
+    most ``_WINDOW`` trials per worker ahead of the oldest unfinished
+    one, so memory does not grow with ``trials``.
     """
     trials = int(trials)
     if trials < 50:
@@ -258,8 +265,13 @@ def estimate_power(case: SimCase, cost, test: str, alpha: float = 0.05,
 
     workers = max(1, int(os.environ.get("RELEVANCE_THREADS", "1")))
     run = functools.partial(_run_trial, case, cost_fn, name, alpha, ctx, w)
-    seeds = [(seed, t) for t in range(trials)]
     if workers == 1:
-        return sum(map(run, seeds)) / trials
+        return sum(run((seed, t)) for t in range(trials)) / trials
+    hits, pending = 0, deque()
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return sum(ex.map(run, seeds)) / trials
+        for t in range(trials):
+            if len(pending) == _WINDOW * workers:
+                hits += pending.popleft().result()
+            pending.append(ex.submit(run, (seed, t)))
+        hits += sum(f.result() for f in pending)
+    return hits / trials

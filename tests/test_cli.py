@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -142,7 +143,7 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="line 3, column 'x2'"):
             ingest_csv(str(p), "g")
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400", "-inf", "-1e400", "NaN"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
         p = tmp_path / "nonfinite.csv"
         p.write_text(f"g,x0,x1\na,1.0,2.0\nb,3.0,4.0\nb,5.0,{cell}\n")
@@ -274,6 +275,41 @@ class TestIngestCsv:
         assert ds.matrix.tobytes() == data.tobytes() and ds.matrix.flags.c_contiguous
         assert list(ds.label_map) == list(dict.fromkeys(labels))
         assert all(type(label) is str for label in ds.label_map)
+
+    @pytest.mark.parametrize("cells", [1, 500, 2**18], ids=["one-row", "several-rows", "one-block"])
+    @pytest.mark.parametrize("gidx", [0, 2, 5], ids=["first", "inner", "last"])
+    def test_group_column_is_dropped_in_place(self, tmp_path, monkeypatch, cells, gidx):
+        # The table is compacted in row blocks sized from _STRIP_CELLS (one
+        # row at least): every block size gives the same matrix.
+        monkeypatch.setattr(cost, "_STRIP_CELLS", cells)
+        data = np.random.default_rng(3).standard_normal((9, 5))
+        labels = ["a", "b", "c"] * 3
+        header = [f"x{i + 1}" for i in range(5)]
+        header.insert(gidx, "g")
+        rows = [header] + [[repr(v) for v in row] for row in data.tolist()]
+        for row, label in zip(rows[1:], labels):
+            row.insert(gidx, label)
+        p = tmp_path / "mid.csv"
+        p.write_text(_csv_text(rows, "\n", csv.QUOTE_MINIMAL))
+        ds = ingest_csv(str(p), "g")
+        assert ds.matrix.tobytes() == data.tobytes() and ds.matrix.flags.c_contiguous
+        assert ds.assignment.labels.tolist() == [1, 2, 3] * 3
+
+    def test_ingest_holds_one_table(self, tmp_path):
+        # 400 x 2001 cells: the loadtxt table, the matrix its own buffer.
+        n, d = 400, 2000
+        data = np.random.default_rng(4).standard_normal((n, d))
+        p = tmp_path / "wide.csv"
+        export_csv(data, ["a", "b"] * (n // 2), str(p))
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(str(p), "group")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.matrix.tobytes() == data.tobytes() and ds.matrix.flags.c_contiguous
+        # the table and a copy of its data columns would be twice the table
+        assert peak < 1.5 * 8 * n * (d + 1)
 
     def test_labels_are_str_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
         # Before numpy 2, np.loadtxt defaulted to encoding="bytes" and
@@ -465,16 +501,25 @@ class TestOptions:
          "--tsv-out /nonexistent/dir/z.tsv: no directory /nonexistent/dir"),
         (["shp", "--out", "/nonexistent/dir/r.json"],
          "--out /nonexistent/dir/r.json: no directory /nonexistent/dir"),
+        (["shp", "--out", "."], "--out .: is a directory"),
+        (["relevance", "--tsv-out", os.sep], f"--tsv-out {os.sep}: is a directory"),
+        (["relevance", "--out", "r.tsv", "--tsv-out", "r.tsv"],
+         "--out r.tsv and --tsv-out r.tsv name the same file"),
+        (["relevance", "--out", "r.tsv", "--tsv-out", os.path.join(".", "r.tsv")],
+         f"--out r.tsv and --tsv-out {os.path.join('.', 'r.tsv')} name the same file"),
     ])
-    def test_option_errors_come_before_the_csv_is_read(self, two_group_csv, monkeypatch, capsys,
-                                                        argv, message):
+    def test_option_errors_come_before_the_csv_is_read(self, two_group_csv, tmp_path, monkeypatch,
+                                                        capsys, argv, message):
         def no_read(*args):
             raise AssertionError("read the CSV before checking the options")
 
         monkeypatch.setattr(cli, "ingest_csv", no_read)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
         rc = main(argv + ["--input", str(two_group_csv), "--group-col", "g"])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before  # no output was written
 
 
 class TestTestCommand:
@@ -794,9 +839,19 @@ class TestSimulateCommand:
         assert main(["simulate", *design, "--d", "0", "--trials", "50", "--test", "ws"]) == 2
         assert capsys.readouterr().err == "error: --d must be a positive integer, got 0\n"
 
-    @pytest.mark.parametrize("option", ["--out", "--dump-data"])
+    @pytest.mark.parametrize("outputs, message", [
+        pytest.param(["--out", "{missing}"], "--out {missing}: no directory {parent}", id="--out"),
+        pytest.param(["--dump-data", "{missing}"], "--dump-data {missing}: no directory {parent}",
+                     id="--dump-data"),
+        pytest.param(["--out", "{tmp}"], "--out {tmp}: is a directory", id="--out-directory"),
+        pytest.param(["--dump-data", "{tmp}"], "--dump-data {tmp}: is a directory",
+                     id="--dump-data-directory"),
+        pytest.param(["--out", "s", "--dump-data", "s"],
+                     "--out s and --dump-data s name the same file", id="--out-and-dump-data"),
+    ])
     def test_output_path_in_a_missing_directory_fails_before_any_trial(self, tmp_path,
-                                                                       monkeypatch, capsys, option):
+                                                                       monkeypatch, capsys,
+                                                                       outputs, message):
         calls, draw = [], sim.gen_gaussian
 
         def counted(*args, **kwargs):
@@ -805,11 +860,14 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(sim, "gen_gaussian", counted)
         monkeypatch.setattr(cli, "gen_gaussian", counted)
+        monkeypatch.chdir(tmp_path)
         target = tmp_path / "missing" / "r.json"
-        rc = main(["simulate", "--case", "5", "--d", "50", "--trials", "50", option, str(target)])
+        paths = {"missing": target, "parent": target.parent, "tmp": tmp_path}
+        outputs = [arg.format(**paths) for arg in outputs]
+        rc = main(["simulate", "--case", "5", "--d", "50", "--trials", "50", *outputs])
         assert rc == 2 and calls == []
-        assert capsys.readouterr().err == f"error: {option} {target}: no directory {target.parent}\n"
-        assert not target.parent.exists()
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("design", [["--case", "5", "--d", "1000000000"],
                                         ["--case-file", "design.json"]],
@@ -1012,6 +1070,28 @@ class TestDataReportMemory:
         assert len(paths) == 1
         assert report["path"]["order"] == paths[0].tolist()
         assert report["input"]["n_rows"] == 13 and report["input"]["n_features"] == 5
+
+    def test_standardize_holds_the_data_twice_at_most(self, tmp_path):
+        # d >> N, so the data, not the 20 x 20 costs, sets the peak
+        n, d = 20, 20000
+        data = np.random.default_rng(6).standard_normal((n, d))
+        data[:, 0] = 1.0  # a constant feature is centred only
+        p = write_csv(tmp_path / "wide.csv", ["a", "b"] * (n // 2), data)
+        tracemalloc.start()
+        try:
+            report = run_report(["shp", "--input", str(p), "--group-col", "g", "--standardize"],
+                                tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sd = data.std(axis=0)
+        sd[sd == 0.0] = 1.0
+        costs = cost.gamma_cost((data - data.mean(axis=0)) / sd, 1.0)
+        order = cli.approximate_shp(costs)
+        assert report["path"]["order"] == order.tolist()
+        assert report["path"]["edge_costs"] == costs[order[:-1], order[1:]].tolist()
+        # (data - mean) / sd held the data, its centred copy and the quotient
+        assert peak < 2.5 * 8 * n * d
 
 
 class TestMainExitCodes:

@@ -135,6 +135,29 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="row 1, column 2"):
             check_data_matrix(X)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1), (3, 2)], ids=["first", "inner", "last"])
+    def test_non_finite_entry_of_any_kind_is_named(self, bad, at):
+        # the first bad entry in row order is named, whatever follows it
+        X = np.ones((4, 3))
+        X[3, 2] = np.nan
+        X[at] = bad
+        with pytest.raises(ValueError, match=rf"^data contains a non-finite entry at "
+                                             rf"row {at[0]}, column {at[1]}$"):
+            check_data_matrix(X)
+
+    @pytest.mark.parametrize("check", [check_data_matrix, check_cost_matrix])
+    def test_finiteness_is_tested_without_a_mask(self, check):
+        X = np.random.default_rng(2).standard_normal((1000, 1000))
+        tracemalloc.start()
+        try:
+            assert check(X) is X
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a boolean mask of X's shape is one byte per cell, and a strip of it 2**18 bytes
+        assert peak < 0.01 * X.size
+
     def test_cost_matrix_must_be_square(self):
         with pytest.raises(ValueError, match="square"):
             check_cost_matrix(np.ones((2, 3)))
@@ -145,7 +168,7 @@ class TestInputValidation:
         monkeypatch.setattr(cost, "_STRIP_CELLS", cells)
         C = np.zeros((4, 4))
         C[3, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^cost matrix contains non-finite entries$"):
             check_cost_matrix(C)
 
     def test_integer_input_accepted(self):

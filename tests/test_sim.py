@@ -1,11 +1,13 @@
 """Tests for Gaussian data generation and the power harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
-from relevance_kit import cost, inference
+from relevance_kit import cost, inference, sim
 from relevance_kit.cost import average_cost, diff_augmented_cost, gamma_cost
 from relevance_kit.sim import (
     CovSpec,
@@ -320,6 +322,24 @@ class TestEstimatePower:
         for threads in ("1", "2"):
             monkeypatch.setenv("RELEVANCE_THREADS", threads)
             assert estimate_power(case, "gamma:1.0", "min", trials=50, seed=3) == expected
+
+    @pytest.mark.parametrize("threads, trials", [("1", 10**5), ("2", 10**4)])
+    def test_trials_are_streamed(self, strong_shift, monkeypatch, threads, trials):
+        # A list of every trial's seed held about 95 bytes a trial, and a
+        # pool fed all trials at once held a future for each.
+        def every_third(case, cost_fn, test, alpha, ctx, w, seed):
+            return seed[1] % 3 == 0
+
+        monkeypatch.setattr(sim, "_run_trial", every_third)
+        monkeypatch.setenv("RELEVANCE_THREADS", threads)
+        tracemalloc.start()
+        try:
+            power = estimate_power(strong_shift, "gamma:1.0", "ws", trials=trials, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert power == (trials + 2) // 3 / trials  # each trial counted once
+        assert peak < 2**20
 
     def test_rejects_too_few_trials(self, strong_shift):
         with pytest.raises(ValueError, match="at least 50"):
