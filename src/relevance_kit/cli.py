@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import math
 import os
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -80,49 +83,171 @@ class InputDataset:
         return int(self.matrix.shape[1])
 
 
-def _not_utf8(path: str) -> ValueError:
+def _not_utf8(path: str, fh) -> ValueError:
     """The error for a file that is not UTF-8, naming its first undecodable line.
 
     The text reader decodes ahead of the line it hands out, so the line
-    is found again from the raw bytes; no UTF-8 sequence spans a newline.
+    is found again from the raw bytes of ``fh``, the file being read;
+    no UTF-8 sequence spans a newline.
     """
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ValueError(f"{path}: line {lineno} is not UTF-8: {exc.reason} "
-                                  f"(byte {line[exc.start]:#04x})")
+    fh.seek(0)
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ValueError(f"{path}: line {lineno} is not UTF-8: {exc.reason} "
+                              f"(byte {line[exc.start]:#04x})")
     return ValueError(f"{path}: file is not UTF-8")
 
 
-def _csv_rows(reader, path: str):
-    """The rows of a ``csv.reader``; a file that is not UTF-8 raises a
-    ``ValueError`` naming ``path`` and the line, whether the bad byte is
-    met in the header or in the data rows."""
-    try:
-        yield from reader
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+class _CsvTable:
+    """One CSV's data matrix and label ids, filled record by record.
+
+    The file ``raw`` is counted before it is decoded: its line breaks
+    (``\\n``, ``\\r`` or ``\\r\\n``; one split across two blocks counts
+    twice) and its bytes.  Then ``src`` is parsed: ``raw`` itself, or,
+    when ``raw`` cannot seek back (a pipe), a temporary file its bytes
+    are copied to as they are counted.  The matrix and the ids are
+    allocated once, after the header, with a row for each line but the
+    header, and no more than bytes / (d + 1) rows: a record holds d
+    commas and a line break or a label, so blank lines add few.  ``n``
+    of those rows are filled.
+
+    ``lines`` hands out the text lines, and keeps each in ``kept`` until
+    ``forget`` adds the kept lines to the count of those before them,
+    ``before``.
+    """
+
+    def __init__(self, raw, src, path: str, group_col: str):
+        breaks, size, last = 0, 0, b""
+        for block in iter(lambda: raw.read(1 << 16), b""):
+            c = np.frombuffer(block, np.uint8)  # a \r counts unless \n follows it
+            lone_cr = np.count_nonzero((c[:-1] == 13) & (c[1:] != 10)) + (c[-1] == 13)
+            breaks += np.count_nonzero(c == 10) + int(lone_cr)
+            size, last = size + len(block), block[-1:]
+            if src is not raw:
+                src.write(block)
+        src.seek(0)
+        kept = self.kept = []  # the lambda holds the list, not the table: no cycle
+        self.lines = map(lambda line: kept.append(line) or line,
+                         io.TextIOWrapper(src, "utf-8-sig", newline=""))
+        self.path, self.before, self.label_map, self.n, self.not_finite = path, 0, {}, 0, None
+        try:
+            self.header = [h.strip() for h in next(csv.reader(self.lines))]
+        except StopIteration:
+            raise ValueError(f"{path}: file is empty; expected a header row") from None
+        if group_col not in self.header:
+            raise ValueError(f"{path}: group column {group_col!r} not in header; "
+                             f"available: {self.header}")
+        self.gidx = self.header.index(group_col)
+        self.feature_names = tuple(h for i, h in enumerate(self.header) if i != self.gidx)
+        if not self.feature_names:
+            raise ValueError(f"{path}: no feature columns besides the group column")
+        rows = min(breaks - (last in (b"\n", b"\r")), size // len(self.header))
+        self.matrix, self.ids = np.empty((rows, len(self.feature_names))), np.empty(rows, np.int64)
+        self.forget()
+
+    def forget(self) -> None:
+        self.before += len(self.kept)
+        self.kept.clear()
+
+    def numpy_chunk(self, rows: int) -> int:
+        """Read up to ``rows`` records with numpy's C reader; returns how many.
+
+        A chunk that reader rejects, or that is not as wide as the
+        header, holds an empty label or a non-finite cell, or overruns
+        the matrix, is read again from its kept lines by ``per_line``,
+        once the label ids numpy added are taken back.
+        """
+        self.forget()
+        known, g, ids = len(self.label_map), self.gidx, self.label_map
+        try:
+            with warnings.catch_warnings():
+                # blank lines, and a chunk with no records, warn
+                warnings.simplefilter("ignore", UserWarning)
+                # encoding=None hands the converter str; before numpy 2 the
+                # default, "bytes", handed it latin-1 bytes
+                table = np.loadtxt(
+                    self.lines, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
+                    converters={g: lambda cell: ids.setdefault(cell.strip(), len(ids) + 1)},
+                    ndmin=2, encoding=None, max_rows=rows,
+                )
+        except UnicodeDecodeError:
+            raise  # the text reader cannot resume past it: the lines stop here
+        except ValueError:
+            table = None
+        if table is None or len(table) and (
+            table.shape[1] != len(self.header) or "" in ids or not _all_finite(table)
+            or self.n + len(table) > len(self.ids)
+        ):
+            while len(ids) > known:
+                ids.popitem()
+            return self.per_line(rows)
+        a, self.n = self.n, self.n + len(table)
+        if len(table):  # a chunk of blank lines has one column
+            self.matrix[a : self.n, :g] = table[:, :g]
+            self.matrix[a : self.n, g:] = table[:, g + 1 :]
+            self.ids[a : self.n] = table[:, g]
+        return len(table)
+
+    def per_line(self, rows) -> int:
+        """Read up to ``rows`` records from the kept lines on with
+        ``csv.reader`` and ``float``; returns how many.
+
+        Slow, but every parse error names its physical line (the last
+        line of a record whose quoted label spans lines) and its column.
+        The first non-finite cell is named in ``not_finite``.  A record
+        beyond the rows the line count allowed means the file grew
+        after it was counted.
+        """
+        path, header, gidx, start, a = self.path, self.header, self.gidx, self.before, self.n
+        reader = csv.reader(itertools.chain(self.kept.copy(), self.lines))
+        for row in reader:
+            self.forget()  # the reader holds the lines it has yet to parse
+            lineno = start + reader.line_num  # a quoted label can span lines
+            if not row or all(not c.strip() for c in row):
+                continue  # blank line
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {lineno} has {len(row)} fields, "
+                                 f"expected {len(header)}")
+            label = row[gidx].strip()
+            if not label:
+                raise ValueError(f"{path}: line {lineno} has an empty group label")
+            if self.n == len(self.ids):
+                raise ValueError(f"{path}: file changed while it was read")
+            self.ids[self.n] = self.label_map.setdefault(label, len(self.label_map) + 1)
+            for c, cell in enumerate(row[:gidx] + row[gidx + 1 :]):
+                try:
+                    self.matrix[self.n, c] = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}, column {self.feature_names[c]!r}: "
+                                     f"could not parse {cell!r} as a number") from None
+            bad = next((c for c, v in enumerate(self.matrix[self.n]) if not math.isfinite(v)), None)
+            if self.not_finite is None and bad is not None:
+                self.not_finite = (f"{path}: line {lineno}, column {self.feature_names[bad]!r}: "
+                                   f"value {self.matrix[self.n, bad]} is not a finite number")
+            self.n += 1
+            if self.n - a == rows:
+                break
+        return self.n - a
 
 
-def _read_header(reader, path: str, group_col: str):
-    """Read the header row from a ``csv.reader``; returns the stripped
-    header, the group column's index and the feature names."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: file is empty; expected a header row") from None
-    header = [h.strip() for h in header]
-    if group_col not in header:
-        raise ValueError(
-            f"{path}: group column {group_col!r} not in header; available: {header}"
-        )
-    gidx = header.index(group_col)
-    feature_names = tuple(h for i, h in enumerate(header) if i != gidx)
-    if not feature_names:
-        raise ValueError(f"{path}: no feature columns besides the group column")
-    return header, gidx, feature_names
+def _read_csv(path: str, group_col: str, chunked: bool) -> InputDataset:
+    """``ingest_csv``, or with ``chunked`` false ``_ingest_csv_per_line``."""
+    with open(path, "rb") as raw, (raw if raw.seekable() else tempfile.TemporaryFile()) as src:
+        try:
+            table = _CsvTable(raw, src, path, group_col)
+            rows = _strip_rows(64 * len(table.header)) if chunked else math.inf
+            while (table.numpy_chunk if chunked else table.per_line)(rows) == rows:
+                pass
+        except UnicodeDecodeError:
+            raise _not_utf8(path, src) from None
+    if table.n < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, found {table.n}")
+    if table.not_finite:
+        raise ValueError(table.not_finite)
+    return InputDataset(table.matrix[: table.n], GroupAssignment(table.ids[: table.n]),
+                        table.label_map, path, group_col, table.feature_names)
 
 
 def ingest_csv(path: str, group_col: str) -> InputDataset:
@@ -134,136 +259,26 @@ def ingest_csv(path: str, group_col: str) -> InputDataset:
     unambiguous.  Lines that are blank or hold only empty cells are
     skipped.  A cell is a number if Python's ``float`` reads it.
 
-    The data rows are read in one pass by numpy's C reader
-    (``np.loadtxt``).  If that fails, or its result is not a table of at
-    least 2 finite rows as wide as the header, the file is parsed again
-    line by line (``_ingest_csv_per_line``).  That parser names the
-    offending line and column of any error, including non-finite cells
-    such as ``nan`` or ``inf``; on a file both readers take, the two give
-    the same dataset bit for bit.
-
-    Ingest holds the data once: finiteness is tested by two reductions,
-    not a mask, and the matrix is the table itself, compacted in place
-    once the labels are read (``_drop_column``).
+    The file is parsed once, in chunks of rows of at most a sixty-fourth
+    of ``_STRIP_CELLS`` cells (32 KiB, so that with its kept text a
+    chunk stays under 128 KiB), each read by numpy's C reader
+    (``np.loadtxt``) and copied into a matrix allocated once
+    (``_CsvTable``).  A chunk that reader cannot take, or that holds a
+    non-finite cell, is parsed again from its own lines by the per-line
+    parser, ``_CsvTable.per_line``, which names the offending line and
+    column of any error: parse errors in file order, then the first
+    non-finite cell, such as ``nan`` or ``inf``.  On a chunk both
+    readers take, the two give the same rows bit for bit.  The lines
+    are counted first, so a pipe is copied to a temporary file as it is
+    counted, and a file that grows while it is read is refused.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header, gidx, feature_names = _read_header(_csv_rows(csv.reader(fh), path), path, group_col)
-        label_map = {}
-
-        def dense_id(cell):
-            label = cell.strip()
-            if not label:
-                raise ValueError("empty group label")
-            return label_map.setdefault(label, len(label_map) + 1)
-
-        try:
-            with warnings.catch_warnings():
-                # a file with no data rows warns "input contained no data"
-                warnings.simplefilter("error", UserWarning)
-                # encoding=None hands the converter str; before numpy 2 the
-                # default, "bytes", handed it latin-1 bytes
-                table = np.loadtxt(
-                    fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
-                    converters={gidx: dense_id}, ndmin=2, encoding=None,
-                )
-        except (ValueError, UserWarning):
-            table = None
-    if (
-        table is None
-        or table.shape[1] != len(header)  # loadtxt accepts rows all wider than the header
-        or table.shape[0] < 2
-        or not _all_finite(table)
-    ):
-        return _ingest_csv_per_line(path, group_col)
-    # the labels are read before _drop_column overwrites the table
-    assignment = GroupAssignment(table[:, gidx].astype(np.int64))
-    return InputDataset(
-        matrix=_drop_column(table, gidx),
-        assignment=assignment,
-        label_map=label_map,
-        source=path,
-        group_col=group_col,
-        feature_names=feature_names,
-    )
-
-
-def _drop_column(table: np.ndarray, gidx: int) -> np.ndarray:
-    """``table`` without column ``gidx``, as a C-contiguous view of its own buffer.
-
-    Row r of the result takes the cells from r d to (r + 1) d of the
-    buffer, where row r of the table starts at r (d + 1), so no row is
-    written before it is read.  Row blocks in ascending order each pass
-    through one temporary.  The table is overwritten.
-
-    A block holds at most a sixteenth of ``_STRIP_CELLS`` cells (128
-    KiB), the size of a cost tile.  With whole-strip blocks (2 MiB), the
-    peak RSS of a ``relevance`` run on 2000 x 500 data read 1.6 MiB
-    higher under glibc: once a temporary that large is freed, the
-    allocator serves the cost build from a heap it keeps resident.
-    """
-    n, d = table.shape[0], table.shape[1] - 1
-    flat = table.reshape(-1)
-    rows = _strip_rows(16 * (d + 1))
-    for a in range(0, n, rows):
-        e = min(a + rows, n)
-        flat[a * d : e * d] = np.delete(table[a:e], gidx, axis=1).reshape(-1)
-    return flat[: n * d].reshape(n, d)
+    return _read_csv(path, group_col, chunked=True)
 
 
 def _ingest_csv_per_line(path: str, group_col: str) -> InputDataset:
-    """``ingest_csv`` one line at a time with ``csv.reader`` and ``float``.
-
-    Slow, but every error names its physical line (the last line of a
-    record whose quoted label spans lines) and its column; ``ingest_csv``
-    falls back to it whenever numpy's reader cannot take the file.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        records = _csv_rows(reader, path)
-        header, gidx, feature_names = _read_header(records, path, group_col)
-        rows, dense, linenos, label_map = [], [], [], {}
-        for row in records:
-            lineno = reader.line_num  # a quoted label can span lines, so not the record count
-            if not row or all(not c.strip() for c in row):
-                continue  # blank line
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            label = row[gidx].strip()
-            if not label:
-                raise ValueError(f"{path}: line {lineno} has an empty group label")
-            dense.append(label_map.setdefault(label, len(label_map) + 1))
-            values = []
-            for i, cell in enumerate(row):
-                if i == gidx:
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}, column {header[i]!r}: "
-                        f"could not parse {cell!r} as a number"
-                    ) from None
-            rows.append(values)
-            linenos.append(lineno)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows, found {len(rows)}")
-    matrix = np.array(rows, dtype=np.float64)
-    if not _all_finite(matrix):
-        r, c = np.argwhere(~np.isfinite(matrix))[0]
-        raise ValueError(
-            f"{path}: line {linenos[r]}, column {feature_names[c]!r}: "
-            f"value {matrix[r, c]} is not a finite number"
-        )
-    return InputDataset(
-        matrix=matrix,
-        assignment=GroupAssignment(dense),
-        label_map=label_map,
-        source=path,
-        group_col=group_col,
-        feature_names=feature_names,
-    )
+    """``ingest_csv`` as one chunk, read by the per-line parser alone: the
+    reference its numpy chunks are tested against."""
+    return _read_csv(path, group_col, chunked=False)
 
 
 def export_csv(data, labels, path: str, group_col: str = "group") -> None:
@@ -443,10 +458,11 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     ``blocks(assignment, path, edge_costs)`` returns the command's own,
     which follow them, and one that shares a name with them replaces it
     in its place.  ``cost_diagnostics``, when asked for, comes last.
-    The data matrix is let go once the costs are built, so the
-    diagnostics and the path run beside the cost matrix alone, and the
-    cost matrix before ``blocks`` runs, so its working memory is not
-    added to theirs.
+    ``--standardize`` centres and scales ingest's matrix in place, so
+    the data is held once.  The data matrix is let go once the costs
+    are built, so the diagnostics and the path run beside the cost
+    matrix alone, and the cost matrix before ``blocks`` runs, so its
+    working memory is not added to theirs.
     """
     cost_family = _check_options(args)
     dataset = ingest_csv(args.input, args.group_col)
@@ -465,9 +481,14 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     data = dataset.matrix
     del dataset
     if args.standardize:
-        sd = data.std(axis=0)
+        # In place: each column's variance adds the squared centred rows in
+        # row order, as numpy's std does, without its N x d temporary.
+        mean, var = data.mean(axis=0), np.zeros(data.shape[1])
+        for row in data:
+            row -= mean
+            var += row * row
+        sd = np.sqrt(var / len(data))
         sd[sd == 0.0] = 1.0  # constant features: center only
-        data = data - data.mean(axis=0)  # one new array beside the data, scaled in place
         data /= sd
     costs = cost_family(data)
     del data

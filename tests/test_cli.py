@@ -6,12 +6,14 @@ validated against the shipped schema.
 """
 
 import csv
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -130,6 +132,14 @@ class TestIngestCsv:
         ds = ingest_csv(str(p), "g")
         assert np.array_equal(ds.matrix, [[1.0], [2.0]])
         assert ds.label_map == {"a": 1, "b": 2}
+
+    def test_lines_may_end_in_cr_lf_or_both(self, tmp_path):
+        # The matrix is sized from the line breaks counted in the bytes.
+        p = tmp_path / "ends.csv"
+        p.write_bytes(b"g,x1\ra,1.0\nb,2.0\r\nc,3.0\r\r\nd,4.0\re,5.0")
+        ds = ingest_csv(str(p), "g")
+        assert ds.matrix.tolist() == [[1.0], [2.0], [3.0], [4.0], [5.0]]
+        assert list(ds.label_map) == ["a", "b", "c", "d", "e"]
 
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "ragged.csv"
@@ -258,29 +268,88 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=rf"{re.escape(str(p))}: line {bad_line} is not UTF-8"):
             ingest_csv(str(p), "g")
 
+    @staticmethod
+    def ingest_pipe(path, content: bytes, reader=ingest_csv):
+        """``reader`` on a named pipe at ``path`` that is fed ``content``."""
+        os.mkfifo(path)
+
+        def write():
+            try:
+                with open(path, "wb") as fh:
+                    fh.write(content)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return reader(str(path), "g")
+        finally:
+            writer.join()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("blank", [b"", b"  \n"], ids=["clean", "per-line-fallback"])
+    def test_pipe_gives_the_files_dataset(self, tmp_path, blank):
+        # A pipe cannot seek back after its lines are counted, so its
+        # bytes are kept in a temporary file as they are counted.
+        data = np.random.default_rng(8).standard_normal((50, 4))
+        p = write_csv(tmp_path / "file.csv", ["a", "b"] * 25, data)
+        p.write_bytes(p.read_bytes() + blank)
+        want = ingest_csv(str(p), "g")
+        for reader in (ingest_csv, cli._ingest_csv_per_line):
+            got = self.ingest_pipe(tmp_path / f"{reader.__name__}.csv", p.read_bytes(), reader)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.assignment.labels.tolist() == want.assignment.labels.tolist()
+            assert got.label_map == want.label_map and got.feature_names == want.feature_names
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_not_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "pipe.csv"
+        with pytest.raises(ValueError, match=rf"{re.escape(str(p))}: line 3 is not UTF-8"):
+            self.ingest_pipe(p, b"g,x1\na,1.0\n\xff,2.0\n")
+
+    @pytest.mark.parametrize("reader", [ingest_csv, cli._ingest_csv_per_line],
+                             ids=["chunked", "per-line"])
+    def test_file_that_grows_while_read_is_refused(self, tmp_path, monkeypatch, reader):
+        # The matrix is sized from the lines counted before the parse;
+        # records appended after the count would overrun it.
+        p = write_csv(tmp_path / "grows.csv", ["a", "b"], np.ones((2, 3)))
+        forget = cli._CsvTable.forget
+
+        def append_once(table):
+            if not table.before:  # the count is done and the header read
+                with open(p, "a") as fh:
+                    fh.write("a,1.0,1.0,1.0\n" * 5)
+            forget(table)
+
+        monkeypatch.setattr(cli._CsvTable, "forget", append_once)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: file changed while it was read$"):
+            reader(str(p), "g")
+
     def test_valid_file_never_takes_the_per_line_path(self, tmp_path, monkeypatch):
         # The per-line parser is the error path only: export_csv output
-        # must come back from numpy's reader alone.
+        # must come back from numpy's reader alone, in every chunk.
         rng = np.random.default_rng(7)
         data = rng.standard_normal((12, 5))
         labels = ["a,b", 'q"uote', "line\nbreak", "#hash", "ünï"] * 2 + ["a,b", "z"]
         out = tmp_path / "valid.csv"
         export_csv(data, labels, str(out))
 
-        def per_line(path, group_col):
+        def per_line(table, rows):
             raise AssertionError("fell back to the per-line parser")
 
-        monkeypatch.setattr(cli, "_ingest_csv_per_line", per_line)
+        monkeypatch.setattr(cli._CsvTable, "per_line", per_line)
         ds = ingest_csv(str(out), "group")
         assert ds.matrix.tobytes() == data.tobytes() and ds.matrix.flags.c_contiguous
         assert list(ds.label_map) == list(dict.fromkeys(labels))
         assert all(type(label) is str for label in ds.label_map)
 
-    @pytest.mark.parametrize("cells", [1, 500, 2**18], ids=["one-row", "several-rows", "one-block"])
+    @pytest.mark.parametrize("cells", [1, 2000, 2**18], ids=["one-row", "several-rows", "one-block"])
     @pytest.mark.parametrize("gidx", [0, 2, 5], ids=["first", "inner", "last"])
     def test_group_column_is_dropped_in_place(self, tmp_path, monkeypatch, cells, gidx):
-        # The table is compacted in row blocks sized from _STRIP_CELLS (one
-        # row at least): every block size gives the same matrix.
+        # Rows are read in chunks sized from _STRIP_CELLS (one row at
+        # least), each copied into the matrix without its group column:
+        # every chunk size gives the same matrix.
         monkeypatch.setattr(cost, "_STRIP_CELLS", cells)
         data = np.random.default_rng(3).standard_normal((9, 5))
         labels = ["a", "b", "c"] * 3
@@ -296,7 +365,7 @@ class TestIngestCsv:
         assert ds.assignment.labels.tolist() == [1, 2, 3] * 3
 
     def test_ingest_holds_one_table(self, tmp_path):
-        # 400 x 2001 cells: the loadtxt table, the matrix its own buffer.
+        # 400 x 2001 cells: the matrix, allocated once, and one chunk.
         n, d = 400, 2000
         data = np.random.default_rng(4).standard_normal((n, d))
         p = tmp_path / "wide.csv"
@@ -311,6 +380,40 @@ class TestIngestCsv:
         # the table and a copy of its data columns would be twice the table
         assert peak < 1.5 * 8 * n * (d + 1)
 
+    def test_a_rejected_chunk_is_parsed_again_in_its_own_rows(self, tmp_path):
+        # numpy's reader rejects the whitespace-only last line, so the last
+        # chunk is parsed again by the per-line parser into the same rows,
+        # not the whole file into lists of Python floats (5.06 tables).
+        n, d = 400, 2000
+        data = np.random.default_rng(4).standard_normal((n, d))
+        clean, blank = tmp_path / "clean.csv", tmp_path / "blank.csv"
+        export_csv(data, ["a", "b"] * (n // 2), str(clean))
+        blank.write_text(clean.read_text() + "  \n")
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(str(blank), "group")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = ingest_csv(str(clean), "group")
+        assert ds.matrix.tobytes() == want.matrix.tobytes() and ds.matrix.flags.c_contiguous
+        assert ds.assignment.labels.tolist() == want.assignment.labels.tolist()
+        assert ds.label_map == want.label_map and ds.feature_names == want.feature_names
+        assert peak < 1.5 * 8 * n * (d + 1)
+
+    def test_matrix_is_freed_with_the_dataset_without_the_garbage_collector(self, tmp_path):
+        # A reference cycle through the reader would keep the matrix's
+        # buffer until the collector ran, beside the cost matrix.
+        p = write_csv(tmp_path / "m.csv", ["a", "b"] * 5, np.ones((10, 3)))
+        gc.disable()
+        try:
+            ds = ingest_csv(str(p), "g")
+            buffer = weakref.ref(ds.matrix if ds.matrix.base is None else ds.matrix.base)
+            del ds
+            assert buffer() is None
+        finally:
+            gc.enable()
+
     def test_labels_are_str_under_the_numpy_1_loadtxt_default(self, tmp_path, monkeypatch):
         # Before numpy 2, np.loadtxt defaulted to encoding="bytes" and
         # handed converters latin-1 bytes; label_map keys must stay str
@@ -321,11 +424,11 @@ class TestIngestCsv:
             kwargs.setdefault("encoding", "bytes")
             return loadtxt(*args, **kwargs)
 
-        def per_line(path, group_col):
+        def per_line(table, rows):
             raise AssertionError("fell back to the per-line parser")
 
         monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
-        monkeypatch.setattr(cli, "_ingest_csv_per_line", per_line)
+        monkeypatch.setattr(cli._CsvTable, "per_line", per_line)
         p = tmp_path / "labels.csv"
         p.write_text("g,x\na,1\nä,2\n€,3\na,4\n", encoding="utf-8")
         ds = ingest_csv(str(p), "g")
@@ -340,8 +443,7 @@ class TestIngestCsvAgreesWithPerLineParser:
     """On any file, ``ingest_csv`` gives what the per-line parser gives:
     the same dataset bit for bit, or the same error."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
+    FILES = given(
         n=st.integers(0, 7),
         d=st.integers(1, 4),
         draws=st.data(),
@@ -349,7 +451,24 @@ class TestIngestCsvAgreesWithPerLineParser:
         quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
         bom=st.booleans(),
     )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @FILES
     def test_bit_for_bit(self, tmp_path_factory, n, d, draws, terminator, quoting, bom):
+        self.check(tmp_path_factory, n, d, draws, terminator, quoting, bom)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @FILES
+    def test_bit_for_bit_in_short_chunks(self, tmp_path_factory, rows, n, d, draws, terminator,
+                                         quoting, bom):
+        # Chunks of 1 and 3 rows put quoted labels with line breaks, blank
+        # lines and rejected or non-finite cells on chunk edges.
+        with mock.patch.object(cost, "_STRIP_CELLS", 64 * (d + 1) * rows):
+            self.check(tmp_path_factory, n, d, draws, terminator, quoting, bom)
+
+    @staticmethod
+    def check(tmp_path_factory, n, d, draws, terminator, quoting, bom):
         gidx = draws.draw(st.integers(0, d), label="gidx")
         pool = draws.draw(st.lists(PARSE_LABELS, min_size=1, max_size=3, unique=True), label="pool")
         # clean: finite reprs and empty blank lines only, which numpy's reader takes
@@ -379,7 +498,8 @@ class TestIngestCsvAgreesWithPerLineParser:
                 return str(exc)
 
         want = parse(cli._ingest_csv_per_line)
-        with mock.patch.object(cli, "_ingest_csv_per_line", wraps=cli._ingest_csv_per_line) as slow:
+        per_line = cli._CsvTable.per_line
+        with mock.patch.object(cli._CsvTable, "per_line", autospec=True, side_effect=per_line) as slow:
             got = parse(ingest_csv)
         if isinstance(want, str):
             assert got == want
@@ -391,7 +511,7 @@ class TestIngestCsvAgreesWithPerLineParser:
         assert got.assignment.labels.tolist() == want.assignment.labels.tolist()
         assert got.feature_names == want.feature_names
         if clean:
-            assert slow.call_count == 0, "a clean file fell back to the per-line parser"
+            assert slow.call_count == 0, "a clean chunk fell back to the per-line parser"
 
 
 class TestExportCsv:
@@ -1071,17 +1191,26 @@ class TestDataReportMemory:
         assert report["path"]["order"] == paths[0].tolist()
         assert report["input"]["n_rows"] == 13 and report["input"]["n_features"] == 5
 
-    def test_standardize_holds_the_data_twice_at_most(self, tmp_path):
+    def test_standardize_holds_the_data_twice_at_most(self, tmp_path, monkeypatch):
         # d >> N, so the data, not the 20 x 20 costs, sets the peak
         n, d = 20, 20000
         data = np.random.default_rng(6).standard_normal((n, d))
         data[:, 0] = 1.0  # a constant feature is centred only
         p = write_csv(tmp_path / "wide.csv", ["a", "b"] * (n // 2), data)
+        ingest, ingest_peaks = cli.ingest_csv, []
+
+        def ingesting(*args):
+            dataset = ingest(*args)
+            ingest_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return dataset
+
+        monkeypatch.setattr(cli, "ingest_csv", ingesting)
         tracemalloc.start()
         try:
             report = run_report(["shp", "--input", str(p), "--group-col", "g", "--standardize"],
                                 tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
+            after_ingest = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         sd = data.std(axis=0)
@@ -1090,8 +1219,15 @@ class TestDataReportMemory:
         order = cli.approximate_shp(costs)
         assert report["path"]["order"] == order.tolist()
         assert report["path"]["edge_costs"] == costs[order[:-1], order[1:]].tolist()
-        # (data - mean) / sd held the data, its centred copy and the quotient
-        assert peak < 2.5 * 8 * n * d
+        # The whole run stays under 2.5 times the data; ingest's own peak
+        # on rows this wide is numpy's per-row text (2.4).
+        assert len(ingest_peaks) == 1
+        assert max(ingest_peaks[0], after_ingest) < 2.5 * 8 * n * d
+        # From ingest's return on, the peak is the data and its 20 000
+        # feature names (1.42 times the data): the data is centred and
+        # scaled in place.  numpy's std built an N x d temporary beside
+        # the data, and centring made a new array (2.13).
+        assert after_ingest < 1.5 * 8 * n * d
 
 
 class TestMainExitCodes:
