@@ -136,6 +136,8 @@ class _CsvTable:
             self.header = [h.strip() for h in next(csv.reader(self.lines))]
         except StopIteration:
             raise ValueError(f"{path}: file is empty; expected a header row") from None
+        except csv.Error as exc:  # a field over csv's limit
+            raise ValueError(f"{path}: line 1: {exc}") from None
         if group_col not in self.header:
             raise ValueError(f"{path}: group column {group_col!r} not in header; "
                              f"available: {self.header}")
@@ -195,14 +197,22 @@ class _CsvTable:
         ``csv.reader`` and ``float``; returns how many.
 
         Slow, but every parse error names its physical line (the last
-        line of a record whose quoted label spans lines) and its column.
+        line of a record whose quoted label spans lines) and its column;
+        a field over ``csv``'s process-wide size limit names its line.
         The first non-finite cell is named in ``not_finite``.  A record
         beyond the rows the line count allowed means the file grew
         after it was counted.
         """
         path, header, gidx, start, a = self.path, self.header, self.gidx, self.before, self.n
         reader = csv.reader(itertools.chain(self.kept.copy(), self.lines))
-        for row in reader:
+
+        def records():
+            try:
+                yield from reader
+            except csv.Error as exc:  # a field over csv's limit
+                raise ValueError(f"{path}: line {start + reader.line_num}: {exc}") from None
+
+        for row in records():
             self.forget()  # the reader holds the lines it has yet to parse
             lineno = start + reader.line_num  # a quoted label can span lines
             if not row or all(not c.strip() for c in row):
@@ -330,7 +340,7 @@ _SIM_D = 100  # simulate's dimension when neither --d nor the case file gives on
 _SELECTORS = {"ws": ("weighted_sum",), "min": ("minimum",), "both": ("weighted_sum", "minimum")}
 
 
-def _parse_test_selector(text: str, command: str = "test"):
+def _parse_test_selector(text: str, command: str):
     """``--test`` as (test names, permutation replicates or None).
 
     ``perm:B`` runs both tests plus a permutation reference of B
@@ -393,8 +403,9 @@ def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarra
     itself a directory, and no two of them name the same file.  It
     creates no file.  Parses ``--zero-pairs`` and
     ``--combine`` in place, into tuples of group ids, and a ``--weights``
-    file into its ``WeightMatrix``; ``--test`` is checked against the
-    selectors ``args.command`` takes and parsed where it is used.
+    file into its ``WeightMatrix``; ``--test``, against the selectors
+    ``args.command`` takes, into ``args.selected`` (its text stays in
+    ``args.test``, which reports echo).
     Whether the weight grid is k x k is checked once k is known.
     Returns the cost family ``--cost`` selects, which ``args.cost``
     keeps as its text.
@@ -425,7 +436,7 @@ def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarra
                 args.weights = WeightMatrix(np.loadtxt(args.weights, delimiter=",", ndmin=2))
         except (ValueError, UserWarning) as exc:
             raise ValueError(f"weights file {args.weights}: {exc}") from None
-    _parse_test_selector(args.test, args.command)
+    args.selected = _parse_test_selector(args.test, args.command)
     args.combine = [_parse_subsets(c) for c in args.combine]
     return resolve_cost(args.cost)
 
@@ -553,7 +564,7 @@ def cmd_test(args: argparse.Namespace) -> dict:
     """Full pipeline to one or both hypothesis tests."""
 
     def blocks(assignment, path, edge_costs):
-        tests, perm_B = _parse_test_selector(args.test)
+        tests, perm_B = args.selected
         ctx = MomentContext.from_assignment(assignment)
         w = _build_weights(args, ctx)
         table = count_edges(path, assignment)
@@ -651,13 +662,12 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     cost_family = _check_options(args)
     if args.d is not None and args.d < 1:  # before a case file, which the error would blame
         raise ValueError(f"--d must be a positive integer, got {args.d}")
-    tests, _ = _parse_test_selector(args.test, "simulate")
     if args.case_file:
         case = _case_from_file(args.case_file, args.d, args.seed)
     else:
         case = preset_case(args.case, d=args.d if args.d is not None else _SIM_D, seed=args.seed)
     results = {}
-    for name in tests:
+    for name in args.selected[0]:
         power = estimate_power(case, cost_family, name, alpha=args.alpha,
                                trials=args.trials, seed=args.seed)
         results[name] = {

@@ -136,8 +136,8 @@ def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
     diagonal is exactly zero.  Beyond the matrix, the working memory is
     the tile buffer and one diagonal block's ``pdist`` and
     ``squareform``: 0.4 MiB at N = 2000, where a strip is 2 MiB, and
-    less above.  An N that fits in one strip takes a single ``pdist`` and
-    ``squareform``, as a plain condensed build would.
+    less above.  An N that fits in one strip is one diagonal block: a
+    single ``pdist`` and no tile.
     """
     n = X.shape[0]
     rows = _strip_rows(n)
@@ -153,24 +153,21 @@ def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
         finish(D, pairs)
         return squareform(D)
 
-    if rows >= n:
-        C = within(0, n)
-    else:
-        C = np.empty((n, n))
-        width = max(rows, _STRIP_CELLS // 16 // rows)
-        tile = None
-        for a in range(0, n, rows):
-            e = min(a + rows, n)
-            C[a:e, a:e] = within(a, e)
-            if tile is None:  # the largest tile, allocated after the first diagonal block is freed
-                tile = np.empty(rows * min(width, n - e))
-            for f in range(e, n, width):
-                g = min(f + width, n)
-                D = tile[: (e - a) * (g - f)].reshape(e - a, g - f)
-                cdist(X[a:e], X[f:g], metric, out=D, **kwargs)
-                finish(D, lambda: (np.arange(a, e)[:, None], np.arange(f, g)))
-                C[a:e, f:g] = D
-                C[f:g, a:e] = D.T
+    C = np.empty((n, n))
+    width = max(rows, _STRIP_CELLS // 16 // rows)
+    tile = None
+    for a in range(0, n, rows):
+        e = min(a + rows, n)
+        C[a:e, a:e] = within(a, e)
+        if tile is None:  # the largest tile, allocated after the first diagonal block is freed
+            tile = np.empty(rows * min(width, n - e))
+        for f in range(e, n, width):
+            g = min(f + width, n)
+            D = tile[: (e - a) * (g - f)].reshape(e - a, g - f)
+            cdist(X[a:e], X[f:g], metric, out=D, **kwargs)
+            finish(D, lambda: (np.arange(a, e)[:, None], np.arange(f, g)))
+            C[a:e, f:g] = D
+            C[f:g, a:e] = D.T
     C.setflags(write=False)
     return C
 
@@ -198,10 +195,6 @@ def gamma_cost(data, gamma: float) -> np.ndarray:
     def finish(D, pairs):
         D *= scale
 
-    if gamma == 2.0:
-        return _strip_costs(X, finish, "euclidean")
-    if gamma == 1.0:
-        return _strip_costs(X, finish, "cityblock")
     return _strip_costs(X, finish, "minkowski", p=gamma)
 
 

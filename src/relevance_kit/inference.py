@@ -21,10 +21,11 @@ integrated ``_MVN_BLOCK`` points at a time, every variable of one block
 before the next, in a few buffers of that width that every block
 reuses, so its working memory is that of one block (704 KiB at K = 45)
 plus one float per point, whatever the point count; the block does not
-reach the result.  Its results are memoized in a
-bounded LRU cache keyed by the bytes of the marginalized Sigma, the
-thresholds and the integration settings, so the repeated thresholds of
-a power study integrate once.  Both tests decide by their p-value
+reach the result.  Its settings are fixed: 10 000 points and 12
+shifts, the points doubling until the standard error is at most 1e-4.
+Its results are memoized in a bounded LRU cache keyed by the bytes of
+the marginalized Sigma and the thresholds, so the repeated thresholds
+of a power study integrate once.  Both tests decide by their p-value
 (``TestResult.reject`` is ``p_value <= alpha``).  The minimum test's
 critical value, only reported, is :func:`minimum_critical_value`: the
 level-alpha root of that tail on the probit scale.  It starts from the
@@ -89,7 +90,7 @@ __all__ = [
     "MIN_REPLICATES",
 ]
 
-_MVN_SEED = 20210802  # fixed default so every report is reproducible
+_MVN_SEED = 20210802  # seed of the lattice shifts, fixed so every report is reproducible
 _MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys at K=45
 _B2_GRID = 17  # points at which the pre-root scans the analytic bracket for B2's first crossing
 _ACCEPT_STEP = 1e-4  # Newton step small enough to stop at; see _min_critical
@@ -367,37 +368,28 @@ def _reorder_cholesky(sigma: np.ndarray, upper: np.ndarray):
     return C, u
 
 
-def mvn_upper_tail(
-    sigma,
-    thresholds,
-    *,
-    n_points: int = 10_000,
-    n_shifts: int = 12,
-    error_target: float = 1e-4,
-    seed: int = _MVN_SEED,
-    full_output: bool = False,
-):
+def mvn_upper_tail(sigma, thresholds, *, full_output: bool = False):
     """P(Z > thresholds) for Z ~ N(0, sigma), componentwise strict.
 
     Components with threshold -inf are always satisfied and are
     marginalized out before integration.  Up to ``_EXACT_MAX`` remaining
     components have an exact tail (:func:`_exact_tail`: a normal CDF, a
     bivariate one by Owen's T, or a trivariate one by Plackett's
-    reduction), with a standard error of 0.0; the integration settings
-    do not reach it.  A larger orthant probability is evaluated by the
-    separation-of-variables transform over a randomized Richtmyer
-    lattice; the point count doubles until the shift-to-shift standard
-    error meets ``error_target`` (at most three doublings).  Each shift
+    reduction), with a standard error of 0.0.  A larger orthant
+    probability is evaluated by the separation-of-variables transform
+    over a randomized Richtmyer lattice at fixed settings: 10 000
+    points and 12 shifts seeded by ``_MVN_SEED``, the point count
+    doubling until the shift-to-shift standard error is at most 1e-4
+    (at most three doublings).  Each shift
     works through the points ``_MVN_BLOCK`` at a time, on one reused
     (n - 1, block) array with a contiguous row per variable, and builds
     lattice row i of a block only when variable i is reached; only the
     integrand values, one per point, are kept whole, so each shift's
     estimate is their mean as before.
 
-    The integral is a pure function of the marginalized Sigma, the
-    thresholds, ``n_points``, ``n_shifts``, ``error_target`` and
-    ``seed``, so it is memoized: the last ``_MVN_MEMO_SIZE`` results are
-    kept, keyed by copies of those inputs, and a repeated call returns
+    The integral is a pure function of the marginalized Sigma and the
+    thresholds, so it is memoized: the last ``_MVN_MEMO_SIZE`` results
+    are kept, keyed by byte copies of the two, and a repeated call returns
     the same ``(probability, standard_error)`` without integrating.  The
     argument checks run on every call, the positive-semidefinite one
     with two or more components on the exact path and when the
@@ -412,8 +404,6 @@ def mvn_upper_tail(
         numerically indefinite matrix.
     thresholds : (K,) array_like
         Lower bounds; entries of -inf drop their component.
-    seed : int
-        Seed of the lattice shifts; part of the memo key.
     full_output : bool
         If true, return ``(probability, standard_error)``.
 
@@ -437,8 +427,7 @@ def mvn_upper_tail(
     t = t[keep]
     n = t.size
     if n > _EXACT_MAX:
-        out = _orthant(S.tobytes(), t.tobytes(), int(n_points), int(n_shifts),
-                       float(error_target), int(seed))
+        out = _orthant(S.tobytes(), t.tobytes())
         return out if full_output else out[0]
     if n > 1:
         _jittered(S)  # the check only: the exact tail is that of S itself
@@ -478,9 +467,13 @@ def _factor(S: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=_MVN_MEMO_SIZE)
-def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int, n_shifts: int,
-             error_target: float, seed: int) -> tuple[float, float]:
-    """(P(Z > t), standard error) for n >= 2 components, from byte copies of Sigma and t."""
+def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int = 10_000,
+             n_shifts: int = 12, error_target: float = 1e-4,
+             seed: int = _MVN_SEED) -> tuple[float, float]:
+    """(P(Z > t), standard error) for n >= 2 components, from byte copies of Sigma and t.
+
+    The defaults are the settings :func:`mvn_upper_tail` integrates at.
+    """
     t = np.frombuffer(thresholds_bytes)
     n = t.size
     C, u = _factor(np.frombuffer(sigma_bytes).reshape(n, n), t)

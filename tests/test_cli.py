@@ -268,6 +268,20 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=rf"{re.escape(str(p))}: line {bad_line} is not UTF-8"):
             ingest_csv(str(p), "g")
 
+    @pytest.mark.parametrize("where, line", [("label", 6), ("header", 1)])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, capsys, where, line):
+        # csv's limit is 131 072 characters; a whitespace-only line sends
+        # the label's chunk to the per-line parser.
+        long = "a" * 200_000
+        rows = ["g,x1"] + [f"{'ab'[i % 2]},{i}.0" for i in range(4)] + [f"{long},1.0", "  "]
+        if where == "header":
+            rows[0] = f"g,{long}"
+        p = tmp_path / "long.csv"
+        p.write_text("\n".join(rows) + "\n")
+        assert main(["shp", "--input", str(p), "--group-col", "g"]) == 2
+        assert capsys.readouterr().err == (f"error: {p}: line {line}: "
+                                           "field larger than field limit (131072)\n")
+
     @staticmethod
     def ingest_pipe(path, content: bytes, reader=ingest_csv):
         """``reader`` on a named pipe at ``path`` that is fed ``content``."""

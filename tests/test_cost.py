@@ -179,6 +179,7 @@ class TestInputValidation:
 FAMILIES = {
     "gamma0.5": lambda X: gamma_cost(X, 0.5),
     "gamma1": lambda X: gamma_cost(X, 1.0),
+    "gamma1.5": lambda X: gamma_cost(X, 1.5),
     "gamma2": lambda X: gamma_cost(X, 2.0),
     "average": average_cost,
     "diff": diff_augmented_cost,
@@ -198,6 +199,7 @@ def condensed_oracle(X, family):
     gamma, metric, kwargs = {
         "gamma0.5": (0.5, "minkowski", {"p": 0.5}),
         "gamma1": (1.0, "cityblock", {}),
+        "gamma1.5": (1.5, "minkowski", {"p": 1.5}),
         "gamma2": (2.0, "euclidean", {}),
     }[family]
     return squareform(pdist(X, metric, **kwargs) * d ** (-1.0 / gamma))
