@@ -32,11 +32,12 @@ import numpy as np
 
 from . import __version__
 from .cost import _all_finite, _strip_rows, validate_assumptions
-from .counts import GroupAssignment, count_edges
+from .counts import GroupAssignment, count_edges, union_ids
 from .inference import (
     MIN_REPLICATES,
     WeightMatrix,
     _check_alpha,
+    _check_k,
     minimum_critical_value,
     minimum_test,
     permutation_pvalue,
@@ -294,19 +295,28 @@ def _ingest_csv_per_line(path: str, group_col: str) -> InputDataset:
 def export_csv(data, labels, path: str, group_col: str = "group") -> None:
     """Write a dataset in the format ``ingest_csv`` reads back losslessly.
 
-    ``ingest_csv`` strips each label and rejects empty ones and
-    non-finite cells, so such labels and data are refused here.  Labels
-    are written as ``str(label)``, so two distinct labels with the same
-    text (``1`` and ``"1"``) would come back as one group, and two equal
-    labels with different text (``1`` and ``1.0``, or ``True`` and
-    ``1``, one group to ``GroupAssignment.from_labels``) as two: both
-    are refused too.  The file is UTF-8.
+    ``ingest_csv`` needs 2 rows and a feature column, strips each label
+    and header name and the file's byte-order mark, and rejects empty
+    labels and non-finite cells, so data without them, such labels, a
+    ``group_col`` it would strip and non-finite data are refused here,
+    before the file is opened.  Labels are written as ``str(label)``,
+    so two distinct labels with the same text (``1`` and ``"1"``) would
+    come back as one group, and two equal labels with different text
+    (``1`` and ``1.0``, or ``True`` and ``1``, one group to
+    ``GroupAssignment.from_labels``) as two: both are refused too.  The
+    file is UTF-8.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = list(labels)
     if data.ndim != 2 or len(labels) != data.shape[0]:
         raise ValueError("data must be 2-D with one label per row")
-    if data.size and not _all_finite(data):
+    if data.shape[0] < 2 or data.shape[1] < 1:
+        raise ValueError(f"data must have at least 2 rows and 1 column, got shape {data.shape}")
+    # group_col is written first, where ingest drops a byte-order mark
+    if group_col != group_col.strip() or group_col.startswith("\ufeff"):
+        raise ValueError(f"group column {group_col!r} has leading or trailing whitespace "
+                         "or a leading byte-order mark")
+    if not _all_finite(data):
         raise ValueError("data must be finite")
     by_text, by_label = {}, {}
     for lab in labels:
@@ -406,7 +416,8 @@ def _check_options(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarra
     file into its ``WeightMatrix``; ``--test``, against the selectors
     ``args.command`` takes, into ``args.selected`` (its text stays in
     ``args.test``, which reports echo).
-    Whether the weight grid is k x k is checked once k is known.
+    Whether the weight grid is k x k, and the group ids of the pairs
+    and subsets lie in 1..k, is checked once k is known.
     Returns the cost family ``--cost`` selects, which ``args.cost``
     keeps as its text.
     """
@@ -463,17 +474,21 @@ def _build_weights(args: argparse.Namespace, ctx: MomentContext) -> WeightMatrix
 def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     """The report of a data command (``test``, ``relevance``, ``shp``).
 
-    Checks the options, reads the CSV and checks its group count, then
-    computes the costs, the path and its edge costs.  The blocks every
-    data report shares (input, config, warnings, path) come first;
-    ``blocks(assignment, path, edge_costs)`` returns the command's own,
-    which follow them, and one that shares a name with them replaces it
-    in its place.  ``cost_diagnostics``, when asked for, comes last.
-    ``--standardize`` centres and scales ingest's matrix in place, so
-    the data is held once.  The data matrix is let go once the costs
-    are built, so the diagnostics and the path run beside the cost
-    matrix alone, and the cost matrix before ``blocks`` runs, so its
-    working memory is not added to theirs.
+    Checks the options, reads the CSV, and checks its group count k and
+    the ``--combine`` group ids against it.  Then ``blocks(assignment)``
+    does what of the command needs the groups alone, such as building
+    the weights of ``test``, so an option that does not fit k fails
+    before ``--standardize`` and the costs.  Only then are the costs,
+    the path and its edge costs computed.  The blocks every data report
+    shares (input, config, warnings, path) come first; the function
+    ``blocks`` returns, ``report(path, edge_costs)``, returns the
+    command's own, which follow them, and one that shares a name with
+    them replaces it in its place.  ``cost_diagnostics``, when asked
+    for, comes last.  ``--standardize`` centres and scales ingest's
+    matrix in place, so the data is held once.  The data matrix is let
+    go once the costs are built, so the diagnostics and the path run
+    beside the cost matrix alone, and the cost matrix before ``report``
+    runs, so its working memory is not added to theirs.
     """
     cost_family = _check_options(args)
     dataset = ingest_csv(args.input, args.group_col)
@@ -481,6 +496,9 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
     k = assignment.n_groups
     if k < min_groups:
         raise ValueError(f"this command needs at least {min_groups} groups, found {k}")
+    for a1, a2 in args.combine:
+        union_ids(a1, a2, k)
+    report_blocks = blocks(assignment)
     input_block = {
         "source": dataset.source,
         "group_col": dataset.group_col,
@@ -534,7 +552,7 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
         "warnings": warnings_out,
         "path": {"order": path.tolist(), "total_cost": float(edge_costs.sum())},
     }
-    report.update(blocks(assignment, path, edge_costs))
+    report.update(report_blocks(path, edge_costs))
     if diagnostics is not None:
         report["cost_diagnostics"] = diagnostics
     return report
@@ -563,31 +581,36 @@ def _result_block(res) -> dict:
 def cmd_test(args: argparse.Namespace) -> dict:
     """Full pipeline to one or both hypothesis tests."""
 
-    def blocks(assignment, path, edge_costs):
-        tests, perm_B = args.selected
+    def blocks(assignment):
         ctx = MomentContext.from_assignment(assignment)
         w = _build_weights(args, ctx)
-        table = count_edges(path, assignment)
-        results = {}
-        if "weighted_sum" in tests:
-            results["weighted_sum"] = _result_block(weighted_sum_test(table, w, ctx, args.alpha))
-        if "minimum" in tests:
-            res = minimum_test(table, w, ctx, args.alpha)
-            critical = minimum_critical_value(w, ctx, args.alpha)  # reported, not used to decide
-            results["minimum"] = _result_block(replace(res, critical_value=critical))
-        if perm_B is not None:
-            perm = permutation_pvalue(table, w, ctx, perm_B, args.seed)
-            results["permutation"] = {
-                "replicates": perm_B,
-                "weighted_sum_p_value": perm["weighted_sum"],
-                "minimum_p_value": perm["minimum"],
+        _check_k(w, ctx)
+
+        def report(path, edge_costs):
+            tests, perm_B = args.selected
+            table = count_edges(path, assignment)
+            results = {}
+            if "weighted_sum" in tests:
+                results["weighted_sum"] = _result_block(weighted_sum_test(table, w, ctx, args.alpha))
+            if "minimum" in tests:
+                res = minimum_test(table, w, ctx, args.alpha)
+                critical = minimum_critical_value(w, ctx, args.alpha)  # reported, not used to decide
+                results["minimum"] = _result_block(replace(res, critical_value=critical))
+            if perm_B is not None:
+                perm = permutation_pvalue(table, w, ctx, perm_B, args.seed)
+                results["permutation"] = {
+                    "replicates": perm_B,
+                    "weighted_sum_p_value": perm["weighted_sum"],
+                    "minimum_p_value": perm["minimum"],
+                }
+            return {
+                "counts": table.tolist(),
+                "moments": {"mean": ctx.mean.tolist(), "sd": np.sqrt(ctx.var).tolist()},
+                "weights": w.grid.tolist(),
+                "results": results,
             }
-        return {
-            "counts": table.tolist(),
-            "moments": {"mean": ctx.mean.tolist(), "sd": np.sqrt(ctx.var).tolist()},
-            "weights": w.grid.tolist(),
-            "results": results,
-        }
+
+        return report
 
     return _data_report(args, blocks)
 
@@ -599,15 +622,18 @@ def cmd_relevance(args: argparse.Namespace) -> dict:
     ``--tsv-out`` the TSV goes to stdout.
     """
 
-    def blocks(assignment, path, edge_costs):
-        rel = relevance_report(path, assignment, combined=args.combine)
-        return {
-            "z": [[None if math.isnan(v) else v for v in row] for row in rel.z.tolist()],
-            "combined": [
-                {"a1": list(a1), "a2": list(a2), "z": zval, "abs_z": abs(zval)}
-                for (a1, a2), zval in rel.combined.items()
-            ],
-        }
+    def blocks(assignment):
+        def report(path, edge_costs):
+            rel = relevance_report(path, assignment, combined=args.combine)
+            return {
+                "z": [[None if math.isnan(v) else v for v in row] for row in rel.z.tolist()],
+                "combined": [
+                    {"a1": list(a1), "a2": list(a2), "z": zval, "abs_z": abs(zval)}
+                    for (a1, a2), zval in rel.combined.items()
+                ],
+            }
+
+        return report
 
     report = _data_report(args, blocks)
     if args.tsv_out:
@@ -701,8 +727,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 def cmd_shp(args: argparse.Namespace) -> dict:
     """Path construction only: node order, per-edge costs, total."""
 
-    def blocks(assignment, path, edge_costs):
-        return {"path": {
+    def blocks(assignment):
+        return lambda path, edge_costs: {"path": {
             "order": path.tolist(),
             "edge_costs": edge_costs.tolist(),
             "total_cost": float(edge_costs.sum()),

@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 __all__ = [
     "gamma_cost",
@@ -85,11 +85,13 @@ def check_data_matrix(data) -> np.ndarray:
     cost family builds its N x N float64 matrix (8 N^2 bytes) in row
     strips, and :func:`~relevance_kit.shp.approximate_shp` reads it in
     strips too; measured at N = 600 to 4000, their working memory beyond
-    the matrix stays under three strips of ``_STRIP_CELLS`` costs, and
-    the build's, measured at N = 2000 to 8000, under a quarter of a
-    strip.  An N for which 8 N^2 bytes plus four strips (8 MiB) exceed
-    the machine's physical memory raises ``ValueError`` here, before any
-    of it is allocated.
+    the matrix stays under three strips of ``_STRIP_CELLS`` costs.  The
+    build's, measured at 37 N from 2 to 4000, stays under 0.85 of a strip
+    (1.62 MiB at N = 725, 1.25 MiB at N = 512) and, from N = 2000 up,
+    under a fifth of one: it writes each diagonal block's ``pdist`` into
+    the matrix in place.  An N for which 8 N^2 bytes plus four strips
+    (8 MiB) exceed the machine's physical memory raises ``ValueError``
+    here, before any of it is allocated.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -123,51 +125,48 @@ def check_cost_matrix(costs) -> np.ndarray:
 def _strip_costs(X: np.ndarray, finish, metric: str, **kwargs) -> np.ndarray:
     """Symmetric N x N costs from ``metric`` on the rows of ``X``, built in row strips.
 
-    ``finish(D, pairs)`` turns raw metric values ``D`` into costs in place;
-    ``pairs()`` returns the row and column indices (i < j) of ``D``'s
-    entries, broadcastable against it.  A strip of ``_strip_rows(n)`` rows
-    takes the pairs within it from ``pdist`` and the pairs to every later
-    row from tiles of ``cdist``, whose rows equal ``pdist``'s bit for bit;
-    each tile is computed into one buffer reused for the whole build.  A
-    tile is ``rows`` wide, or wider where that keeps it at a sixteenth of
-    a strip (128 KiB, from N = 2049 up), so a strip takes at most 17
-    ``cdist`` calls and the build about 8 N^2 / 2^18 of them.  Each pair
-    is computed once and mirrored, so symmetry is bit-exact and the
-    diagonal is exactly zero.  Beyond the matrix, the working memory is
-    the tile buffer and one diagonal block's ``pdist`` and
-    ``squareform``: 0.4 MiB at N = 2000, where a strip is 2 MiB, and
-    less above.  An N that fits in one strip is one diagonal block: a
-    single ``pdist`` and no tile.
+    ``finish(D, rows, cols)`` turns the raw metric values ``D`` of rows
+    ``X[rows]`` against rows ``X[cols]``, two slices, into costs in place.
+    A strip of ``_strip_rows(n)`` rows writes the ``pdist`` of the pairs
+    within it straight into the upper triangle of its diagonal block of
+    the matrix, finishes the block in place and mirrors it; the pairs to
+    every later row come from tiles of ``cdist``, whose rows equal
+    ``pdist``'s bit for bit, each computed into one buffer reused for
+    the whole build.  A tile is ``rows`` wide, or wider where that keeps
+    it at a sixteenth of a strip (128 KiB, from N = 2049 up), so a strip
+    takes at most 17 ``cdist`` calls and the build about 8 N^2 / 2^18 of
+    them.  Each pair is computed once and mirrored, so symmetry is
+    bit-exact, and the diagonal is set to exactly zero.  Beyond the
+    matrix, the working memory is the tile buffer, a mask of the block's
+    upper triangle and one diagonal block's ``pdist``, then the copy of
+    its finished half that is mirrored.  Measured at d = 3: 1.25 MiB at
+    N = 512, where a strip is 2 MiB and the whole matrix is one
+    diagonal block; 1.62 MiB, the most of any N measured, at N = 725;
+    0.23-0.35 MiB at N = 2000 and under 0.35 MiB up to N = 4000.
     """
     n = X.shape[0]
     rows = _strip_rows(n)
-
-    def within(a: int, e: int) -> np.ndarray:
-        def pairs():
-            i, j = np.triu_indices(e - a, 1)
-            i += a
-            j += a
-            return i, j
-
-        D = pdist(X[a:e], metric, **kwargs)
-        finish(D, pairs)
-        return squareform(D)
-
     C = np.empty((n, n))
+    upper = ~np.tri(min(rows, n), dtype=bool)
     width = max(rows, _STRIP_CELLS // 16 // rows)
     tile = None
     for a in range(0, n, rows):
         e = min(a + rows, n)
-        C[a:e, a:e] = within(a, e)
-        if tile is None:  # the largest tile, allocated after the first diagonal block is freed
+        block, strip, above = C[a:e, a:e], slice(a, e), upper[: e - a, : e - a]
+        block.fill(0.0)  # finish reads the whole block, its lower half included
+        block[above] = pdist(X[a:e], metric, **kwargs)
+        finish(block, strip, strip)
+        block.T[above] = block[above]
+        if tile is None:  # the largest tile, allocated once the first block's pdist is freed
             tile = np.empty(rows * min(width, n - e))
         for f in range(e, n, width):
             g = min(f + width, n)
             D = tile[: (e - a) * (g - f)].reshape(e - a, g - f)
             cdist(X[a:e], X[f:g], metric, out=D, **kwargs)
-            finish(D, lambda: (np.arange(a, e)[:, None], np.arange(f, g)))
+            finish(D, strip, slice(f, g))
             C[a:e, f:g] = D
             C[f:g, a:e] = D.T
+    np.fill_diagonal(C, 0.0)
     C.setflags(write=False)
     return C
 
@@ -192,7 +191,7 @@ def gamma_cost(data, gamma: float) -> np.ndarray:
     X = check_data_matrix(data)
     scale = X.shape[1] ** (-1.0 / gamma)
 
-    def finish(D, pairs):
+    def finish(D, rows, cols):
         D *= scale
 
     return _strip_costs(X, finish, "minkowski", p=gamma)
@@ -208,7 +207,7 @@ def average_cost(data) -> np.ndarray:
     """
     X = check_data_matrix(data)
     sums = X.sum(axis=1) / X.shape[1]
-    return _strip_costs(sums[:, None], lambda D, pairs: None, "cityblock")
+    return _strip_costs(sums[:, None], lambda D, rows, cols: None, "cityblock")
 
 
 def diff_augmented_cost(data) -> np.ndarray:
@@ -228,10 +227,9 @@ def diff_augmented_cost(data) -> np.ndarray:
         raise ValueError(f"diff_augmented_cost needs at least 2 features, got d={d}")
     dot_sq = (np.diff(X, axis=1) ** 2).sum(axis=1)
 
-    def finish(D, pairs):
-        i, j = pairs()
-        D += dot_sq[i]  # the sum in the order (sq + dot_sq[i]) + dot_sq[j]
-        D += dot_sq[j]
+    def finish(D, rows, cols):
+        D += dot_sq[rows, None]  # the sum in the order (sq + dot_sq[i]) + dot_sq[j]
+        D += dot_sq[cols]
         D /= d
         np.sqrt(D, out=D)
 

@@ -569,6 +569,25 @@ class TestExportCsv:
             export_csv(np.zeros((4, 1)), labels, str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 0), "got shape (3, 0)"),
+        ((1, 3), "got shape (1, 3)"),
+    ], ids=["no-features", "one-row"])
+    def test_rejects_data_ingest_would_refuse(self, tmp_path, shape, message):
+        # ingest_csv needs a feature column and at least 2 data rows
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            export_csv(np.zeros(shape), ["a"] * shape[0], str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("group_col", [" g", "g\t", "\ufeffg"], ids=["lead", "trail", "bom"])
+    def test_rejects_group_column_ingest_would_strip(self, tmp_path, group_col):
+        # ingest_csv strips header names, and the byte-order mark before the first
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(group_col))):
+            export_csv(np.zeros((3, 1)), ["a", "b", "a"], str(out), group_col=group_col)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_data(self, tmp_path, value):
         out = tmp_path / "x.csv"
@@ -654,6 +673,47 @@ class TestOptions:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before  # no output was written
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["relevance", "--combine", "1,2;3,9"], "group id 9 outside 1..3"),
+        (["relevance", "--combine", "1;2", "--combine", "1;1"],
+         "subsets must be disjoint, got [1] and [1]"),
+        (["test", "--zero-pairs", "2,2"], "invalid pair (2,2) for k=3"),
+        (["test", "--zero-pairs", "1,2;1,4"], "invalid pair (1,4) for k=3"),
+        (["test", "--weights", "2x2"], "weight grid is 2 x 2 but context has k=3"),
+    ], ids=["combine-id", "combine-overlap", "zero-pairs-same", "zero-pairs-id", "weights-k"])
+    def test_group_id_errors_come_before_the_costs(self, three_group_csv, tmp_path, monkeypatch,
+                                                   capsys, argv, message):
+        def no_costs(data):
+            raise AssertionError("built the costs before checking the options against k")
+
+        monkeypatch.setattr(cli, "resolve_cost", lambda selector: no_costs)
+        if "2x2" in argv:
+            argv[argv.index("2x2")] = str(tmp_path / "w.csv")
+            (tmp_path / "w.csv").write_text("0,1\n1,0\n")
+        rc = main(argv + ["--input", str(three_group_csv), "--group-col", "g", "--standardize"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_weights_are_built_once_before_the_costs(self, three_group_csv, tmp_path,
+                                                     monkeypatch):
+        events, build, resolve = [], cli._build_weights, cli.resolve_cost
+
+        def building(*args):
+            events.append("weights")
+            return build(*args)
+
+        def resolving(selector):
+            family = resolve(selector)
+            return lambda data: events.append("costs") or family(data)
+
+        monkeypatch.setattr(cli, "_build_weights", building)
+        monkeypatch.setattr(cli, "resolve_cost", resolving)
+        report = run_report(["test", "--input", str(three_group_csv), "--group-col", "g",
+                             "--zero-pairs", "1,3"], tmp_path)
+        assert events == ["weights", "costs"]
+        assert report["weights"][0][2] == report["weights"][2][0] == 0.0
 
 
 class TestTestCommand:

@@ -242,6 +242,14 @@ class TestStripBuilder:
         assert cost._strip_rows(700) < 700
         assert np.array_equal(FAMILIES[family](X), condensed_oracle(X, family))
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_one_block_at_default_strip_size(self, rng, family):
+        X = rng.standard_normal((512, 4))  # 512-row strips: the matrix is one diagonal block
+        assert cost._strip_rows(512) == 512
+        C = FAMILIES[family](X)
+        assert np.array_equal(C, condensed_oracle(X, family))
+        assert np.array_equal(C, C.T)
+
 
 class TestStripMemory:
     """Beyond its 8 N^2-byte result, a cost build holds a strip or two, not a condensed copy."""
@@ -259,6 +267,22 @@ class TestStripMemory:
         assert C.shape == (n, n)
         # a condensed build holds 1.5x to 3x the matrix
         assert peak <= 1.25 * 8 * n * n + 8 * cost._STRIP_CELLS
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_one_strip_is_written_in_place(self, family):
+        n = 512  # one strip, one diagonal block: no tile
+        X = np.random.default_rng(1).standard_normal((n, 3))
+        assert cost._strip_rows(n) == n
+        tracemalloc.start()
+        try:
+            C = FAMILIES[family](X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C.shape == (n, n)
+        # the block's pdist (1 MiB) and then its mirrored half; a squareform
+        # copy of the block beside them would add a whole strip (2 MiB)
+        assert peak - 8 * n * n <= 0.75 * 8 * cost._STRIP_CELLS
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_off_diagonal_tiles_share_one_buffer(self, family):
