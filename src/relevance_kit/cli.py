@@ -533,7 +533,7 @@ def _data_report(args: argparse.Namespace, blocks, min_groups: int = 2) -> dict:
         }
         if not diag.ok:
             warnings_out.append(f"cost assumption check: {diag.summary()}")
-    path = approximate_shp(costs)
+    path = approximate_shp(costs, args.seed)
     edge_costs = costs[path[:-1], path[1:]]
     del costs
     report = {
@@ -597,12 +597,11 @@ def cmd_test(args: argparse.Namespace) -> dict:
                 critical = minimum_critical_value(w, ctx, args.alpha)  # reported, not used to decide
                 results["minimum"] = _result_block(replace(res, critical_value=critical))
             if perm_B is not None:
-                perm = permutation_pvalue(table, w, ctx, perm_B, args.seed)
-                results["permutation"] = {
-                    "replicates": perm_B,
-                    "weighted_sum_p_value": perm["weighted_sum"],
-                    "minimum_p_value": perm["minimum"],
-                }
+                perm = {"replicates": perm_B}
+                for name, p in permutation_pvalue(table, w, ctx, perm_B, args.seed).items():
+                    perm[f"{name}_p_value"] = p
+                    perm[f"{name}_standard_error"] = math.sqrt(p * (1.0 - p) / perm_B)  # Monte Carlo
+                results["permutation"] = perm
             return {
                 "counts": table.tolist(),
                 "moments": {"mean": ctx.mean.tolist(), "sd": np.sqrt(ctx.var).tolist()},
@@ -746,13 +745,15 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group-col", required=True, help="name of the label column")
     p.add_argument("--cost", help="cost family: gamma:G, average or diff (default %(default)s)")
     p.add_argument("--seed", type=int,
-                   help="seed of test's perm:B permutation reference; relevance and shp "
-                        "draw nothing (default %(default)s)")
+                   help="seed of the path's order among equal costs and of "
+                        "test's perm:B permutation reference (default %(default)s)")
     p.add_argument("--standardize", action="store_true",
                    help="z-scale each feature before cost computation")
     p.add_argument("--check-assumptions", action="store_true",
                    help="count the cost matrix's positivity, symmetry and triangle "
-                        "breaches (O(N^3) time; memory of a few row strips)")
+                        "breaches: one pass of row strips, plus an O(N^3) triangle scan "
+                        "only where the largest cost exceeds twice the least; memory of "
+                        "a few row strips")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 

@@ -274,10 +274,21 @@ def validate_assumptions(costs) -> CostDiagnostics:
     with a < b, counted once; a triangle breach is a triple (a, b, c),
     c other than a and b, with cost(a, b) > cost(a, c) + cost(c, b).
     Asymmetries and triangle excesses count above 1e-12 and 1e-9 times
-    max(1, largest |cost|).  One pass over row strips of
-    ``_strip_rows(n)`` rows counts all three, the triangle breaches once
-    per intermediate node c within each strip: O(N^3) time and under
-    three strips of memory beyond the matrix.
+    max(1, largest |cost|).
+
+    One pass over row strips of ``_strip_rows(n)`` rows counts the
+    nonpositive and asymmetric pairs and keeps the largest pair cost
+    ``hi`` and the least off-diagonal cost ``lo``, over both triangles.
+    No triple can exceed ``hi - 2 lo``, and rounding keeps the scan's
+    computed excess at or below that difference's, so where it is within
+    the tolerance there is no breach and the count is 0 without a scan.
+    Costs of high-dimensional data concentrate: on standard normal rows,
+    ``gamma:1`` reads ``hi / lo`` about 1.4 at d = 500 (N = 2000 then
+    takes about 0.03 s) and 1.8 to 2.03 at d = 100, N = 500, so there
+    either side occurs.  Otherwise :func:`_triangle_breaches` scans every triple, once per
+    intermediate node c within each strip: O(N^3) time (about 2 s at
+    N = 1000, d = 50).  Both passes hold under three strips of memory
+    beyond the matrix.
     """
     C = check_cost_matrix(costs)
     n = C.shape[0]
@@ -285,26 +296,48 @@ def validate_assumptions(costs) -> CostDiagnostics:
     scale = max(1.0, -C.min(), C.max())  # max(1, largest |cost|) by two reductions
     upper = np.triu(np.ones((rows, rows), dtype=bool))
 
-    def hits(mask: np.ndarray) -> int:
-        """Hits of ``mask``, on C[a:e, a + 1:], at pairs a' < b'."""
+    def pairs(mask: np.ndarray) -> np.ndarray:
+        """``mask``, on C[a:e, a + 1:], kept at pairs a' < b' only."""
         mask[:, : len(mask)] &= upper[: len(mask), : mask.shape[1]]
-        return int(np.count_nonzero(mask))
+        return mask
 
-    pos = asym = tri = 0
+    pos = asym = 0
+    hi, lo = -np.inf, np.inf
     excess = np.empty((rows, n - 1))
     for a in range(0, n - 1, rows):
         e = min(a + rows, n)
+        block, lower = C[a:e, a + 1 :], C[a + 1 :, a:e].T
+        out, pair = excess[: e - a, : n - a - 1], pairs(np.ones(block.shape, dtype=bool))
+        pos += int(np.count_nonzero(pairs(block <= 0.0)))
+        np.subtract(block, lower, out=out)
+        asym += int(np.count_nonzero(pairs(np.abs(out, out=out) > _SYMMETRY_TOL * scale)))
+        hi = max(hi, block.max(where=pair, initial=hi))
+        lo = min(lo, block.min(where=pair, initial=lo), lower.min(where=pair, initial=lo))
+    tol = _TRIANGLE_TOL * scale
+    tri = 0 if hi - 2.0 * lo <= tol else _triangle_breaches(C, tol, pairs, excess)
+    return CostDiagnostics(n, pos, asym, tri)
+
+
+def _triangle_breaches(C: np.ndarray, tol: float, pairs, excess: np.ndarray) -> int:
+    """Triples (a, b, c), a < b, c other than a and b, whose excess
+    cost(a, b) - (cost(a, c) + cost(c, b)) is above ``tol``.
+
+    Row strips of ``len(excess)`` rows, each with every intermediate
+    node c in turn: ``excess`` holds one strip's excesses, and
+    ``pairs`` keeps a strip's mask at its pairs a < b.
+    """
+    n, rows = C.shape[0], len(excess)
+    tri = 0
+    for a in range(0, n - 1, rows):
+        e = min(a + rows, n)
         block, out = C[a:e, a + 1 :], excess[: e - a, : n - a - 1]
-        pos += hits(block <= 0.0)
-        np.subtract(block, C[a + 1 :, a:e].T, out=out)
-        asym += hits(np.abs(out, out=out) > _SYMMETRY_TOL * scale)
         for c in range(n):
             np.add(C[a:e, c, None], C[c, a + 1 :], out=out)
             np.subtract(block, out, out=out)
-            mask = out > _TRIANGLE_TOL * scale
+            mask = out > tol
             if a <= c < e:
                 mask[c - a] = False
             if c > a:
                 mask[:, c - a - 1] = False
-            tri += hits(mask)
-    return CostDiagnostics(n, pos, asym, tri)
+            tri += int(np.count_nonzero(pairs(mask)))
+    return tri

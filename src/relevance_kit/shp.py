@@ -16,14 +16,18 @@ problems", ORSA J. Comput., 1992), :func:`approximate_shp` works in
 rounds: it sorts only the cheapest block of the edges that can still
 be admitted (both endpoints of degree < 2, in different path
 fragments), scans it, prunes to the nodes still live, and repeats.
-Pruned edges could never be admitted later, and each block comes in
-the global (cost, i, j) order, so the path is the one a full sort
-gives, ties included.  On Gaussian data at N = 2000 the first block
-holds 8000 of the 2M edges and seven rounds finish the path.  Each
-round reads the live rows in strips of about 2**18 costs
-(``cost._STRIP_CELLS``), the first round as views of the cost matrix,
-so its extra memory is a few strips and the block (under 5 MB at
-N = 2000, where the cost matrix is 32 MB).
+Pruned edges could never be admitted later, and each block is a prefix
+of one global edge order, so the path is the one a full sort gives.
+That order is by cost, and equal costs are ordered by a random rank of
+the nodes, drawn from ``seed``: by node index, rows sorted by group
+would put same-group edges first and the path would follow the labels.
+On Gaussian data at N = 2000 the first block holds 8000 of the 2M
+edges and seven rounds finish the path.  Each round reads the live
+rows in strips of about 2**18 costs (``cost._STRIP_CELLS``), the first
+round as views of the cost matrix, and merges every strip's candidates
+into one pool by the same concatenate-and-prune step, so its extra
+memory is a few strips and the block (under 5 MB at N = 2000, where
+the cost matrix is 32 MB).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = ["approximate_shp", "brute_force_shp", "path_cost", "check_path"]
 
 _BRUTE_FORCE_MAX = 10
 _EDGES_PER_NODE = 4  # candidate edges scanned per live node in each greedy round
+_TIE_STREAM = 1  # spawn key of the node rank's stream under a seed
 
 
 def check_path(path, n: int) -> np.ndarray:
@@ -50,16 +55,36 @@ def check_path(path, n: int) -> np.ndarray:
     return p
 
 
-def approximate_shp(costs) -> np.ndarray:
+def _node_rank(n: int, seed=0) -> np.ndarray:
+    """The random rank of each of ``n`` nodes that orders equal-cost edges.
+
+    One 64-bit word per node from the child seed sequence of ``seed``
+    with spawn key ``_TIE_STREAM``, scaled to [0, 1]; no
+    ``np.random.default_rng(seed)`` draw, such as
+    :func:`~relevance_kit.inference.permutation_pvalue`'s, shares that
+    stream.  The words come from the seed sequence itself, not from a
+    ``Generator``: building one inside the path moved the first use of
+    its code before a command's memory peak (+0.06 MiB peak RSS on a
+    k = 10, N = 500 ``test``, +0.11 MiB with ``Generator.permutation``).
+    """
+    words = np.random.SeedSequence(seed, spawn_key=(_TIE_STREAM,)).generate_state(n, np.uint64)
+    return words * 2.0**-64
+
+
+def approximate_shp(costs, seed=0) -> np.ndarray:
     """Greedy sorted-edge approximation of the shortest Hamiltonian path.
 
     Edge (i, j), i < j, costs ``costs[i, j]``; only the upper triangle
-    is read.  Edges are admitted in (cost, i, j) order, so equal-cost
-    edges are broken lexicographically and the result is deterministic.
-    Degrees are tracked per vertex.  Each fragment is a path, so
-    ``end[x]`` holds, for a node x of degree < 2, the other end of
-    x's fragment (x itself for a lone node): edge (u, v) closes a
-    cycle exactly when ``end[u] == v``, admitting it makes the two
+    is read.  Edges are admitted in order of cost; equal costs are
+    ordered by the (smaller, larger) of their endpoints'
+    :func:`_node_rank` under ``seed``, so the result is deterministic
+    given ``seed`` (a non-negative int or a sequence of them), and tied
+    data sorted by group does not make the path follow the groups.  On
+    tie-free costs the rank orders nothing, so every seed gives the
+    same path.  Degrees are tracked per vertex.  Each fragment is a
+    path, so ``end[x]`` holds, for a node x of degree < 2, the other
+    end of x's fragment (x itself for a lone node): edge (u, v) closes
+    a cycle exactly when ``end[u] == v``, admitting it makes the two
     outer ends each other's ``end``, and the smaller end names the
     fragment in a round.
 
@@ -73,8 +98,9 @@ def approximate_shp(costs) -> np.ndarray:
     degree 2 and fragments only merge, and any pair still joining two
     fragments costs more than the last block, whose scan would have
     admitted it.  Each round reads the live rows of ``costs`` in
-    strips, the first round in place, so beyond ``costs`` it holds a
-    few strips of ``cost._STRIP_CELLS`` costs and the block.
+    strips, the first round in place, and merges every strip into one
+    pool by the same concatenate-and-prune step, so beyond ``costs`` it
+    holds a few strips of ``cost._STRIP_CELLS`` costs and the block.
 
     Returns
     -------
@@ -90,11 +116,12 @@ def approximate_shp(costs) -> np.ndarray:
     end = list(range(n))
     degree = [0] * n
     adjacency: list[list[int]] = [[] for _ in range(n)]
+    rank = _node_rank(n, seed)
 
     selected = 0
     while selected < n - 1:
         live = np.flatnonzero(np.array(degree) < 2)
-        us, vs = _candidate_block(C, live, np.minimum(live, np.array(end)[live]))
+        us, vs = _candidate_block(C, live, np.minimum(live, np.array(end)[live]), rank)
         for u, v in zip(us.tolist(), vs.tolist()):
             if degree[u] >= 2 or degree[v] >= 2 or end[u] == v:
                 continue  # a full vertex, or the edge would close a cycle
@@ -121,21 +148,25 @@ def approximate_shp(costs) -> np.ndarray:
     return order
 
 
-def _candidate_block(C: np.ndarray, live: np.ndarray, roots: np.ndarray):
-    """One round's edges, in (cost, i, j) order.
+def _candidate_block(C: np.ndarray, live: np.ndarray, roots: np.ndarray, rank: np.ndarray):
+    """One round's edges ``(us, vs)``, in order of cost and then node rank.
 
     ``live`` lists the nodes of degree < 2 in ascending order and
     ``roots`` their fragments.  The block holds every pair of live nodes
     in different fragments costing at most the
-    ``_EDGES_PER_NODE * live.size``-th cheapest such pair.
+    ``_EDGES_PER_NODE * live.size``-th cheapest such pair.  It is sorted
+    by cost, then by the smaller and the larger ``rank`` of its nodes.
 
     The live rows are read in strips, with m = ``_EDGES_PER_NODE *
-    live.size``.  A pool keeps every candidate seen so far at or below
-    the running threshold, the m-th smallest of them; that threshold
-    only falls, so the pool ends holding exactly the block.  Until the
-    pool holds m candidates, a strip with more than m sets a first
-    threshold from its own values before its indices are taken: the
-    m-th smallest of any m candidates bounds the block's from above.
+    live.size``.  Every strip's candidates at or below the running
+    threshold join one pool, which is pruned to the m-th smallest of
+    it whenever it holds more than m; that threshold only falls, so the
+    pool ends holding exactly the block.  The threshold starts at
+    infinity, which every cost passes (``check_cost_matrix`` admits
+    finite costs only).  Until it falls, a strip with more than m
+    candidates sets it from its own values before its indices are
+    taken: the m-th smallest of any m candidates bounds the block's
+    from above.
     """
     m = _EDGES_PER_NODE * live.size
     full = live.size == C.shape[0]
@@ -155,21 +186,19 @@ def _candidate_block(C: np.ndarray, live: np.ndarray, roots: np.ndarray):
             vals.partition(m - 1)
             thr = vals[m - 1]
             del vals
-        if thr < np.inf:
-            mask &= S <= thr
+        mask &= S <= thr
         r, c = np.nonzero(mask)
-        if vv.size == 0:  # nothing pooled yet: no threshold, or one from this strip alone
-            ii, jj, vv = r + a, c + (a + 1), S[r, c]
-        elif r.size:
-            ii = np.concatenate((ii, r + a))
-            jj = np.concatenate((jj, c + (a + 1)))
-            vv = np.concatenate((vv, S[r, c]))
-            if vv.size > m:
-                thr = np.partition(vv, m - 1)[m - 1]
-                keep = vv <= thr
-                ii, jj, vv = ii[keep], jj[keep], vv[keep]
-    order = np.lexsort((jj, ii, vv))
-    return live[ii[order]], live[jj[order]]
+        ii = np.concatenate((ii, r + a))
+        jj = np.concatenate((jj, c + (a + 1)))
+        vv = np.concatenate((vv, S[r, c]))
+        if vv.size > m:
+            thr = np.partition(vv, m - 1)[m - 1]
+            keep = vv <= thr
+            ii, jj, vv = ii[keep], jj[keep], vv[keep]
+    us, vs = live[ii], live[jj]
+    ru, rv = rank[us], rank[vs]
+    order = np.lexsort((np.maximum(ru, rv), np.minimum(ru, rv), vv))
+    return us[order], vs[order]
 
 
 def _half_permutations(n: int) -> np.ndarray:

@@ -234,7 +234,7 @@ _WINDOW = 4  # trials submitted per worker ahead of the oldest unfinished one
 def _run_trial(case: SimCase, cost_fn, test: str, alpha: float,
                ctx: MomentContext, w: WeightMatrix, seed) -> bool:
     data, groups = gen_gaussian(case, seed=seed)
-    path = approximate_shp(cost_fn(data))
+    path = approximate_shp(cost_fn(data), seed)
     table = count_edges(path, groups)
     if test == "weighted_sum":
         return weighted_sum_test(table, w, ctx, alpha).reject

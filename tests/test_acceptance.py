@@ -288,3 +288,28 @@ def test_criterion_10_two_group_test_equivalence():
         f"criterion 10: PASS — decisions agree on 100/100 datasets at all levels; "
         f"max p gap {max_gap:.2e}"
     )
+
+
+def test_criterion_11_tied_group_sorted_null_size():
+    # Binary rows, d = 3: at most 8 distinct rows, so most costs tie.  The
+    # rows are sorted by group; an index-order tie rule made the path
+    # follow the labels and rejected every draw (size 1.0).
+    groups = GroupAssignment(np.repeat([1, 2], 30))
+    ctx = MomentContext.from_assignment(groups)
+    w = WeightMatrix.unit(2)
+    draws = 1000
+    sizes = {}
+    for rule, path_seed in (("seed per draw", lambda s: s), ("default seed", lambda s: 0)):
+        rejected = np.zeros(2, dtype=int)
+        for s in range(draws):
+            data = np.random.default_rng((41, s)).integers(0, 2, (60, 3)).astype(float)
+            table = count_edges(approximate_shp(gamma_cost(data, 1.0), path_seed(s)), groups)
+            rejected += (weighted_sum_test(table, w, ctx, alpha=0.05).reject,
+                         minimum_test(table, w, ctx, alpha=0.05).reject)
+        sizes[rule] = rejected / draws
+        assert np.all(sizes[rule] <= 0.08)
+    print(
+        "criterion 11: PASS — tied, group-sorted null size (ws, min) "
+        + "; ".join(f"{rule}: {ws:.3f}, {mn:.3f}" for rule, (ws, mn) in sizes.items())
+        + f" <= 0.08 ({draws} draws)"
+    )

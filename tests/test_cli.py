@@ -9,6 +9,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -792,7 +793,22 @@ class TestTestCommand:
             tmp_path,
         )
         perm = report["results"]["permutation"]
-        assert set(perm) == {"replicates", "weighted_sum_p_value", "minimum_p_value"}
+        assert set(perm) == {"replicates", "weighted_sum_p_value", "weighted_sum_standard_error",
+                             "minimum_p_value", "minimum_standard_error"}
+
+    def test_permutation_block_reports_monte_carlo_standard_errors(self, tmp_path):
+        rng = np.random.default_rng(29)
+        labels = [g for g in "abc" for _ in range(8)]
+        path = write_csv(tmp_path / "null.csv", labels, rng.normal(0.0, 1.0, (24, 4)))
+        report = run_report(
+            ["test", "--input", str(path), "--group-col", "g", "--test", "perm:300"], tmp_path
+        )
+        validate_schema(report)
+        perm = report["results"]["permutation"]
+        for name in ("weighted_sum", "minimum"):
+            p = perm[f"{name}_p_value"]
+            assert 1.0 / 301.0 < p < 1.0  # off the floor, so the error is not the floor's
+            assert perm[f"{name}_standard_error"] == math.sqrt(p * (1.0 - p) / 300)
 
     def test_zero_pairs_reflected_in_weights(self, three_group_csv, tmp_path):
         report = run_report(
@@ -1235,6 +1251,20 @@ class TestShpCommand:
         args = ["shp", "--input", str(two_group_csv), "--group-col", "g"]
         assert run_report(args, tmp_path, "a.json") == run_report(args, tmp_path, "b.json")
 
+    def test_seed_orders_tied_costs_only(self, two_group_csv, tmp_path):
+        binary = np.random.default_rng(5).integers(0, 2, (40, 3))
+        tied = write_csv(tmp_path / "tied.csv", ["a"] * 20 + ["b"] * 20, binary)
+
+        def order(path, seed):
+            args = ["shp", "--input", str(path), "--group-col", "g", "--seed", str(seed)]
+            return run_report(args, tmp_path)["path"]["order"]
+
+        for seed in (0, 3):
+            C = cost.gamma_cost(binary, 1.0)
+            assert order(tied, seed) == cli.approximate_shp(C, seed).tolist()
+        assert order(tied, 0) != order(tied, 3)
+        assert order(two_group_csv, 0) == order(two_group_csv, 3)
+
 
 class TestDataReportMemory:
     @pytest.mark.parametrize("extra", [[], ["--standardize"], ["--check-assumptions"],
@@ -1252,9 +1282,9 @@ class TestDataReportMemory:
             matrices.append(weakref.ref(dataset.matrix))
             return dataset
 
-        def pathing(costs):
+        def pathing(costs, *args):
             assert len(matrices) == 1 and matrices[0]() is None, "the data matrix outlived the costs"
-            paths.append(shp(costs))
+            paths.append(shp(costs, *args))
             return paths[-1]
 
         monkeypatch.setattr(cli, "ingest_csv", ingesting)

@@ -1,6 +1,7 @@
 """Tests for the three edge-cost families and the assumption diagnostics."""
 
 import tracemalloc
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -436,6 +437,43 @@ class TestValidateAssumptions:
     def test_triangle_holds_for_euclidean(self, rng):
         C = gamma_cost(rng.standard_normal((15, 3)), 2.0)
         assert validate_assumptions(C).triangle_count == 0
+
+    @pytest.mark.parametrize("family", ["gamma1", "gamma0.5", "diff"])
+    def test_concentrated_costs_need_no_triangle_scan(self, family):
+        # high-dimensional Gaussian costs all lie near one value, so no
+        # cost exceeds twice the least one and no triple can breach
+        C = FAMILIES[family](np.random.default_rng(11).standard_normal((60, 500)))
+        with mock.patch.object(cost, "_triangle_breaches", side_effect=AssertionError("scanned")):
+            diag = validate_assumptions(C)
+        assert diag == loop_diagnostics(C, *derived_tolerances(C))
+        assert {type(count) for count in astuple(diag)} == {int}  # JSON-ready, as the scan's
+
+    def test_shifted_asymmetric_costs_need_no_triangle_scan(self):
+        # the diagonal is read by neither check, so its zeros do not force a scan
+        C = 1.0 + 0.5 * np.random.default_rng(12).random((40, 40))
+        np.fill_diagonal(C, 0.0)
+        with mock.patch.object(cost, "_triangle_breaches", side_effect=AssertionError("scanned")):
+            diag = validate_assumptions(C)
+        assert diag == loop_diagnostics(C, *derived_tolerances(C))
+        assert diag.symmetry_count > 0
+
+    @pytest.mark.parametrize("kind", ["gamma0.5-d3", "duplicate-rows", "low-lower-cost"])
+    def test_spread_costs_are_scanned(self, kind):
+        rng = np.random.default_rng(13)
+        if kind == "gamma0.5-d3":
+            C = gamma_cost(rng.standard_normal((50, 3)), 0.5)
+        elif kind == "duplicate-rows":
+            distinct = rng.standard_normal((10, 3))
+            C = gamma_cost(distinct[rng.integers(0, 10, 50)], 2.0)
+        else:  # the least cost lies below the diagonal, where only the scan's cost(c, b) reads it
+            C = np.ones((8, 8)) - np.eye(8)
+            C[0, 2], C[5, 2] = 1.5, 0.0
+        scan = mock.Mock(wraps=cost._triangle_breaches)
+        with mock.patch.object(cost, "_triangle_breaches", scan):
+            diag = validate_assumptions(C)
+        assert scan.call_count == 1
+        assert diag == loop_diagnostics(C, *derived_tolerances(C))
+        assert diag.triangle_count > 0 or kind == "duplicate-rows"
 
     def test_all_duplicate_rows(self):
         # every off-diagonal pair violates positivity, and no triangle is broken

@@ -27,19 +27,20 @@ def exhaustive_min_cost(C):
     return best
 
 
-def _sorted_edges(C: np.ndarray):
-    """All unordered edges ordered by (cost, min index, max index)."""
+def _sorted_edges(C: np.ndarray, rank: np.ndarray):
+    """All unordered edges ordered by (cost, smaller rank, larger rank) of their nodes."""
     n = C.shape[0]
     iu, ju = np.triu_indices(n, 1)
-    order = np.lexsort((ju, iu, C[iu, ju]))
+    lo, hi = np.minimum(rank[iu], rank[ju]), np.maximum(rank[iu], rank[ju])
+    order = np.lexsort((hi, lo, C[iu, ju]))
     return iu[order], ju[order]
 
 
-def full_sort_shp(costs) -> np.ndarray:
-    """Oracle: the greedy path from one sort of all N(N-1)/2 edges."""
+def full_sort_shp(costs, seed=0) -> np.ndarray:
+    """Oracle: the greedy path from one sort of all N(N-1)/2 edges, ties by the seed's node rank."""
     C = check_cost_matrix(costs)
     n = C.shape[0]
-    us, vs = _sorted_edges(C)
+    us, vs = _sorted_edges(C, shp._node_rank(n, seed))
 
     parent = np.arange(n)
     degree = np.zeros(n, dtype=np.int64)
@@ -223,9 +224,41 @@ class TestApproximateShp:
             assert path_cost(p, C) == pytest.approx(x.max() - x.min())
 
     def test_equal_costs_tie_break_regression(self):
-        # all edges cost 1: admitted in index order, fixing the exact result
+        # all edges cost 1: admitted in the order of the seed-0 node rank, which
+        # puts the nodes in order 3, 0, 1, 4, 2, so edges 3-0, 3-1, 0-4 and 1-2,
+        # fixing the exact result
         C = np.ones((5, 5)) - np.eye(5)
-        assert list(approximate_shp(C)) == [3, 1, 0, 2, 4]
+        assert list(np.argsort(shp._node_rank(5, 0))) == [3, 0, 1, 4, 2]
+        assert list(approximate_shp(C)) == [2, 1, 3, 0, 4]
+        assert list(approximate_shp(C, seed=1)) == [2, 3, 0, 1, 4]
+
+    @pytest.mark.parametrize("kind", ["continuous", "diff", "large-units"])
+    def test_seed_leaves_tie_free_paths_unchanged(self, monkeypatch, kind):
+        X = np.random.default_rng(3).standard_normal((90, 20))
+        C = {"continuous": lambda: gamma_cost(X, 1.0), "diff": lambda: diff_augmented_cost(X),
+             "large-units": lambda: gamma_cost(X * 1e8, 0.5)}[kind]()
+        with monkeypatch.context() as m:  # the index rule: rank i for node i
+            m.setattr(shp, "_node_rank", lambda n, seed=0: np.arange(n))
+            expected = full_sort_shp(C)
+        for seed in (0, 1, 12345, (5, 3)):
+            assert np.array_equal(approximate_shp(C, seed), expected)
+
+    def test_the_rank_stream_is_not_the_seed_stream(self):
+        # permutation_pvalue draws from default_rng(seed), seeded by SeedSequence(seed)'s
+        # words; the rank must repeat neither those words nor the draws
+        for seed in (0, 1, 2):
+            rank = shp._node_rank(50, seed)
+            assert not np.array_equal(rank, np.random.default_rng(seed).random(50))
+            assert not np.array_equal(rank, np.random.SeedSequence(seed).generate_state(50, np.uint64) * 2.0**-64)
+            assert np.all((rank >= 0) & (rank <= 1)) and np.unique(rank).size == 50
+
+    @pytest.mark.parametrize("seed", [1, 7, 2**40])
+    @pytest.mark.parametrize("kind", ["integer_ties", "duplicate_rows", "all_equal"])
+    def test_tied_costs_follow_the_seed(self, kind, seed):
+        C = oracle_costs(kind, 60, seed=4)
+        path = approximate_shp(C, seed)
+        assert np.array_equal(path, full_sort_shp(C, seed))
+        assert not np.array_equal(path, approximate_shp(C, seed + 1))
 
     def test_never_beats_brute_force(self, rng):
         for n in (4, 5, 6, 7, 8):
@@ -248,7 +281,7 @@ class TestApproximateShp:
 
 
 class TestMatchesFullSort:
-    """The round-based greedy admits exactly the edges of one full sort."""
+    """The round-based greedy admits exactly the edges of one full sort, ties by the node rank."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
-from relevance_kit import cost, inference, sim
+from relevance_kit import cost, inference, shp, sim
 from relevance_kit.cost import average_cost, diff_augmented_cost, gamma_cost
 from relevance_kit.sim import (
     CovSpec,
@@ -322,6 +322,18 @@ class TestEstimatePower:
         for threads in ("1", "2"):
             monkeypatch.setenv("RELEVANCE_THREADS", threads)
             assert estimate_power(case, "gamma:1.0", "min", trials=50, seed=3) == expected
+
+    def test_each_trial_seeds_its_own_path(self, strong_shift, monkeypatch):
+        # a callable cost can tie, so each trial orders its ties by its own seed
+        seeds = []
+
+        def recording(costs, seed=0):
+            seeds.append(seed)
+            return shp.approximate_shp(costs, seed)
+
+        monkeypatch.setattr(sim, "approximate_shp", recording)
+        estimate_power(strong_shift, lambda x: np.round(gamma_cost(x, 1.0)), "ws", trials=50, seed=6)
+        assert seeds == [(6, t) for t in range(50)]
 
     @pytest.mark.parametrize("threads, trials", [("1", 10**5), ("2", 10**4)])
     def test_trials_are_streamed(self, strong_shift, monkeypatch, threads, trials):
