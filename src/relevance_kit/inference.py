@@ -23,12 +23,13 @@ reuses, so its working memory is that of one block (704 KiB at K = 45)
 plus one float per point, whatever the point count; the block does not
 reach the result.  Its settings are fixed: 10 000 points and 12
 shifts, the points doubling until the standard error is at most 1e-4.
-Its results are memoized in a bounded LRU cache keyed by the bytes of
-the marginalized Sigma and the thresholds, so the repeated thresholds
-of a power study integrate once.  Both tests decide by their p-value
-(``TestResult.reject`` is ``p_value <= alpha``).  The minimum test's
-critical value, only reported, is :func:`minimum_critical_value`: the
-level-alpha root of that tail on the probit scale.  It starts from the
+Every tail, exact or integrated, is remembered in one bounded LRU cache
+keyed by the bytes of the marginalized Sigma and the thresholds, so the
+repeated thresholds of a power study are computed once.  Both tests
+decide by their p-value (``TestResult.reject`` is ``p_value <=
+alpha``).  The minimum test's critical value, only reported, is
+:func:`minimum_critical_value`: the level-alpha root of that tail on
+the probit scale.  It starts from the
 root of the second-order inclusion-exclusion lower bound B2 = S1 - S2,
 built from K normal CDFs and K(K-1)/2 bivariate normal CDFs in closed
 form (Owen's T), which needs no integration.  One routine,
@@ -91,7 +92,7 @@ __all__ = [
 ]
 
 _MVN_SEED = 20210802  # seed of the lattice shifts, fixed so every report is reproducible
-_MVN_MEMO_SIZE = 256  # integrals mvn_upper_tail remembers: 4 MiB of Sigma keys at K=45
+_MVN_MEMO_SIZE = 256  # every tail, exact or integrated, is remembered: 4 MiB of Sigma keys at K=45
 _B2_GRID = 17  # points at which the pre-root scans the analytic bracket for B2's first crossing
 _ACCEPT_STEP = 1e-4  # Newton step small enough to stop at; see _min_critical
 # Lattice points the engine integrates at a time: 704 KiB of buffers at
@@ -140,7 +141,10 @@ class WeightMatrix:
             raise ValueError("weights must be finite and nonnegative")
         if np.abs(w - w.T).max() > 1e-12:
             raise ValueError("weight grid must be symmetric")
-        w = (w + w.T) / 2.0
+        with np.errstate(over="ignore"):
+            w = (w + w.T) / 2.0
+        if not np.isfinite(w).all():
+            raise ValueError("weights too large for float64: (w + w.T) / 2 overflows")
         np.fill_diagonal(w, 0.0)
         if not (w > 0).any():
             raise ValueError("at least one off-diagonal weight must be positive")
@@ -270,10 +274,13 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
     alpha = _check_alpha(alpha)
     _check_k(w, ctx)
     _warn_singletons(ctx)
-    stat = weighted_sum_statistic(table, w)
     wvec = w.vector()
-    null_mean = float(wvec @ ctx.pair_mean)
-    null_var = float(wvec @ build_sigma(ctx) @ wvec)
+    with np.errstate(over="ignore", invalid="ignore"):  # weights too large are rejected below
+        stat = weighted_sum_statistic(table, w)
+        null_mean = float(wvec @ ctx.pair_mean)
+        null_var = float(wvec @ build_sigma(ctx) @ wvec)
+    if not math.isfinite(null_var):
+        raise ValueError("null variance of the weighted sum overflows float64: the weights are too large")
     if null_var <= 0.0:
         raise ValueError("null variance of the weighted sum is zero; test is degenerate")
     null_sd = null_var ** 0.5
@@ -387,14 +394,14 @@ def mvn_upper_tail(sigma, thresholds, *, full_output: bool = False):
     integrand values, one per point, are kept whole, so each shift's
     estimate is their mean as before.
 
-    The integral is a pure function of the marginalized Sigma and the
-    thresholds, so it is memoized: the last ``_MVN_MEMO_SIZE`` results
-    are kept, keyed by byte copies of the two, and a repeated call returns
-    the same ``(probability, standard_error)`` without integrating.  The
-    argument checks run on every call, the positive-semidefinite one
-    with two or more components on the exact path and when the
-    integration is not remembered; a remembered call skips only the
-    factorization and the integration.
+    The tail is a pure function of the marginalized Sigma and the
+    thresholds, so every tail, exact or integrated, is remembered: the
+    last ``_MVN_MEMO_SIZE`` results are kept (:func:`_tail`), keyed by
+    byte copies of the two, and a repeated call returns the same
+    ``(probability, standard_error)`` without computing it.  The shape,
+    NaN and symmetry checks run on every call.  The positive-semidefinite
+    one runs with the computation, and an error is not remembered: a
+    rejected Sigma raises on every call.
 
     Parameters
     ----------
@@ -420,19 +427,26 @@ def mvn_upper_tail(sigma, thresholds, *, full_output: bool = False):
     if np.abs(S - S.T).max() > 1e-8 * max(1.0, np.abs(S).max()):
         raise ValueError("sigma must be symmetric")
     if np.isposinf(t).any():
-        out = (0.0, 0.0)
-        return out if full_output else 0.0
+        return (0.0, 0.0) if full_output else 0.0
     keep = ~np.isneginf(t)
-    S = S[np.ix_(keep, keep)]
-    t = t[keep]
-    n = t.size
-    if n > _EXACT_MAX:
-        out = _orthant(S.tobytes(), t.tobytes())
-        return out if full_output else out[0]
-    if n > 1:
-        _jittered(S)  # the check only: the exact tail is that of S itself
-    p = _exact_tail(S, t)
-    return (p, 0.0) if full_output else p
+    out = _tail(S[np.ix_(keep, keep)].tobytes(), t[keep].tobytes())
+    return out if full_output else out[0]
+
+
+@functools.lru_cache(maxsize=_MVN_MEMO_SIZE)
+def _tail(sigma_bytes: bytes, thresholds_bytes: bytes) -> tuple[float, float]:
+    """(P(Z > t), standard error) from byte copies of the marginalized Sigma and t: the memo.
+
+    Sigma is checked first (:func:`_jittered`).  Up to ``_EXACT_MAX``
+    components the tail is exact, that of Sigma itself; beyond,
+    :func:`_orthant` integrates it with the checked Sigma.
+    """
+    t = np.frombuffer(thresholds_bytes)
+    S = np.frombuffer(sigma_bytes).reshape(t.size, t.size)
+    checked = _jittered(S)
+    if t.size > _EXACT_MAX:
+        return _orthant(checked, t)
+    return _exact_tail(S, t), 0.0
 
 
 def _jittered(S: np.ndarray) -> np.ndarray:
@@ -455,28 +469,16 @@ def _jittered(S: np.ndarray) -> np.ndarray:
         return S
 
 
-def _factor(S: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reordered factor and limits that :func:`_orthant` integrates P(Z > t) with.
+def _orthant(S: np.ndarray, t: np.ndarray, *, n_points: int = 10_000, n_shifts: int = 12,
+             error_target: float = 1e-4, seed: int = _MVN_SEED) -> tuple[float, float]:
+    """(P(Z > t), standard error) for n >= 2 components of a checked Sigma, by the lattice rule.
 
-    A numerically indefinite Sigma gets a diagonal jitter of 1e-10 once
-    before it is rejected (:func:`_jittered`).  P(Z > t) = P(-Z < -t),
-    the CDF of N(0, S) at upper limits -t, which
-    :func:`_reorder_cholesky` orders.
+    P(Z > t) = P(-Z < -t), the CDF of N(0, S) at upper limits -t, which
+    :func:`_reorder_cholesky` orders.  The defaults are the settings
+    :func:`mvn_upper_tail` integrates at.
     """
-    return _reorder_cholesky(_jittered(S), -t)
-
-
-@functools.lru_cache(maxsize=_MVN_MEMO_SIZE)
-def _orthant(sigma_bytes: bytes, thresholds_bytes: bytes, n_points: int = 10_000,
-             n_shifts: int = 12, error_target: float = 1e-4,
-             seed: int = _MVN_SEED) -> tuple[float, float]:
-    """(P(Z > t), standard error) for n >= 2 components, from byte copies of Sigma and t.
-
-    The defaults are the settings :func:`mvn_upper_tail` integrates at.
-    """
-    t = np.frombuffer(thresholds_bytes)
     n = t.size
-    C, u = _factor(np.frombuffer(sigma_bytes).reshape(n, n), t)
+    C, u = _reorder_cholesky(S, -t)
     rng = np.random.default_rng(seed)
     sqrt_primes = np.sqrt(_first_primes(n - 1).astype(np.float64))
     e0 = ndtr(u[0] / C[0, 0]) if C[0, 0] > 0 else float(u[0] >= 0)
@@ -676,11 +678,6 @@ def _exact_tail(S: np.ndarray, t: np.ndarray) -> float:
 # Minimum test
 
 
-def _min_tail(x: float, sigma_pos: np.ndarray, w_pos: np.ndarray) -> float:
-    """P(min of weighted centered counts > x) under the null."""
-    return mvn_upper_tail(sigma_pos, x / w_pos)
-
-
 def _newton_root(f, z: float, lo: float, hi: float, accept, xtol: float) -> float:
     """Root of the increasing f in [lo, hi] by safeguarded Newton steps from z.
 
@@ -781,8 +778,11 @@ def _same_factor(sigma_pos: np.ndarray, w_pos: np.ndarray, za: float, zb: float)
     The reorder breaks near-ties of the standardized limits by rounding,
     so between nearby z it can pick another pivot order, and the tail
     jumps by about its standard error.  Within one factor it is smooth.
+    It factors Sigma as given, as the engine does unless Sigma has no
+    Cholesky factor and takes the engine's jitter.
     """
-    return np.array_equal(_factor(sigma_pos, za / w_pos)[0], _factor(sigma_pos, zb / w_pos)[0])
+    return np.array_equal(_reorder_cholesky(sigma_pos, -za / w_pos)[0],
+                          _reorder_cholesky(sigma_pos, -zb / w_pos)[0])
 
 
 def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float) -> float:
@@ -837,7 +837,7 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float) -> flo
     z0, slope = _b2_pre_root(s, rho, alpha, lo, hi) or (0.5 * (lo + hi), math.nan)
 
     def gap(z: float) -> tuple[float, float]:
-        return float(ndtri(1.0 - _min_tail(z, sigma_pos, w_pos))) - probit_alpha, slope
+        return float(ndtri(1.0 - mvn_upper_tail(sigma_pos, z / w_pos))) - probit_alpha, slope
 
     if sigma_pos.shape[0] <= _EXACT_MAX:
         accept, xtol = _short, _EXACT_STEP

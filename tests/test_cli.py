@@ -849,6 +849,7 @@ class TestTestCommand:
         ("a,b\n0,1\n1,0\n", "could not convert string 'a'"),
         ("0,1\n1\n", "number of columns changed"),
         ("", "input contained no data"),
+        ("0,1e308\n1e308,0\n", "weights too large for float64"),
     ])
     def test_weights_file_that_is_not_a_weight_grid_fails_before_the_csv_is_read(
             self, two_group_csv, tmp_path, monkeypatch, capsys, text, message):
@@ -866,6 +867,15 @@ class TestTestCommand:
         rc = main(["test", "--input", str(two_group_csv), "--group-col", "g", "--weights", str(wfile)])
         assert rc == 2
         assert "weight grid is 3 x 3 but context has k=2" in capsys.readouterr().err
+
+    def test_weights_too_large_for_the_null_variance(self, three_group_csv, tmp_path, capsys):
+        wfile = tmp_path / "w.csv"
+        wfile.write_text("0,1e200,1e200\n1e200,0,1e200\n1e200,1e200,0\n")
+        rc = main(["test", "--input", str(three_group_csv), "--group-col", "g", "--weights", str(wfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: null variance of the weighted sum overflows float64: "
+                       "the weights are too large\n")
 
     def test_data_and_cost_matrices_are_let_go_before_the_tests_run(self, two_group_csv, tmp_path,
                                                                    monkeypatch):

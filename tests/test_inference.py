@@ -166,6 +166,11 @@ class TestWeightMatrix:
         with pytest.raises(ValueError, match="at least one"):
             WeightMatrix(np.zeros((3, 3)))
 
+    def test_rejects_weights_whose_symmetrization_overflows(self):
+        # 1e308 is finite, but (w + w.T) / 2 overflows; no RuntimeWarning either
+        with pytest.raises(ValueError, match="weights too large for float64"):
+            WeightMatrix(pair_table(3, {(1, 2): 1e308, (1, 3): 1.0, (2, 3): 1.0}))
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="k x k"):
             WeightMatrix(np.ones((2, 3)))
@@ -306,6 +311,17 @@ class TestWeightedSumTest:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError, match="degenerate"):
                 weighted_sum_test(pair_table(2, {(1, 2): 1}), WeightMatrix.unit(2), ctx)
+
+    @pytest.mark.parametrize("v", [1e200, 8e307])
+    def test_rejects_null_variance_beyond_float64(self, v):
+        # the weighted sum's moments overflow without a RuntimeWarning; at
+        # 8e307 its mean and the statistic overflow too
+        ctx = MomentContext(np.array([10, 10, 10]))
+        w = WeightMatrix(pair_table(3, {(1, 2): v, (1, 3): v, (2, 3): v}))
+        table = pair_table(3, {(1, 2): 5, (1, 3): 4, (2, 3): 6})
+        np.fill_diagonal(table, [5, 4, 5])
+        with pytest.raises(ValueError, match="null variance of the weighted sum overflows float64"):
+            weighted_sum_test(table, w, ctx)
 
     def test_rejects_mismatched_weights(self):
         ctx = MomentContext(np.array([4, 5]))

@@ -11,7 +11,9 @@ the integration oracle factors with the production reorder, which the
 scalar loop pins separately, so a last-bit difference between the two
 reorders' factors never reaches the 1e-14 integration comparison.  Up to
 three components ``mvn_upper_tail`` does not integrate, so the lattice
-engine is called as ``inference._orthant`` where it is the subject.
+engine, which remembers nothing, is called as ``inference._orthant``
+where it is the subject; ``mvn_upper_tail`` remembers every tail,
+exact or integrated, in ``inference._tail``.
 """
 
 import sys
@@ -133,14 +135,15 @@ def reference_upper_tail(sigma, thresholds, *, n_points=10_000, n_shifts=12,
     return prob, err
 
 
-def orthant(sigma, thresholds, *, n_points=10_000, n_shifts=12, error_target=1e-4,
-            seed=20210802):
-    """The lattice engine's (P(Z > t), standard error), as mvn_upper_tail calls it beyond three components."""
+def orthant(sigma, thresholds, **settings):
+    """The lattice engine's (P(Z > t), standard error), as mvn_upper_tail calls it beyond three components.
+
+    The engine takes the marginalized, checked Sigma; it remembers nothing.
+    """
     S = np.asarray(sigma, dtype=np.float64)
     t = np.asarray(thresholds, dtype=np.float64)
     keep = ~np.isneginf(t)
-    return inference._orthant(S[np.ix_(keep, keep)].tobytes(), t[keep].tobytes(), int(n_points),
-                              int(n_shifts), float(error_target), int(seed))
+    return inference._orthant(inference._jittered(S[np.ix_(keep, keep)]), t[keep], **settings)
 
 
 def rank_one_tail(a, t):
@@ -503,14 +506,12 @@ class TestLatticeBlocks:
             results = []
             for block in (16, 48, 2032, n_points):
                 monkeypatch.setattr(inference, "_MVN_BLOCK", block)
-                inference._orthant.cache_clear()
                 results.append(orthant(S, t, n_points=n_points))
             assert results[:-1] == results[-1:] * 3, (S.shape, results)
 
     def test_working_memory_does_not_grow_with_the_points(self):
         """At K = 45 and 40 000 points the engine holds one block, not a 45 x 40 000 array."""
         S = build_sigma(MomentContext([50] * 10))
-        inference._orthant.cache_clear()
         tracemalloc.start()
         try:
             p, se = orthant(S, -1.5 * np.sqrt(np.diag(S)), n_points=40_000, n_shifts=2)
@@ -535,8 +536,17 @@ class TestMemo:
             calls.append(1)
             return factor(*args)
 
-        inference._orthant.cache_clear()
+        inference._tail.cache_clear()
         monkeypatch.setattr(inference, "_reorder_cholesky", counting)
+        return calls
+
+    @pytest.fixture
+    def exact_tails(self, monkeypatch):
+        """Count the exact tails computed, starting from an empty memo."""
+        calls = []
+        exact = inference._exact_tail
+        inference._tail.cache_clear()
+        monkeypatch.setattr(inference, "_exact_tail", lambda S, t: calls.append(1) or exact(S, t))
         return calls
 
     def test_repeat_call_is_remembered(self, integrations):
@@ -556,7 +566,10 @@ class TestMemo:
         ],
     )
     def test_changed_input_integrates_afresh(self, integrations, change):
-        """New thresholds through mvn_upper_tail; a new setting, which it does not take, through the engine."""
+        """New thresholds through mvn_upper_tail; a new setting, which it does not take, through the engine.
+
+        The engine remembers nothing, so each settings case integrates twice.
+        """
         if "thresholds" in change:
             def tail(sigma, thresholds):
                 return mvn_upper_tail(sigma, thresholds, full_output=True)
@@ -582,25 +595,38 @@ class TestMemo:
         # the same keys interleave inside the memo.
         problems = [(self.SIGMA, self.T + 0.05 * i) for i in range(12)]
         jobs = [i % len(problems) for i in range(96)]
-        inference._orthant.cache_clear()
-        serial = [orthant(*p, n_points=200) for p in problems]
-        inference._orthant.cache_clear()
+        inference._tail.cache_clear()
+        serial = [mvn_upper_tail(*p, full_output=True) for p in problems]
+        inference._tail.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as ex:
-                futures = [
-                    ex.submit(orthant, *problems[i], n_points=200)
-                    for i in jobs
-                ]
+                futures = [ex.submit(mvn_upper_tail, *problems[i], full_output=True) for i in jobs]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert got == [serial[i] for i in jobs]
-        info = inference._orthant.cache_info()
+        info = inference._tail.cache_info()
         assert info.hits + info.misses == len(jobs)
         assert info.currsize == len(problems)
 
+    @pytest.mark.parametrize("sigma, t", [(SIGMA_4[:2, :2], T_4[:2]), (SIGMA_4[:3, :3], T_4[:3])])
+    def test_exact_tail_is_remembered(self, exact_tails, sigma, t):
+        first = mvn_upper_tail(sigma, t, full_output=True)
+        second = mvn_upper_tail(sigma.copy(), list(t), full_output=True)
+        assert second == first and first[1] == 0.0
+        assert len(exact_tails) == 1
+
+    def test_an_error_is_not_remembered(self, exact_tails):
+        sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric, not positive semidefinite
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+                mvn_upper_tail(sigma, [0.0, 0.0])
+        info = inference._tail.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+        assert not exact_tails
+
     def test_memo_is_bounded(self):
-        maxsize = inference._orthant.cache_info().maxsize
+        maxsize = inference._tail.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize == inference._MVN_MEMO_SIZE

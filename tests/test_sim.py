@@ -304,11 +304,31 @@ class TestEstimatePower:
         case = SimCase(sizes=(8, 8, 8, 8), d=20, means=(0.0, 0.0, 0.0, 0.5), covs=(ar1(0.0),) * 4)
         powers = []
         for threads in ("1", "2"):
-            inference._orthant.cache_clear()
+            inference._tail.cache_clear()
             monkeypatch.setenv("RELEVANCE_THREADS", threads)
             powers.append(estimate_power(case, "gamma:1.0", "min", trials=50, seed=3))
         assert powers[0] == powers[1]
         assert 0.0 < powers[0] < 1.0
+
+    def test_minimum_power_computes_each_distinct_tail_once(self, monkeypatch):
+        # k = 3 (K = 3 pairs): the exact tails are remembered as the
+        # integrated ones are, so a repeated minimum statistic costs none.
+        # Serial, so that no two workers miss on one key at once.
+        case = preset_case(5, d=30)
+        statistics, test = [], sim.minimum_test
+
+        def recording(*args):
+            result = test(*args)
+            statistics.append(result.statistic)
+            return result
+
+        monkeypatch.setattr(sim, "minimum_test", recording)
+        monkeypatch.setenv("RELEVANCE_THREADS", "1")
+        inference._tail.cache_clear()
+        estimate_power(case, "gamma:1.0", "min", trials=50, seed=3)
+        info = inference._tail.cache_info()
+        assert info.misses == len(set(statistics)) < len(statistics) == 50
+        assert info.hits == len(statistics) - info.misses
 
     def test_minimum_power_roots_nothing(self, monkeypatch):
         # The test decides by its p-value, so no trial finds a critical value.
