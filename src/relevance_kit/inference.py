@@ -828,10 +828,14 @@ def _min_critical(sigma_pos: np.ndarray, w_pos: np.ndarray, alpha: float) -> flo
     """
     probit_alpha = float(ndtri(alpha))
     sd = np.sqrt(np.diag(sigma_pos))
-    s = w_pos * sd
-    pad = 0.1 * float(s.max())
-    lo = float(s.max() * ndtri(alpha / s.size)) - pad
-    hi = float(s.min() * ndtri(alpha)) + pad
+    with np.errstate(over="ignore", invalid="ignore"):  # weights too large are rejected below
+        s = w_pos * sd
+        pad = 0.1 * float(s.max())
+        lo = float(s.max() * ndtri(alpha / s.size)) - pad
+        hi = float(s.min() * ndtri(alpha)) + pad
+    if not math.isfinite(hi - lo):  # an infinity or NaN in s, lo or hi
+        raise ValueError("the minimum test's critical-value bracket overflows float64: "
+                         "the weights are too large")
     spread = sd > 0
     s, rho = s[spread], sigma_pos[np.ix_(spread, spread)] / np.outer(sd[spread], sd[spread])
     z0, slope = _b2_pre_root(s, rho, alpha, lo, hi) or (0.5 * (lo + hi), math.nan)
@@ -892,7 +896,10 @@ def minimum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05
     """
     alpha = _check_alpha(alpha)
     _warn_singletons(ctx)
-    stat = minimum_statistic(table, w, ctx)
+    with np.errstate(over="ignore"):  # weights too large are rejected below
+        stat = minimum_statistic(table, w, ctx)
+    if not math.isfinite(stat):
+        raise ValueError("the minimum statistic overflows float64: the weights are too large")
     sigma_pos, w_pos = _positive_pairs(w, ctx)
     tail, standard_error = mvn_upper_tail(sigma_pos, stat / w_pos, full_output=True)
     return TestResult(

@@ -1,15 +1,20 @@
 """Permutation-null moments and covariances of path edge counts.
 
 Under uniform permutation of group labels over a fixed path, the
-between- and within-group edge counts have closed-form first and second
-moments depending only on the group sizes (Chen & Friedman, JASA 2017).
-This module is the one place those closed forms live:
-:class:`MomentContext` carries the k x k mean and variance tables of
-every count and, built on first use, the between counts' means in pair
-order and their covariance matrix (:func:`build_sigma`) that the tests
-read.  An exhaustive enumeration oracle (:func:`enumerate_null_moments`)
-recomputes every moment exactly for small N by iterating over all
-distinct label arrangements.
+between- and within-group edge counts have closed-form means and
+variances depending only on the group sizes (Chen & Friedman, JASA
+2017).  Each variance is written as one product of integers over
+N^2 (N-1): 2ab [N (N-1-a-b) + 2ab] for the count between groups of
+sizes a and b, n (n-1) (N-n) (N-n+1) for the count within a group of
+size n.  While N^2 < 2^53 every factor is exact in float64, so each
+entry is within a few roundings of its exact value, nonnegative, and
+symmetric in its two groups by construction.  This module is the one
+place those closed forms live: :class:`MomentContext` carries the
+k x k mean and variance tables of every count and, built on first use,
+the between counts' means in pair order and their covariance matrix
+(:func:`build_sigma`) that the tests read.  An exhaustive enumeration
+oracle (:func:`enumerate_null_moments`) recomputes every moment exactly
+for small N by iterating over all distinct label arrangements.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cost import _check_memory
 from .counts import GroupAssignment
 
 __all__ = [
@@ -41,16 +47,30 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+def _between(a, b, N: int):
+    """Null mean and variance of the count between two groups of sizes a and b among N.
+
+    The mean is 2ab / N and the variance 2ab [N (N-1-a-b) + 2ab] / (N^2 (N-1)).
+    The bracket is an integer >= 0, exact in float64 while N^2 < 2^53, so the
+    variance is >= 0, zero only where the count is constant (a = b = 1 = N/2),
+    and takes the same bits for (b, a) as for (a, b).
+    """
+    ab = a * b
+    return 2.0 * ab / N, 2.0 * ab * (N * (N - 1.0 - a - b) + 2.0 * ab) / (N * N * (N - 1.0))
+
+
 @dataclass(frozen=True)
 class MomentContext:
     """Group sizes n_1..n_k, their total N, and every count's null moments.
 
     ``mean[i, j]`` and ``var[i, j]`` are the null mean and variance of the
     edge count S(G_{i+1}, G_{j+1}) (0-based indices, symmetric); the
-    diagonal holds the within-group counts S(G_i, G_i).  ``sigma`` is the
+    diagonal holds the within-group counts S(G_i, G_i).  Each entry is
+    the module's product form, written once (:func:`_between` off the
+    diagonal), so the tables are exactly symmetric and every variance is
+    >= 0, zero only where the count is constant.  ``sigma`` is the
     covariance of the between counts, built on first use.  All three
-    tables are read-only and are the only place the closed forms are
-    written out.
+    tables are read-only.
     """
 
     sizes: np.ndarray
@@ -72,25 +92,12 @@ class MomentContext:
             raise ValueError(f"total N must be an integer >= 2, got {N}")
         sizes.setflags(write=False)
 
-        # Between counts (off-diagonal), then within counts (diagonal).
         n = sizes.astype(np.float64)
-        a, b = n[:, None], n[None, :]
-        NN1 = N * (N - 1.0)
-        mean = 2.0 * a * b / N
-        second = (
-            2.0 * a * b / N
-            + 2.0 * a * b * (a + b - 2.0) / NN1
-            + 4.0 * a * (a - 1.0) * b * (b - 1.0) / NN1
-        )
+        mean, var = _between(n[:, None], n[None, :], N)
         w = n * (n - 1.0)
         np.fill_diagonal(mean, w / N)
-        np.fill_diagonal(
-            second, w / N + 2.0 * w * (n - 2.0) / NN1 + w * (n - 2.0) * (n - 3.0) / NN1
-        )
-        var = np.maximum(second - mean * mean, 0.0)  # clipped against roundoff
-        lower = np.tril_indices(sizes.size, -1)
+        np.fill_diagonal(var, w * ((N - n) * (N - n + 1.0)) / (N * N * (N - 1.0)))
         for table in (mean, var):
-            table[lower] = table.T[lower]  # mirror (i < j) so the tables are exactly symmetric
             table.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "total", N)
@@ -132,12 +139,20 @@ class MomentContext:
 
     @functools.cached_property
     def sigma(self) -> np.ndarray:
-        """Null covariance of the between counts, as documented at :func:`build_sigma`."""
+        """Null covariance of the between counts, as documented at :func:`build_sigma`.
+
+        Raises ``ValueError`` naming k and K, before any K x K matrix is
+        allocated, where the build would not fit in physical memory.  It
+        holds four K x K matrices at once (``shared``, its scaled copy,
+        the outer product and their product) and two K x k incidence
+        tables.
+        """
         n = self.sizes.astype(np.float64)
-        N = self.total
-        iu, ju = _pairs(self.n_groups)
+        N, k = self.total, self.n_groups
+        iu, ju = _pairs(k)
         K = iu.size
-        incidence = np.zeros((K, self.n_groups))
+        _check_memory(8 * K * (4 * K + 2 * k), f"k={k} groups (K={K} pairs)", "their covariance")
+        incidence = np.zeros((K, k))
         incidence[np.arange(K), iu] = incidence[np.arange(K), ju] = 1.0
         shared = (incidence / n) @ incidence.T  # 1/n_g where pairs share g, else 0
         P = n[iu] * n[ju]

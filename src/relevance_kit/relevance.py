@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import GroupAssignment, check_table, count_edges, union_ids
-from .moments import MomentContext, _pairs
+from .moments import MomentContext, _between, _pairs
 
 __all__ = ["RelevanceReport", "z_score", "combined_z_score", "relevance_report"]
 
@@ -39,22 +39,19 @@ def _union_z(table: np.ndarray, a1: list[int], a2: list[int], ctx: MomentContext
     """Signed z of the count between two unions checked by ``union_ids``."""
     i1, i2 = [g - 1 for g in a1], [g - 1 for g in a2]
     count = int(table[np.ix_(i1, i2)].sum())
-    na, nb = int(ctx.sizes[i1].sum()), int(ctx.sizes[i2].sum())
-    rest = ctx.total - na - nb
-    merged = MomentContext([na, nb, rest] if rest else [na, nb])
-    var = merged.var[0, 1]
+    mean, var = _between(float(ctx.sizes[i1].sum()), float(ctx.sizes[i2].sum()), ctx.total)
     if var <= 0.0:
         raise ValueError("null variance of the merged comparison is zero")
-    return float((count - merged.mean[0, 1]) / np.sqrt(var))
+    return float((count - mean) / np.sqrt(var))
 
 
 def combined_z_score(A1, A2, table, ctx: MomentContext) -> tuple[float, float]:
     """Standardized count between two unions of samples, read from a count table.
 
-    The unions are merged into pseudo-groups whose sizes, with the rest
-    of the groups as a third, give the null mean and variance, so the
-    scaling reflects the merged comparison rather than a sum of pairwise
-    terms.  Returns (signed z, |z|): the sign distinguishes fewer
+    The unions are merged into two pseudo-groups whose sizes, with the
+    total N, give the null mean and variance of the count between them,
+    so the scaling reflects the merged comparison rather than a sum of
+    pairwise terms.  Returns (signed z, |z|): the sign distinguishes fewer
     crossings than chance (negative, samples differ) from more
     (positive, samples mix).
     """

@@ -877,6 +877,25 @@ class TestTestCommand:
         assert err == ("error: null variance of the weighted sum overflows float64: "
                        "the weights are too large\n")
 
+    @pytest.mark.parametrize("v", ["8e307", "1e306"])
+    def test_minimum_test_on_weights_near_the_float64_limit(self, tmp_path, capsys, v):
+        rng = np.random.default_rng(30)
+        data = write_csv(tmp_path / "d.csv", ["a", "b", "c"] * 10, rng.normal(size=(30, 5)))
+        wfile = tmp_path / "w.csv"
+        wfile.write_text(f"0,{v},{v}\n{v},0,{v}\n{v},{v},0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["test", "--input", str(data), "--group-col", "g", "--weights", str(wfile),
+                       "--test", "min"])
+        out, err = capsys.readouterr()
+        if v == "1e306":
+            assert rc == 0 and err == ""
+            assert json.loads(out)["results"]["minimum"]["critical_value"] < 0.0
+            return
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert err.endswith("overflows float64: the weights are too large\n")
+
     def test_data_and_cost_matrices_are_let_go_before_the_tests_run(self, two_group_csv, tmp_path,
                                                                    monkeypatch):
         """Inference's working memory is not added to the N x N costs, which nothing after the path reads."""
@@ -1379,6 +1398,18 @@ class TestMainExitCodes:
         rc = main(["shp", "--input", str(two_group_csv), "--group-col", "g"])
         assert rc == 2
         assert "N=20 observations need about" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selector", ["ws", "min", "both", "perm:100"])
+    def test_pair_covariance_too_large_for_memory(self, tmp_path, monkeypatch, capsys, selector):
+        # k = 60 groups of 2: the 120 x 120 costs fit in 32 MiB, the K = 1770
+        # pair covariance (about 98 MiB to build) does not; relevance needs none
+        rng = np.random.default_rng(60)
+        data = write_csv(tmp_path / "many.csv", np.repeat(np.arange(60), 2), rng.normal(size=(120, 3)))
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: 2 ** 25)
+        rc = main(["test", "--input", str(data), "--group-col", "g", "--test", selector])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: k=60 groups (K=1770 pairs) need about ")
+        assert main(["relevance", "--input", str(data), "--group-col", "g"]) == 0
 
     def test_degenerate_minimum_test(self, tmp_path, capsys):
         p = tmp_path / "pair.csv"

@@ -455,6 +455,22 @@ class TestMinimumTest:
         assert r1.p_value == r2.p_value
         assert minimum_critical_value(w, ctx) == minimum_critical_value(w, ctx)
 
+    @pytest.mark.parametrize("v", [8e307, 1e306])
+    def test_weights_near_the_float64_limit(self, v):
+        # at 8e307 a count 6.7 below its mean overflows the statistic, and
+        # the root's bracket overflows whatever the counts; 1e306 fits both
+        ctx = MomentContext(np.array([10, 10, 10]))
+        w = WeightMatrix(pair_table(3, {(1, 2): v, (1, 3): v, (2, 3): v}))
+        table = pair_table(3, {(1, 2): 0, (1, 3): 7, (2, 3): 7})
+        if v == 1e306:
+            assert np.isfinite(minimum_test(table, w, ctx).statistic)
+            assert np.isfinite(minimum_critical_value(w, ctx))
+            return
+        with pytest.raises(ValueError, match="^the minimum statistic overflows float64: the weights"):
+            minimum_test(table, w, ctx)
+        with pytest.raises(ValueError, match="bracket overflows float64: the weights are too large$"):
+            minimum_critical_value(w, ctx)
+
     def test_critical_value_checks_its_arguments(self):
         ctx = MomentContext(np.array([4, 5, 6]))
         with pytest.raises(ValueError, match="alpha"):
@@ -582,11 +598,15 @@ class TestMinimumCriticalRoot:
         """The kind of each step, "newton", "secant" or "bisect", per call of ``_newton_root``.
 
         B2's root is the first call and the tail's the second; a third
-        finds the tail's root again in a widened bracket.  A step is
-        Newton's when the next point evaluated, or the root returned, is
-        z - value / slope from the point before, with the slope f gave;
-        a secant's when it is that with the slope through the two points
-        before; any other is a bisection.
+        finds the tail's root again in a widened bracket.  The bracket
+        starts at the ends given and each value narrows it by its sign.
+        A step is a bisection when the next point evaluated, or the root
+        returned, is the midpoint of the bracket so narrowed; Newton's
+        when it is z - value / slope from the point before, with the
+        slope f gave; a secant's when it is that with the slope through
+        the two points before.  The midpoint is tested first: where the
+        bracket is two adjacent floats, it can round onto a step's
+        target.
         """
         calls, root = [], inference._newton_root
 
@@ -604,13 +624,16 @@ class TestMinimumCriticalRoot:
             for i, (x, value, slope) in enumerate(points):
                 if value == 0.0:  # x is the root
                     continue
+                lo, hi = (x, hi) if value < 0.0 else (lo, x)
                 secant = (value - points[i - 1][1]) / (x - points[i - 1][0]) if i else np.nan
-                if 0.0 < slope < np.inf and after[i] == x - value / slope:
+                if after[i] == 0.5 * (lo + hi):
+                    kinds.append("bisect")
+                elif 0.0 < slope < np.inf and after[i] == x - value / slope:
                     kinds.append("newton")
                 elif 0.0 < secant < np.inf and after[i] == x - value / secant:
                     kinds.append("secant")
                 else:
-                    kinds.append("bisect")
+                    raise AssertionError(f"step from {x} to {after[i]} is of no known kind")
             return out
 
         monkeypatch.setattr(inference, "_newton_root", traced)

@@ -4,17 +4,20 @@ Three oracle routes back the closed forms: exhaustive enumeration of
 label arrangements (exact, N <= 8), the classical run-count distribution
 for binary sequences (exact, any size, k = 2 only), and plain Monte
 Carlo shuffling (approximate, any size).  Beyond enumeration range,
-property tests tie every table to the merged-group identities.
+property tests tie every table to the merged-group identities and to
+its exact rational value.
 """
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from relevance_kit import cost
 from relevance_kit.counts import GroupAssignment
 from relevance_kit.moments import (
     EnumeratedMoments,
@@ -39,6 +42,23 @@ def merged(sizes, a1, a2):
     nb = sum(sizes[g - 1] for g in a2)
     rest = sum(sizes) - na - nb
     return MomentContext([na, nb, rest] if rest else [na, nb])
+
+
+def exact_tables(sizes):
+    """The k x k null mean and variance tables as exact fractions (the product forms)."""
+    N = sum(sizes)
+    D = N * N * (N - 1)
+    mean = [[Fraction(2 * a * b, N) for b in sizes] for a in sizes]
+    var = [[Fraction(2 * a * b * (N * (N - 1 - a - b) + 2 * a * b), D) for b in sizes] for a in sizes]
+    for i, n in enumerate(sizes):
+        mean[i][i] = Fraction(n * (n - 1), N)
+        var[i][i] = Fraction(n * (n - 1) * (N - n) * (N - n + 1), D)
+    return mean, var
+
+
+def assert_exact(value, exact, rtol=Fraction(4.5e-16)):
+    """``value`` is within ``rtol`` (2 ulp) of ``exact``, relative: exactly 0 where ``exact`` is."""
+    assert abs(Fraction(float(value)) - exact) <= rtol * abs(exact), (value, exact)
 
 
 def run_count_distribution(n1, n2):
@@ -97,23 +117,21 @@ class TestSizeValidation:
                 table[0, 1] = 0.0
 
     def test_tables_equal_scalar_closed_forms(self):
-        """The tables keep the scalar formulas' expression order, so they agree bit for bit."""
-        for sizes in [(4, 5, 6), (1, 2, 3, 97), (13, 400, 250, 1, 7)]:
+        """The tables keep the scalar product forms' expression order, so they agree bit for bit."""
+        for sizes in [(4, 5, 6), (1, 2, 3, 97), (13, 400, 250, 1, 7), (2, 2, 2000), (1, 100000)]:
             ctx = MomentContext(sizes)
             N = sum(sizes)
-            NN1 = N * (N - 1.0)
-            for i, n1 in enumerate(sizes):
-                assert ctx.mean[i, i] == n1 * (n1 - 1.0) / N
+            D = N * N * (N - 1.0)
+            for i, a in enumerate(sizes):
+                assert ctx.mean[i, i] == a * (a - 1.0) / N
+                assert ctx.var[i, i] == a * (a - 1.0) * ((N - a) * (N - a + 1.0)) / D
+                assert_exact(ctx.var[i, i], Fraction(a * (a - 1) * (N - a) * (N - a + 1), N * N * (N - 1)))
                 for j in range(i + 1, len(sizes)):
-                    n2 = sizes[j]
-                    m = 2.0 * n1 * n2 / N
-                    second = (
-                        2.0 * n1 * n2 / N
-                        + 2.0 * n1 * n2 * (n1 + n2 - 2.0) / NN1
-                        + 4.0 * n1 * (n1 - 1.0) * n2 * (n2 - 1.0) / NN1
-                    )
-                    assert ctx.mean[i, j] == ctx.mean[j, i] == m
-                    assert ctx.var[i, j] == ctx.var[j, i] == max(second - m * m, 0.0)
+                    b = sizes[j]
+                    assert ctx.mean[i, j] == ctx.mean[j, i] == 2.0 * a * b / N
+                    v = 2.0 * a * b * (N * (N - 1.0 - a - b) + 2.0 * a * b) / D
+                    assert ctx.var[i, j] == ctx.var[j, i] == v
+                    assert_exact(v, Fraction(2 * a * b * (N * (N - 1 - a - b) + 2 * a * b), N * N * (N - 1)))
 
     def test_pair_mean_is_the_upper_triangle_built_once(self):
         ctx = MomentContext([3, 9, 4, 7])
@@ -346,3 +364,39 @@ class TestVarianceNonnegativity:
                 v = MomentContext([n1, n2]).var
                 assert (v >= 0.0).all()
                 assert np.isfinite(v).all()
+
+
+class TestExactRationalOracle:
+    """Every table entry against its exact rational value, beyond enumeration range."""
+
+    sizes = st.one_of(
+        st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=12),
+        # one dominant group among small ones, anywhere in the order
+        st.tuples(st.lists(st.integers(1, 5), min_size=1, max_size=11), st.integers(10 ** 3, 10 ** 6),
+                  st.integers(0, 11)).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes=sizes)
+    @example(sizes=[2, 2, 2000])
+    @example(sizes=[1, 100000])
+    @example(sizes=[1, 1])
+    def test_tables_within_two_ulp_of_exact(self, sizes):
+        ctx = MomentContext(sizes)
+        for table, exact in zip((ctx.mean, ctx.var), exact_tables(sizes)):
+            assert np.array_equal(table, table.T)
+            for i, row in enumerate(exact):
+                for j, value in enumerate(row):
+                    assert_exact(table[i, j], value)  # so 0 exactly where the exact value is 0
+
+
+class TestSigmaMemoryGuard:
+    """A pair covariance too large for physical memory is refused before it is built."""
+
+    def test_refuses_sigma_beyond_physical_memory(self, monkeypatch):
+        need = 8 * 435 * (4 * 435 + 2 * 30)  # four K x K matrices and two K x k tables, K = 435
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=r"^k=30 groups \(K=435 pairs\) need about .* GiB"):
+            MomentContext([2] * 30).sigma
+        monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: need)
+        assert MomentContext([2] * 30).sigma.shape == (435, 435)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relevance_kit.counts import GroupAssignment, count_edges
@@ -108,6 +110,30 @@ class TestCombinedZScore:
         ctx = MomentContext.from_assignment(groups)
         with pytest.raises(ValueError, match="outside 1..3"):
             combined_z_score([1], [4], count_edges(path, groups), ctx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_a_merged_context_bit_for_bit(self, data):
+        """The z reads the moments the merged design [union 1, union 2, rest] has for its first pair."""
+        sizes = data.draw(st.lists(st.integers(1, 10 ** 5), min_size=2, max_size=8))
+        k = len(sizes)
+        groups = data.draw(st.permutations(range(1, k + 1)))
+        n1 = data.draw(st.integers(1, k - 1))
+        n2 = data.draw(st.integers(1, k - n1))
+        a1, a2 = groups[:n1], groups[n1:n1 + n2]
+        table = np.array(data.draw(st.lists(st.integers(0, 10 ** 5), min_size=k * k, max_size=k * k)),
+                         dtype=float).reshape(k, k)
+        table += table.T
+        na, nb = sum(sizes[g - 1] for g in a1), sum(sizes[g - 1] for g in a2)
+        rest = sum(sizes) - na - nb
+        merged = MomentContext([na, nb, rest] if rest else [na, nb])
+        count = table[np.ix_([g - 1 for g in a1], [g - 1 for g in a2])].sum()
+        if merged.var[0, 1] == 0.0:  # sizes [1, 1]: the count is constant
+            with pytest.raises(ValueError, match="merged comparison is zero"):
+                combined_z_score(a1, a2, table, MomentContext(sizes))
+            return
+        signed, _ = combined_z_score(a1, a2, table, MomentContext(sizes))
+        assert signed == (count - merged.mean[0, 1]) / np.sqrt(merged.var[0, 1])
 
 
 class TestRelevanceReport:
