@@ -828,7 +828,7 @@ def main(argv=None) -> int:
         for line in report.get("warnings", []):
             print(f"warning: {line}", file=sys.stderr)
         _emit(report, args.out)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,12 +1,15 @@
 """Hypothesis tests on between-group edge counts.
 
 Two one-sided tests share the permutation-null moments, which they read
-from the tables of :class:`~relevance_kit.moments.MomentContext` and from
-:func:`~relevance_kit.moments.build_sigma` (re-exported here); no closed
-form is written out in this module.  The weighted-sum test aggregates
-all between-group counts into a single asymptotically normal statistic,
-and the minimum test takes the smallest weighted centered count, whose
-null tail is a multivariate-normal orthant probability.  That orthant
+from :class:`~relevance_kit.moments.MomentContext`; no closed form is
+written out in this module.  The weighted-sum test aggregates all
+between-group counts into a single asymptotically normal statistic,
+whose null variance w' Sigma w the moments module gives in O(K) without
+building Sigma, so it runs at any k.  The minimum test takes the
+smallest weighted centered count, whose null tail is a multivariate-
+normal orthant probability over
+:func:`~relevance_kit.moments.build_sigma` (re-exported here), the
+K x K pair covariance.  That orthant
 probability is computed natively by :func:`mvn_upper_tail`.  Up to
 three components, which covers k = 2 and the paper's k = 3 (K = 3
 pairs), it is exact and deterministic: a normal CDF, a bivariate one by
@@ -75,7 +78,7 @@ from scipy.special import ndtr, ndtri, owens_t
 
 from .counts import check_table, tabulate
 from .counts import count_edges  # noqa: F401 -- perfbench/tracing.py wraps inference.count_edges
-from .moments import MomentContext, _pairs, build_sigma
+from .moments import MomentContext, _pairs, _weighted_var, build_sigma
 
 __all__ = [
     "WeightMatrix",
@@ -266,9 +269,12 @@ def weighted_sum_statistic(table, w: WeightMatrix) -> float:
 def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float = 0.05) -> TestResult:
     """One-sided lower-tail test on the weighted sum of between counts.
 
-    The null mean and variance come from the closed-form moments (the
-    variance is the full quadratic form over the pair covariance
-    matrix, not a sum of marginal variances).  The critical value
+    The null mean and variance come from the closed-form moments.  The
+    variance is the full quadratic form w' Sigma w over the pair
+    covariance, not a sum of marginal variances, written in O(K) time
+    and memory without the K x K matrix.  A weighted sum that is
+    constant under the null, as the total count of all-singleton groups
+    is, raises "test is degenerate".  The critical value
     ``null_mean + ndtri(alpha) * null_sd`` is where the p-value is alpha.
     """
     alpha = _check_alpha(alpha)
@@ -278,7 +284,7 @@ def weighted_sum_test(table, w: WeightMatrix, ctx: MomentContext, alpha: float =
     with np.errstate(over="ignore", invalid="ignore"):  # weights too large are rejected below
         stat = weighted_sum_statistic(table, w)
         null_mean = float(wvec @ ctx.pair_mean)
-        null_var = float(wvec @ build_sigma(ctx) @ wvec)
+        null_var = _weighted_var(ctx, wvec)
     if not math.isfinite(null_var):
         raise ValueError("null variance of the weighted sum overflows float64: the weights are too large")
     if null_var <= 0.0:

@@ -12,7 +12,10 @@ symmetric in its two groups by construction.  This module is the one
 place those closed forms live: :class:`MomentContext` carries the
 k x k mean and variance tables of every count and, built on first use,
 the between counts' means in pair order and their covariance matrix
-(:func:`build_sigma`) that the tests read.  An exhaustive enumeration
+(:func:`build_sigma`) that the minimum test reads.  The weighted sum
+needs only its quadratic form w' Sigma w, which :func:`_weighted_var`
+writes in O(K) from the pair variances and per-group sums, so no
+K x K matrix is built for it.  An exhaustive enumeration
 oracle (:func:`enumerate_null_moments`) recomputes every moment exactly
 for small N by iterating over all distinct label arrangements.
 """
@@ -45,6 +48,16 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     for index in (iu, ju):
         index.setflags(write=False)
     return iu, ju
+
+
+def _sigma_scales(N: int) -> tuple[float, float]:
+    """Sigma's two constants, a = 4 / (N^2 (N-1)) and m = N (N-1) / 2.
+
+    Off the diagonal, Sigma_pq = P_p P_q (a - s_pq / m), where P_p = n_a n_b
+    for pair p = (a, b) and s_pq is 1/n_g where pairs p and q share group g,
+    else 0.  m is an integer, exact in float64 while N^2 < 2^53.
+    """
+    return 4.0 / (N * N * (N - 1.0)), N * (N - 1.0) / 2.0
 
 
 def _between(a, b, N: int):
@@ -156,7 +169,8 @@ class MomentContext:
         incidence[np.arange(K), iu] = incidence[np.arange(K), ju] = 1.0
         shared = (incidence / n) @ incidence.T  # 1/n_g where pairs share g, else 0
         P = n[iu] * n[ju]
-        sigma = np.outer(P, P) * (4.0 / (N * N * (N - 1.0)) - 2.0 * shared / (N * (N - 1.0)))
+        a, m = _sigma_scales(N)
+        sigma = np.outer(P, P) * (a - shared / m)
         sigma[np.diag_indices(K)] = self.var[iu, ju]
         sigma.setflags(write=False)
         return sigma
@@ -172,8 +186,51 @@ def build_sigma(ctx: MomentContext) -> np.ndarray:
     2 P_p P_q / (n_g N (N-1)).  The diagonal holds the pair variances.
     Exactly symmetric by construction.  The matrix is built on the
     context's first call and returned read-only on every later one.
+    The minimum test reads it; the weighted sum needs only w' Sigma w
+    (:func:`_weighted_var`).
     """
     return ctx.sigma
+
+
+# A weighted-sum variance at most this many epsilons of its terms' magnitudes
+# is rounding residue, and read as zero: the largest residue seen where the
+# sum is constant (all-singleton groups, equal weights, k up to 4000) was 0.8.
+_ROUNDING = 64
+
+
+def _weighted_var(ctx: MomentContext, w: np.ndarray) -> float:
+    """Null variance w' Sigma w of the weighted between sum, in O(K) time and memory.
+
+    ``w`` holds nonnegative weights in pair order.  With x_p = w_p P_p and
+    a and m of :func:`_sigma_scales`,
+
+        w' Sigma w = sum_p w_p^2 var_p + 2a sum_{p<q} x_p x_q
+                     - (2/m) sum_g (1/n_g) sum_{p<q, both containing g} x_p x_q,
+
+    where var_p is the pair's variance in ``ctx.var``.  Each sum over
+    p < q is taken against running sums of the x, never as a difference
+    of squares, which cancels where one pair dominates its group.  The
+    weights are scaled by the largest before squaring, so the form
+    overflows only where its value does (``inf``).  A value at most
+    ``_ROUNDING`` epsilons of the sum of its terms' magnitudes, as where
+    the weighted sum is constant, is returned as 0.0.
+    """
+    n = ctx.sizes.astype(np.float64)
+    k = ctx.n_groups
+    iu, ju = _pairs(k)
+    a, m = _sigma_scales(ctx.total)
+    top = float(w.max())
+    v = w / top
+    x = v * (n[iu] * n[ju])
+    X = np.zeros((k, k))  # row g holds the x of the pairs that contain g
+    X[iu, ju] = X[ju, iu] = x
+    diagonal = np.sum(v * v * ctx.var[iu, ju])
+    every = 2.0 * a * (x[1:] @ np.cumsum(x)[:-1])
+    shared = 2.0 * np.sum(np.einsum("ij,ij->i", X[:, 1:], np.cumsum(X, axis=1)[:, :-1]) / n) / m
+    value = diagonal + every - shared
+    if value <= _ROUNDING * np.finfo(np.float64).eps * (diagonal + every + shared):
+        return 0.0
+    return float(value * top * top)
 
 
 @dataclass(frozen=True)

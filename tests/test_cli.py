@@ -1402,14 +1402,45 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("selector", ["ws", "min", "both", "perm:100"])
     def test_pair_covariance_too_large_for_memory(self, tmp_path, monkeypatch, capsys, selector):
         # k = 60 groups of 2: the 120 x 120 costs fit in 32 MiB, the K = 1770
-        # pair covariance (about 98 MiB to build) does not; relevance needs none
+        # pair covariance (about 98 MiB to build) does not.  The minimum test,
+        # which perm:B runs too, reads it; the weighted sum and relevance
+        # need none and run.
         rng = np.random.default_rng(60)
         data = write_csv(tmp_path / "many.csv", np.repeat(np.arange(60), 2), rng.normal(size=(120, 3)))
         monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: 2 ** 25)
         rc = main(["test", "--input", str(data), "--group-col", "g", "--test", selector])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: k=60 groups (K=1770 pairs) need about ")
+        out, err = capsys.readouterr()
+        if selector == "ws":
+            assert rc == 0 and err == ""
+            assert set(json.loads(out)["results"]) == {"weighted_sum"}
+        else:
+            assert rc == 2
+            assert err.startswith("error: k=60 groups (K=1770 pairs) need about ")
         assert main(["relevance", "--input", str(data), "--group-col", "g"]) == 0
+
+    def test_memory_error_exits_2(self, two_group_csv, monkeypatch, capsys):
+        # an allocation that passes the physical-memory guard can still fail,
+        # as under an address-space cap (ulimit -v)
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.95 GiB for an array with shape (19900, 19900)")
+
+        monkeypatch.setattr(cli, "approximate_shp", refuse)
+        rc = main(["test", "--input", str(two_group_csv), "--group-col", "g"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: Unable to allocate 2.95 GiB for an array "
+                                           "with shape (19900, 19900)\n")
+
+    @pytest.mark.parametrize("weights", ["unit", "default"])
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_weighted_sum_of_singletons_is_degenerate(self, tmp_path, capsys, k, weights):
+        # k groups of one row: every edge is between, so the between total is
+        # N - 1 under any arrangement and so is the sum under equal weights
+        data = write_csv(tmp_path / "ones.csv", range(k), np.arange(k * 2.0).reshape(k, 2) ** 1.5)
+        argv = ["test", "--input", str(data), "--group-col", "g", "--test", "ws"]
+        with pytest.warns(RuntimeWarning, match="single observation"):
+            rc = main(argv + (["--weights", "unit"] if weights == "unit" else []))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: null variance of the weighted sum is zero; test is degenerate\n"
 
     def test_degenerate_minimum_test(self, tmp_path, capsys):
         p = tmp_path / "pair.csv"

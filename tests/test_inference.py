@@ -312,7 +312,7 @@ class TestWeightedSumTest:
             with pytest.raises(ValueError, match="degenerate"):
                 weighted_sum_test(pair_table(2, {(1, 2): 1}), WeightMatrix.unit(2), ctx)
 
-    @pytest.mark.parametrize("v", [1e200, 8e307])
+    @pytest.mark.parametrize("v", [1e154, 1e200, 8e307])
     def test_rejects_null_variance_beyond_float64(self, v):
         # the weighted sum's moments overflow without a RuntimeWarning; at
         # 8e307 its mean and the statistic overflow too
@@ -322,6 +322,33 @@ class TestWeightedSumTest:
         np.fill_diagonal(table, [5, 4, 5])
         with pytest.raises(ValueError, match="null variance of the weighted sum overflows float64"):
             weighted_sum_test(table, w, ctx)
+
+    @pytest.mark.parametrize("v", [1e152, 1e153])
+    def test_null_variance_near_the_float64_limit(self, v):
+        # w' Sigma w is 6.2e304 and 6.2e306 here: the weights are scaled by
+        # the largest before squaring, so the form overflows only where the
+        # variance itself does
+        ctx = MomentContext(np.array([10, 10, 10]))
+        w = WeightMatrix(pair_table(3, {(1, 2): v, (1, 3): v, (2, 3): v}))
+        table = pair_table(3, {(1, 2): 5, (1, 3): 4, (2, 3): 6})
+        res = weighted_sum_test(table, w, ctx)
+        wvec = w.vector()
+        assert res.null_sd == pytest.approx((wvec @ ctx.sigma @ wvec) ** 0.5, rel=1e-12)
+        assert 0.0 < res.p_value < 1.0
+
+    def test_works_in_memory_linear_in_the_pairs(self):
+        # 200 groups of 2: K = 19 900 pairs, whose K x K covariance is 3 GiB
+        ctx = MomentContext(np.full(200, 2))
+        table = np.ones((200, 200))
+        w = WeightMatrix.unit(200)
+        tracemalloc.start()
+        try:
+            res = weighted_sum_test(table, w, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert res.null_sd > 0.0 and "sigma" not in ctx.__dict__
 
     def test_rejects_mismatched_weights(self):
         ctx = MomentContext(np.array([4, 5]))

@@ -22,6 +22,7 @@ from relevance_kit.counts import GroupAssignment
 from relevance_kit.moments import (
     EnumeratedMoments,
     MomentContext,
+    _weighted_var,
     build_sigma,
     enumerate_null_moments,
 )
@@ -400,3 +401,82 @@ class TestSigmaMemoryGuard:
             MomentContext([2] * 30).sigma
         monkeypatch.setattr(cost, "_physical_memory_bytes", lambda: need)
         assert MomentContext([2] * 30).sigma.shape == (435, 435)
+
+
+def exact_weighted_var(sizes, w):
+    """w' Sigma w as an exact fraction, entry by entry over every pair of pairs."""
+    N = sum(sizes)
+    _, var = exact_tables(sizes)
+    pairs = [(i, j) for i, j in zip(*np.triu_indices(len(sizes), 1))]
+    x = [Fraction(float(wp)) * sizes[i] * sizes[j] for wp, (i, j) in zip(w, pairs)]
+    total = Fraction(0)
+    for p, (i, j) in enumerate(pairs):
+        total += Fraction(float(w[p])) ** 2 * var[i][j]
+        for q in range(p + 1, len(pairs)):
+            shared = set(pairs[p]) & set(pairs[q])
+            cov = Fraction(4, N * N * (N - 1)) - sum(Fraction(2, sizes[g] * N * (N - 1)) for g in shared)
+            total += 2 * x[p] * x[q] * cov
+    return total
+
+
+class TestWeightedVariance:
+    """The O(K) form of w' Sigma w against the dense form, enumeration and exact fractions."""
+
+    design = st.integers(2, 30).flatmap(lambda k: st.tuples(
+        st.one_of(
+            st.lists(st.integers(1, 10 ** 5), min_size=k, max_size=k),
+            # one dominant group among small ones, anywhere in the order
+            st.tuples(st.lists(st.integers(1, 3), min_size=k - 1, max_size=k - 1),
+                      st.integers(10 ** 3, 10 ** 6), st.integers(0, k - 1))
+            .map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+        ),
+        # weights with zeros among them, at least one positive
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                 min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2)
+        .filter(lambda w: max(w) > 0.0),
+    ))
+
+    @settings(max_examples=300, deadline=None)
+    @given(design=design)
+    @example(design=([100000, 1, 1, 2], [0.5, 0.25, 1.0, 0.75, 0.0, 0.5]))
+    @example(design=([1] * 6, [1.0] * 15))
+    def test_matches_the_dense_quadratic_form(self, design):
+        sizes, w = design
+        ctx, w = MomentContext(sizes), np.array(w)
+        got = _weighted_var(ctx, w)
+        if got == 0.0:  # only where the weighted sum is constant
+            assert exact_weighted_var(sizes, w) == 0
+        else:
+            assert got == pytest.approx(w @ ctx.sigma @ w, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sizes", [
+        [100000, 1, 1, 2], [100000, 2, 1], [50000, 50000, 1, 3, 2], [1, 10 ** 6], [1, 1, 1, 2],
+        [10 ** 6, 3, 1, 2, 2, 1], [7, 11, 13, 2],
+    ], ids=str)
+    def test_within_a_few_ulp_of_exact(self, sizes):
+        # a dominant pair in a group of few pairs: (sum x)^2 - sum x^2 would
+        # cancel there, and left 1e-11 relative on [100000, 1, 1, 2]
+        rng = np.random.default_rng(len(sizes))
+        K = len(sizes) * (len(sizes) - 1) // 2
+        for w in (np.ones(K), rng.random(K), rng.random(K) * (rng.random(K) < 0.6) + np.eye(1, K)[0]):
+            exact = exact_weighted_var(sizes, w)
+            assert abs(Fraction(_weighted_var(MomentContext(sizes), w)) - exact) <= Fraction(1e-14) * exact
+
+    @pytest.mark.parametrize("sizes", SIZE_CONFIGS, ids=str)
+    def test_matches_enumeration(self, sizes):
+        enum = enumerate_null_moments(GroupAssignment(labels_for(sizes)))
+        pairs = pair_list(len(sizes))
+        rng = np.random.default_rng(len(pairs))
+        for w in (np.ones(len(pairs)), rng.random(len(pairs)), np.eye(1, len(pairs))[0]):
+            expected = sum(w[a] * w[b] * enum.cov_of(p1, p2)
+                           for a, p1 in enumerate(pairs) for b, p2 in enumerate(pairs))
+            assert_allclose(_weighted_var(MomentContext(np.array(sizes)), w), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 12, 26, 28, 100, 200])
+    def test_constant_sum_is_zero(self, k):
+        # all-singleton groups with equal weights: the between total is N - 1
+        # on every arrangement; at k = 26, 28 and 100 the form leaves a
+        # positive residue of about an epsilon of its terms
+        ctx = MomentContext([1] * k)
+        for weight in (1.0, 0.37, ctx.var[0, 1] ** -0.5):  # unit, any, default
+            assert _weighted_var(ctx, np.full(k * (k - 1) // 2, weight)) == 0.0
