@@ -453,7 +453,7 @@ class TestWeightedVariance:
         [100000, 1, 1, 2], [100000, 2, 1], [50000, 50000, 1, 3, 2], [1, 10 ** 6], [1, 1, 1, 2],
         [10 ** 6, 3, 1, 2, 2, 1], [7, 11, 13, 2],
     ], ids=str)
-    def test_within_a_few_ulp_of_exact(self, sizes):
+    def test_near_exact_where_a_pair_dominates(self, sizes):
         # a dominant pair in a group of few pairs: (sum x)^2 - sum x^2 would
         # cancel there, and left 1e-11 relative on [100000, 1, 1, 2]
         rng = np.random.default_rng(len(sizes))
